@@ -3,7 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <istream>
-#include <map>
 #include <ostream>
 
 namespace hbguard {
@@ -92,173 +91,452 @@ std::optional<FibEntry::Action> action_from(std::string_view name) {
 }
 
 // ---------------------------------------------------------------------------
-// A minimal JSON value parser (objects, arrays, strings, integers, bools) —
-// enough for our own output; no external dependencies.
+// Single-pass record reader. The grammar is a JSON subset — objects, arrays,
+// strings (escapes \" \\ \n \t \uXXXX), integers, booleans; no null, no
+// floats — and the reader walks it once, writing each known key's value
+// straight into the IoRecord. String values are views into the line, copied
+// into a scratch buffer only when they contain escapes. Unknown keys and
+// values of the wrong type are validated exactly as a kept value would be,
+// then dropped; when a key repeats, its first occurrence wins.
 
-struct JsonValue {
-  enum class Type { kNull, kBool, kInt, kString, kArray, kObject } type = Type::kNull;
-  bool boolean = false;
-  std::int64_t integer = 0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
+bool is_space(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
+
+int hex_value(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  return -1;
+}
+
+// Top-level keys, in to_json_line's emission order (lookups start after the
+// previous match, so a writer-ordered line matches each key first try).
+enum Field : int {
+  kId, kRouter, kKind, kLoggedTime, kSeq, kProtocol, kPrefix,
+  kSession, kPeer, kWithdraw, kLocalPref, kDetail, kConfigVersion, kLink,
+  kLinkUp, kFibBlocked, kFibReset, kFibEntry, kTrueTime, kMessageId, kTrueCauses,
+  kFieldCount
 };
+constexpr std::string_view kFieldNames[kFieldCount] = {
+    "id",      "router", "kind",     "logged_time", "seq",        "protocol",       "prefix",
+    "session", "peer",   "withdraw", "local_pref",  "detail",     "config_version", "link",
+    "link_up", "fib_blocked", "fib_reset", "fib_entry", "true_time", "message_id", "true_causes"};
 
-struct JsonParser {
-  std::string_view text;
-  std::size_t pos = 0;
-  std::string error;
+// fib_entry's keys.
+enum FibField : int { kFibPrefix, kFibAction, kFibNextHop, kFibSession, kFibSource, kFibFieldCount };
+constexpr std::string_view kFibFieldNames[kFibFieldCount] = {
+    "prefix", "action", "next_hop", "external_session", "source"};
 
-  void skip_ws() {
-    while (pos < text.size() && std::isspace(static_cast<unsigned char>(text[pos]))) ++pos;
+template <std::size_t N>
+int match_key(const std::string_view (&names)[N], std::string_view key, std::size_t& hint) {
+  for (std::size_t i = 0; i < N; ++i) {
+    std::size_t field = (hint + i) % N;
+    if (names[field] == key) {
+      hint = field + 1;
+      return static_cast<int>(field);
+    }
   }
-  bool fail(const std::string& message) {
-    if (error.empty()) error = message + " at offset " + std::to_string(pos);
+  return -1;
+}
+
+class RecordLineParser {
+ public:
+  explicit RecordLineParser(std::string_view text) : text_(text) {}
+
+  TraceLineStatus parse(IoRecord& out, std::string& error);
+
+ private:
+  struct Value {
+    enum class Type { kContainer, kBool, kInt, kString } type = Type::kContainer;
+    bool boolean = false;
+    std::int64_t integer = 0;
+    std::string_view string;  // into the line or buffer_; valid until the next string
+  };
+
+  /// What the record's fields say, kept until the line is fully read so the
+  /// checks run in a fixed order whatever the key order.
+  struct Found {
+    std::uint32_t seen = 0;  // bit per Field: first occurrence consumed
+    bool id = false;
+    bool router = false;
+    bool kind = false;
+    std::optional<IoKind> kind_value;
+    std::string bad_kind;
+    std::optional<std::int64_t> seq;
+    bool true_time = false;
+    std::optional<std::string> bad_prefix;
+    std::optional<FibEntry> fib;
+    bool bad_fib = false;  // first fib_entry was an object without prefix or action
+  };
+
+  bool fail(std::string_view message) {
+    if (error_.empty()) error_ = std::string(message) + " at offset " + std::to_string(pos_);
     return false;
   }
-  bool expect(char c) {
+  void skip_ws() {
+    while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
+  }
+  bool next_is(char c) {
     skip_ws();
-    if (pos >= text.size() || text[pos] != c) return fail(std::string("expected '") + c + "'");
-    ++pos;
+    return pos_ < text_.size() && text_[pos_] == c;
+  }
+  bool consume(char c) {
+    if (!next_is(c)) return false;
+    ++pos_;
     return true;
   }
+  bool expect(char c) { return consume(c) || fail(std::string("expected '") + c + "'"); }
 
-  bool parse_value(JsonValue& out) {
-    skip_ws();
-    if (pos >= text.size()) return fail("unexpected end");
-    char c = text[pos];
-    if (c == '{') return parse_object(out);
-    if (c == '[') return parse_array(out);
-    if (c == '"') return parse_string(out);
-    if (c == 't' || c == 'f') return parse_bool(out);
-    if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) return parse_int(out);
-    return fail("unexpected character");
-  }
+  bool parse_string(std::string_view& out);
+  bool parse_int(std::int64_t& out);
+  bool parse_bool(bool& out);
+  /// One value of any type; `depth` counts the containers around it.
+  /// Containers are validated and skipped.
+  bool parse_value(Value& out, int depth);
+  bool skip_container(int depth);
+  bool parse_record(IoRecord& record, Found& found);
+  bool parse_field(Field field, IoRecord& record, Found& found);
+  bool parse_causes(std::vector<IoId>& causes);
+  bool parse_fib_entry(Found& found);
 
-  bool parse_object(JsonValue& out) {
-    out.type = JsonValue::Type::kObject;
-    if (!expect('{')) return false;
-    skip_ws();
-    if (pos < text.size() && text[pos] == '}') {
-      ++pos;
-      return true;
-    }
-    while (true) {
-      JsonValue key;
-      if (!parse_string(key)) return false;
-      if (!expect(':')) return false;
-      JsonValue value;
-      if (!parse_value(value)) return false;
-      out.object.emplace(std::move(key.string), std::move(value));
-      skip_ws();
-      if (pos < text.size() && text[pos] == ',') {
-        ++pos;
-        continue;
-      }
-      return expect('}');
-    }
-  }
-
-  bool parse_array(JsonValue& out) {
-    out.type = JsonValue::Type::kArray;
-    if (!expect('[')) return false;
-    skip_ws();
-    if (pos < text.size() && text[pos] == ']') {
-      ++pos;
-      return true;
-    }
-    while (true) {
-      JsonValue value;
-      if (!parse_value(value)) return false;
-      out.array.push_back(std::move(value));
-      skip_ws();
-      if (pos < text.size() && text[pos] == ',') {
-        ++pos;
-        continue;
-      }
-      return expect(']');
-    }
-  }
-
-  bool parse_string(JsonValue& out) {
-    out.type = JsonValue::Type::kString;
-    if (!expect('"')) return false;
-    while (pos < text.size()) {
-      char c = text[pos++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos >= text.size()) return fail("bad escape");
-        char esc = text[pos++];
-        switch (esc) {
-          case '"': out.string += '"'; break;
-          case '\\': out.string += '\\'; break;
-          case 'n': out.string += '\n'; break;
-          case 't': out.string += '\t'; break;
-          case 'u': {
-            if (pos + 4 > text.size()) return fail("bad \\u escape");
-            unsigned value = 0;
-            auto [p, ec] = std::from_chars(text.data() + pos, text.data() + pos + 4, value, 16);
-            if (ec != std::errc{}) return fail("bad \\u escape");
-            pos += 4;
-            out.string += static_cast<char>(value & 0x7f);
-            break;
-          }
-          default:
-            return fail("unknown escape");
-        }
-      } else {
-        out.string += c;
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  bool parse_bool(JsonValue& out) {
-    out.type = JsonValue::Type::kBool;
-    if (text.substr(pos, 4) == "true") {
-      out.boolean = true;
-      pos += 4;
-      return true;
-    }
-    if (text.substr(pos, 5) == "false") {
-      out.boolean = false;
-      pos += 5;
-      return true;
-    }
-    return fail("bad literal");
-  }
-
-  bool parse_int(JsonValue& out) {
-    out.type = JsonValue::Type::kInt;
-    std::size_t start = pos;
-    if (pos < text.size() && text[pos] == '-') ++pos;
-    while (pos < text.size() && std::isdigit(static_cast<unsigned char>(text[pos]))) ++pos;
-    auto [p, ec] = std::from_chars(text.data() + start, text.data() + pos, out.integer);
-    if (ec != std::errc{} || p != text.data() + pos) return fail("bad number");
-    return true;
-  }
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  std::string error_;
+  std::string buffer_;  // decoded form of the current escaped string
 };
 
-const JsonValue* field(const JsonValue& object, const std::string& name) {
-  auto it = object.object.find(name);
-  return it == object.object.end() ? nullptr : &it->second;
+bool RecordLineParser::parse_string(std::string_view& out) {
+  if (!expect('"')) return false;
+  std::size_t start = pos_;
+  while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') ++pos_;
+  if (pos_ >= text_.size()) return fail("unterminated string");
+  if (text_[pos_] == '"') {
+    out = text_.substr(start, pos_ - start);
+    ++pos_;
+    return true;
+  }
+  buffer_.assign(text_.data() + start, pos_ - start);
+  while (pos_ < text_.size()) {
+    char c = text_[pos_++];
+    if (c == '"') {
+      out = buffer_;
+      return true;
+    }
+    if (c != '\\') {
+      buffer_ += c;
+      continue;
+    }
+    if (pos_ >= text_.size()) return fail("bad escape");
+    switch (text_[pos_++]) {
+      case '"': buffer_ += '"'; break;
+      case '\\': buffer_ += '\\'; break;
+      case 'n': buffer_ += '\n'; break;
+      case 't': buffer_ += '\t'; break;
+      case 'u': {
+        if (pos_ + 4 > text_.size()) return fail("bad \\u escape");
+        // All four bytes are consumed; the value is their leading hex
+        // digits (at least one), folded to 7 bits.
+        unsigned value = 0;
+        int digits = 0;
+        while (digits < 4 && hex_value(text_[pos_ + digits]) >= 0) {
+          value = value * 16 + static_cast<unsigned>(hex_value(text_[pos_ + digits]));
+          ++digits;
+        }
+        if (digits == 0) return fail("bad \\u escape");
+        pos_ += 4;
+        buffer_ += static_cast<char>(value & 0x7f);
+        break;
+      }
+      default:
+        return fail("unknown escape");
+    }
+  }
+  return fail("unterminated string");
 }
 
-std::optional<std::int64_t> int_field(const JsonValue& object, const std::string& name) {
-  const JsonValue* value = field(object, name);
-  if (value == nullptr || value->type != JsonValue::Type::kInt) return std::nullopt;
-  return value->integer;
+bool RecordLineParser::parse_int(std::int64_t& out) {
+  std::size_t start = pos_;
+  if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+  while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
+  auto [end, ec] = std::from_chars(text_.data() + start, text_.data() + pos_, out);
+  if (ec != std::errc{} || end != text_.data() + pos_) return fail("bad number");
+  return true;
 }
 
-std::optional<std::string> string_field(const JsonValue& object, const std::string& name) {
-  const JsonValue* value = field(object, name);
-  if (value == nullptr || value->type != JsonValue::Type::kString) return std::nullopt;
-  return value->string;
+bool RecordLineParser::parse_bool(bool& out) {
+  if (text_.substr(pos_, 4) == "true") {
+    out = true;
+    pos_ += 4;
+    return true;
+  }
+  if (text_.substr(pos_, 5) == "false") {
+    out = false;
+    pos_ += 5;
+    return true;
+  }
+  return fail("bad literal");
 }
 
-bool bool_field(const JsonValue& object, const std::string& name) {
-  const JsonValue* value = field(object, name);
-  return value != nullptr && value->type == JsonValue::Type::kBool && value->boolean;
+bool RecordLineParser::parse_value(Value& out, int depth) {
+  skip_ws();
+  if (pos_ >= text_.size()) return fail("unexpected end");
+  char c = text_[pos_];
+  if (c == '{' || c == '[') {
+    out.type = Value::Type::kContainer;
+    return skip_container(depth + 1);
+  }
+  if (c == '"') {
+    out.type = Value::Type::kString;
+    return parse_string(out.string);
+  }
+  if (c == 't' || c == 'f') {
+    out.type = Value::Type::kBool;
+    return parse_bool(out.boolean);
+  }
+  if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
+    out.type = Value::Type::kInt;
+    return parse_int(out.integer);
+  }
+  return fail("unexpected character");
+}
+
+bool RecordLineParser::skip_container(int depth) {
+  if (depth > kMaxJsonDepth) return fail("nesting too deep");
+  const bool object = text_[pos_] == '{';
+  const char close = object ? '}' : ']';
+  ++pos_;
+  if (consume(close)) return true;
+  do {
+    std::string_view key;
+    if (object && (!parse_string(key) || !expect(':'))) return false;
+    Value ignored;
+    if (!parse_value(ignored, depth)) return false;
+  } while (consume(','));
+  return expect(close);
+}
+
+bool RecordLineParser::parse_causes(std::vector<IoId>& causes) {
+  ++pos_;  // '['
+  if (consume(']')) return true;
+  do {
+    Value value;
+    if (!parse_value(value, 2)) return false;
+    if (value.type == Value::Type::kInt) causes.push_back(static_cast<IoId>(value.integer));
+  } while (consume(','));
+  return expect(']');
+}
+
+bool RecordLineParser::parse_fib_entry(Found& found) {
+  ++pos_;  // '{'
+  FibEntry entry;
+  bool prefix = false;
+  bool action = false;
+  if (consume('}')) {
+    found.bad_fib = true;
+    return true;
+  }
+  std::uint32_t seen = 0;
+  std::size_t hint = 0;
+  do {
+    std::string_view key;
+    if (!parse_string(key) || !expect(':')) return false;
+    int field = match_key(kFibFieldNames, key, hint);
+    bool first = field >= 0 && (seen & (1u << field)) == 0;
+    if (first) seen |= 1u << field;
+    Value value;
+    if (!parse_value(value, 2)) return false;
+    if (!first) continue;
+    bool is_string = value.type == Value::Type::kString;
+    switch (field) {
+      case kFibPrefix:
+        if (auto parsed = is_string ? Prefix::parse(value.string) : std::nullopt) {
+          entry.prefix = *parsed;
+          prefix = true;
+        }
+        break;
+      case kFibAction:
+        if (auto parsed = is_string ? action_from(value.string) : std::nullopt) {
+          entry.action = *parsed;
+          action = true;
+        }
+        break;
+      case kFibNextHop:
+        if (value.type == Value::Type::kInt) {
+          entry.next_hop = static_cast<RouterId>(value.integer);
+        }
+        break;
+      case kFibSession:
+        if (is_string) entry.external_session.assign(value.string);
+        break;
+      case kFibSource:
+        if (auto parsed = is_string ? protocol_from(value.string) : std::nullopt) {
+          entry.source = *parsed;
+        }
+        break;
+      default:
+        break;
+    }
+  } while (consume(','));
+  if (prefix && action) {
+    found.fib = std::move(entry);
+  } else {
+    found.bad_fib = true;
+  }
+  return expect('}');
+}
+
+bool RecordLineParser::parse_field(Field field, IoRecord& record, Found& found) {
+  if (field == kTrueCauses && next_is('[')) return parse_causes(record.true_causes);
+  if (field == kFibEntry && next_is('{')) return parse_fib_entry(found);
+  Value value;
+  if (!parse_value(value, 1)) return false;
+  const bool is_int = value.type == Value::Type::kInt;
+  const bool is_string = value.type == Value::Type::kString;
+  const bool is_true = value.type == Value::Type::kBool && value.boolean;
+  const std::int64_t integer = value.integer;
+  switch (field) {
+    case kId:
+      found.id = is_int;
+      if (is_int) record.id = static_cast<IoId>(integer);
+      break;
+    case kRouter:
+      found.router = is_int;
+      if (is_int) record.router = static_cast<RouterId>(integer);
+      break;
+    case kKind:
+      found.kind = is_string;
+      if (is_string) {
+        found.kind_value = kind_from(value.string);
+        if (!found.kind_value) found.bad_kind.assign(value.string);
+      }
+      break;
+    case kLoggedTime:
+      if (is_int) record.logged_time = integer;
+      break;
+    case kTrueTime:
+      found.true_time = is_int;
+      if (is_int) record.true_time = integer;
+      break;
+    case kSeq:
+      if (is_int) found.seq = integer;
+      break;
+    case kProtocol:
+      if (is_string) {
+        if (auto parsed = protocol_from(value.string)) record.protocol = *parsed;
+      }
+      break;
+    case kPrefix:
+      if (is_string) {
+        record.prefix = Prefix::parse(value.string);
+        if (!record.prefix) found.bad_prefix.emplace(value.string);
+      }
+      break;
+    case kSession:
+      if (is_string) record.session.assign(value.string);
+      break;
+    case kPeer:
+      if (is_int) record.peer = static_cast<RouterId>(integer);
+      break;
+    case kWithdraw:
+      record.withdraw = is_true;
+      break;
+    case kLocalPref:
+      if (is_int) record.local_pref = static_cast<std::uint32_t>(integer);
+      break;
+    case kDetail:
+      if (is_string) record.detail.assign(value.string);
+      break;
+    case kConfigVersion:
+      if (is_int) record.config_version = static_cast<ConfigVersion>(integer);
+      break;
+    case kLink:
+      if (is_int) record.link = static_cast<LinkId>(integer);
+      break;
+    case kLinkUp:
+      record.link_up = is_true;
+      break;
+    case kFibBlocked:
+      record.fib_blocked = is_true;
+      break;
+    case kFibReset:
+      record.fib_reset = is_true;
+      break;
+    case kMessageId:
+      if (is_int) record.message_id = static_cast<std::uint64_t>(integer);
+      break;
+    case kFibEntry:  // not an object: no entry
+    case kTrueCauses:  // not an array: no causes
+    case kFieldCount:
+      break;
+  }
+  return true;
+}
+
+bool RecordLineParser::parse_record(IoRecord& record, Found& found) {
+  ++pos_;  // '{'
+  if (consume('}')) return true;
+  std::size_t hint = 0;
+  do {
+    std::string_view key;
+    if (!parse_string(key) || !expect(':')) return false;
+    int field = match_key(kFieldNames, key, hint);
+    if (field >= 0 && (found.seen & (1u << field)) == 0) {
+      found.seen |= 1u << field;
+      if (!parse_field(static_cast<Field>(field), record, found)) return false;
+    } else {
+      Value ignored;
+      if (!parse_value(ignored, 1)) return false;
+    }
+  } while (consume(','));
+  return expect('}');
+}
+
+TraceLineStatus RecordLineParser::parse(IoRecord& out, std::string& error) {
+  error.clear();
+  skip_ws();
+  if (pos_ == text_.size()) return TraceLineStatus::kBlank;
+  out = IoRecord{};
+  if (text_[pos_] != '{') {
+    error = "not an object";
+    return TraceLineStatus::kError;
+  }
+  Found found;
+  if (!parse_record(out, found)) {
+    error = std::move(error_);
+    return TraceLineStatus::kError;
+  }
+  skip_ws();
+  if (pos_ != text_.size()) {
+    error = "trailing bytes after the record at offset " + std::to_string(pos_);
+    return TraceLineStatus::kError;
+  }
+  if (!found.id || !found.router || !found.kind) {
+    error = "missing id/router/kind";
+    return TraceLineStatus::kError;
+  }
+  if (!found.kind_value) {
+    error = "unknown kind '" + found.bad_kind + "'";
+    return TraceLineStatus::kError;
+  }
+  out.kind = *found.kind_value;
+  if (!found.true_time) out.true_time = out.logged_time;
+  // A record without a parseable seq cannot be placed in its router's log
+  // order; defaulting it (to 0) would silently corrupt per-router replay
+  // on archive ingest, so reject the record instead.
+  if (!found.seq || *found.seq < 0) {
+    error = "missing or invalid seq";
+    return TraceLineStatus::kError;
+  }
+  out.router_seq = static_cast<std::uint64_t>(*found.seq);
+  if (found.bad_prefix) {
+    error = "bad prefix '" + *found.bad_prefix + "'";
+    return TraceLineStatus::kError;
+  }
+  if (found.bad_fib) {
+    error = "bad fib_entry";
+    return TraceLineStatus::kError;
+  }
+  out.fib_entry = std::move(found.fib);
+  return TraceLineStatus::kRecord;
 }
 
 }  // namespace
@@ -352,109 +630,7 @@ void write_trace(std::ostream& out, std::span<const IoRecord> records,
 }
 
 TraceLineStatus parse_trace_line(std::string_view line, IoRecord& out, std::string& error) {
-  error.clear();
-  bool blank = true;
-  for (char c : line) {
-    if (!std::isspace(static_cast<unsigned char>(c))) blank = false;
-  }
-  if (blank) return TraceLineStatus::kBlank;
-
-  JsonParser parser{line, 0, {}};
-  JsonValue value;
-  if (!parser.parse_value(value) || value.type != JsonValue::Type::kObject) {
-    error = parser.error.empty() ? "not an object" : parser.error;
-    return TraceLineStatus::kError;
-  }
-
-  IoRecord record;
-  auto id = int_field(value, "id");
-  auto router = int_field(value, "router");
-  auto kind_text = string_field(value, "kind");
-  if (!id || !router || !kind_text) {
-    error = "missing id/router/kind";
-    return TraceLineStatus::kError;
-  }
-  auto kind = kind_from(*kind_text);
-  if (!kind) {
-    error = "unknown kind '" + *kind_text + "'";
-    return TraceLineStatus::kError;
-  }
-  record.id = static_cast<IoId>(*id);
-  record.router = static_cast<RouterId>(*router);
-  record.kind = *kind;
-  record.logged_time = int_field(value, "logged_time").value_or(0);
-  record.true_time = int_field(value, "true_time").value_or(record.logged_time);
-  // A record without a parseable seq cannot be placed in its router's log
-  // order; defaulting it (to 0) would silently corrupt per-router replay
-  // on archive ingest, so reject the record instead.
-  auto seq = int_field(value, "seq");
-  if (!seq || *seq < 0) {
-    error = "missing or invalid seq";
-    return TraceLineStatus::kError;
-  }
-  record.router_seq = static_cast<std::uint64_t>(*seq);
-  if (auto protocol = string_field(value, "protocol")) {
-    if (auto parsed = protocol_from(*protocol)) record.protocol = *parsed;
-  }
-  if (auto prefix_text = string_field(value, "prefix")) {
-    auto prefix = Prefix::parse(*prefix_text);
-    if (!prefix) {
-      error = "bad prefix '" + *prefix_text + "'";
-      return TraceLineStatus::kError;
-    }
-    record.prefix = *prefix;
-  }
-  if (auto session = string_field(value, "session")) record.session = *session;
-  if (auto peer = int_field(value, "peer")) record.peer = static_cast<RouterId>(*peer);
-  record.withdraw = bool_field(value, "withdraw");
-  if (auto lp = int_field(value, "local_pref")) {
-    record.local_pref = static_cast<std::uint32_t>(*lp);
-  }
-  if (auto detail = string_field(value, "detail")) record.detail = *detail;
-  if (auto version = int_field(value, "config_version")) {
-    record.config_version = static_cast<ConfigVersion>(*version);
-  }
-  if (auto link = int_field(value, "link")) record.link = static_cast<LinkId>(*link);
-  record.link_up = bool_field(value, "link_up");
-  record.fib_blocked = bool_field(value, "fib_blocked");
-  record.fib_reset = bool_field(value, "fib_reset");
-  if (auto message = int_field(value, "message_id")) {
-    record.message_id = static_cast<std::uint64_t>(*message);
-  }
-  if (const JsonValue* causes = field(value, "true_causes");
-      causes != nullptr && causes->type == JsonValue::Type::kArray) {
-    for (const JsonValue& cause : causes->array) {
-      if (cause.type == JsonValue::Type::kInt) {
-        record.true_causes.push_back(static_cast<IoId>(cause.integer));
-      }
-    }
-  }
-  if (const JsonValue* entry = field(value, "fib_entry");
-      entry != nullptr && entry->type == JsonValue::Type::kObject) {
-    FibEntry fib;
-    auto prefix_text = string_field(*entry, "prefix");
-    auto action_text = string_field(*entry, "action");
-    auto prefix = prefix_text ? Prefix::parse(*prefix_text) : std::nullopt;
-    auto action = action_text ? action_from(*action_text) : std::nullopt;
-    if (!prefix || !action) {
-      error = "bad fib_entry";
-      return TraceLineStatus::kError;
-    }
-    fib.prefix = *prefix;
-    fib.action = *action;
-    if (auto next_hop = int_field(*entry, "next_hop")) {
-      fib.next_hop = static_cast<RouterId>(*next_hop);
-    }
-    if (auto session = string_field(*entry, "external_session")) {
-      fib.external_session = *session;
-    }
-    if (auto source = string_field(*entry, "source")) {
-      if (auto parsed = protocol_from(*source)) fib.source = *parsed;
-    }
-    record.fib_entry = fib;
-  }
-  out = std::move(record);
-  return TraceLineStatus::kRecord;
+  return RecordLineParser(line).parse(out, error);
 }
 
 bool stream_trace(std::istream& in, const std::function<bool(IoRecord&&)>& visit,

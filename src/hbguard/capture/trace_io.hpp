@@ -50,9 +50,17 @@ enum class TraceLineStatus {
   kError,   // malformed; `error` says why
 };
 
+/// Deepest container nesting a line may use. A record needs two levels (the
+/// record object, then fib_entry or true_causes); anything past this is
+/// rejected before it can exhaust the parser.
+inline constexpr int kMaxJsonDepth = 16;
+
 /// Parse exactly one JSONL line into `out` (reset first). This is the
 /// primitive the streaming readers are built on: no stream wrapper, no
-/// accumulation — one line in, one record (or verdict) out.
+/// accumulation — one line in, one record (or verdict) out. The line must
+/// be one JSON object, optionally surrounded by whitespace; trailing bytes
+/// and nesting past kMaxJsonDepth are errors. On kError `out` holds no
+/// meaningful record.
 TraceLineStatus parse_trace_line(std::string_view line, IoRecord& out, std::string& error);
 
 /// Stream a trace record-by-record with constant memory: each parsed record

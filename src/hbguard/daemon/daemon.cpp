@@ -225,7 +225,7 @@ void GuardDaemon::read_connection(Connection& conn) {
       TraceLineStatus status = parse_trace_line(line, record, parse_error);
       if (status == TraceLineStatus::kBlank) continue;
       if (status == TraceLineStatus::kError) {
-        ++conn.parse_errors;
+        ++rejected_;
         HBG_WARN_EVERY_N(64) << "hbguardd: ingest parse error: " << parse_error;
         continue;
       }
@@ -361,6 +361,7 @@ std::string GuardDaemon::status_json() const {
   std::ostringstream out;
   out << "{\"records_delivered\":" << session_->records_delivered()
       << ",\"records_buffered\":" << buffered << ",\"records_dropped\":" << dropped_
+      << ",\"records_rejected\":" << rejected_
       << ",\"watermark_us\":" << session_->watermark() << ",\"scans\":" << report.scans
       << ",\"clean_scans\":" << report.clean_scans << ",\"incidents\":" << report.incidents.size()
       << ",\"reverts\":" << report.reverts << ",\"proposals_pending\":" << pending

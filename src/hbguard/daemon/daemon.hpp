@@ -107,7 +107,6 @@ class GuardDaemon {
     std::deque<IoRecord> inbox;     // parsed, undelivered records (ingest)
     std::deque<std::string> lines;  // queued RPC lines (control)
     std::uint64_t dropped = 0;      // records past the hard cap
-    std::uint64_t parse_errors = 0;
   };
 
   bool setup_socket(int& fd, const std::string& path);
@@ -143,6 +142,7 @@ class GuardDaemon {
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> checkpoint_requested_{false};
   std::uint64_t dropped_ = 0;
+  std::uint64_t rejected_ = 0;  // ingest lines that failed to parse
   std::vector<std::unique_ptr<Connection>> connections_;
 
   // Durability (all loop-thread-owned; null/zero when state_dir is empty).

@@ -6,16 +6,42 @@
 namespace hbguard {
 
 namespace {
+
 bool is_bgp(Protocol protocol) {
   return protocol == Protocol::kEbgp || protocol == Protocol::kIbgp;
 }
+
+/// Injective key of an optional prefix: bit 40 marks presence, so "no
+/// prefix" (0) never collides with 0.0.0.0/0.
+std::uint64_t prefix_key(const std::optional<Prefix>& prefix) {
+  if (!prefix) return 0;
+  return (std::uint64_t{1} << 40) | (std::uint64_t{prefix->address().bits()} << 8) |
+         prefix->length();
+}
+
+std::uint64_t rib_key(const std::optional<Prefix>& prefix, Protocol protocol) {
+  return prefix_key(prefix) | (std::uint64_t{static_cast<std::uint8_t>(protocol)} << 41);
+}
+
+template <typename Map, typename Key>
+auto* find_index(const Map& map, const Key& key) {
+  auto it = map.find(key);
+  return it == map.end() ? nullptr : &it->second;
+}
+
 }  // namespace
 
-void RuleMatchEngine::log_insert(RouterLog& log, RecordRef ref) {
+std::size_t RuleMatchEngine::ChannelKeyHash::operator()(const ChannelKey& key) const noexcept {
+  std::uint64_t routers = (std::uint64_t{key.from} << 32) | key.to;
+  std::uint64_t content = (std::uint64_t{key.content} << 1) | (key.withdraw ? 1u : 0u);
+  return std::hash<std::uint64_t>{}((routers * 0x9E3779B97F4A7C15ull) ^ content);
+}
+
+void RuleMatchEngine::index_insert(TimeIndex& index, RecordRef ref) const {
   const IoRecord& record = at(ref);
   // Logs arrive nearly sorted; search from the back.
-  auto position = log.records.end();
-  while (position != log.records.begin()) {
+  auto position = index.end();
+  while (position != index.begin()) {
     const IoRecord& previous = at(*(position - 1));
     if (previous.logged_time < record.logged_time ||
         (previous.logged_time == record.logged_time && previous.id < record.id)) {
@@ -23,39 +49,69 @@ void RuleMatchEngine::log_insert(RouterLog& log, RecordRef ref) {
     }
     --position;
   }
-  log.records.insert(position, ref);
+  index.insert(position, ref);
 }
 
-template <typename Pred>
-const IoRecord* RuleMatchEngine::log_nearest(const RouterLog& log, SimTime before,
-                                             SimTime window, SimTime slack,
-                                             Pred&& pred) const {
-  const std::vector<RecordRef>& refs = log.records;
-  auto it = std::upper_bound(refs.begin(), refs.end(), before,
+void RuleMatchEngine::index_record(RouterIndex& local, RecordRef ref, const IoRecord& r) {
+  switch (r.kind) {
+    case IoKind::kConfigChange:
+      index_insert(local.config, ref);
+      break;
+    case IoKind::kHardwareStatus:
+      index_insert(local.hardware, ref);
+      break;
+    case IoKind::kRecvAdvert:
+      if (r.protocol == Protocol::kOspf) {
+        index_insert(local.ospf_recv, ref);
+        index_insert(local.ospf_recv_by_lsa[intern(r.detail)], ref);
+      } else if (is_bgp(r.protocol)) {
+        index_insert(local.bgp_recv[prefix_key(r.prefix)], ref);
+        if (!r.withdraw) index_insert(local.bgp_announce[prefix_key(r.prefix)], ref);
+      }
+      break;
+    case IoKind::kRibUpdate:
+      index_insert(local.rib[rib_key(r.prefix, r.protocol)], ref);
+      if (is_bgp(r.protocol)) index_insert(local.bgp_rib[prefix_key(r.prefix)], ref);
+      break;
+    case IoKind::kFibUpdate:
+    case IoKind::kSendAdvert:
+      break;
+  }
+}
+
+const IoRecord* RuleMatchEngine::nearest(const TimeIndex* index, SimTime before,
+                                         SimTime window, SimTime slack) const {
+  if (index == nullptr) return nullptr;
+  auto it = std::upper_bound(index->begin(), index->end(), before,
                              [&](SimTime t, RecordRef r) { return t < at(r).logged_time; });
   const IoRecord* backward = nullptr;
-  for (auto walk = it; walk != refs.begin();) {
-    --walk;
-    const IoRecord& candidate = at(*walk);
-    if (candidate.logged_time < before - window) break;
-    if (pred(candidate)) {
-      backward = &candidate;
-      break;
-    }
+  if (it != index->begin()) {
+    const IoRecord& candidate = at(*(it - 1));
+    if (candidate.logged_time >= before - window) backward = &candidate;
   }
   const IoRecord* forward = nullptr;
-  for (auto walk = it; walk != refs.end(); ++walk) {
-    const IoRecord& candidate = at(*walk);
-    if (candidate.logged_time > before + slack) break;
-    if (pred(candidate)) {
-      forward = &candidate;
-      break;
-    }
+  if (it != index->end()) {
+    const IoRecord& candidate = at(*it);
+    if (candidate.logged_time <= before + slack) forward = &candidate;
   }
   if (backward == nullptr) return forward;
   if (forward == nullptr) return backward;
   return (before - backward->logged_time) <= (forward->logged_time - before) ? backward
                                                                              : forward;
+}
+
+std::uint32_t RuleMatchEngine::intern(const std::string& text) {
+  return content_ids_.try_emplace(text, static_cast<std::uint32_t>(content_ids_.size()))
+      .first->second;
+}
+
+std::uint32_t RuleMatchEngine::prefix_content_id(const std::optional<Prefix>& prefix) {
+  std::uint64_t key = prefix_key(prefix);
+  auto it = prefix_content_ids_.find(key);
+  if (it != prefix_content_ids_.end()) return it->second;
+  std::uint32_t id = intern(prefix ? prefix->to_string() : std::string());
+  prefix_content_ids_.emplace(key, id);
+  return id;
 }
 
 std::string RuleMatchEngine::channel_key(const IoRecord& record, bool is_send) {
@@ -66,6 +122,16 @@ std::string RuleMatchEngine::channel_key(const IoRecord& record, bool is_send) {
                             : (record.prefix ? record.prefix->to_string() : std::string());
   return std::to_string(from) + ">" + std::to_string(to) + "|" +
          (record.withdraw ? "w|" : "a|") + content;
+}
+
+RuleMatchEngine::ChannelKey RuleMatchEngine::channel_of(const IoRecord& record, bool is_send) {
+  ChannelKey key;
+  key.from = is_send ? record.router : record.peer;
+  key.to = is_send ? record.peer : record.router;
+  key.withdraw = record.withdraw;
+  key.content = record.protocol == Protocol::kOspf ? intern(record.detail)
+                                                   : prefix_content_id(record.prefix);
+  return key;
 }
 
 void RuleMatchEngine::add_all(std::span<const IoRecord> records,
@@ -85,11 +151,12 @@ void RuleMatchEngine::add(const IoRecord& record, std::vector<InferredHbr>& out)
     owned_.push_back(record);
   }
   const IoRecord& stored = at(ref);
-  log_insert(logs_[stored.router], ref);
+  RouterIndex& local = routers_[stored.router];
+  index_record(local, ref, stored);
   ++records_seen_;
 
   match_as_late_cause(stored, out);
-  match_as_effect(stored, out);
+  match_as_effect(local, stored, out);
   if (channel_matching_) match_channels(ref, stored, out);
 
   // Track effects that might still gain a late cause; prune old ones.
@@ -103,8 +170,8 @@ void RuleMatchEngine::add(const IoRecord& record, std::vector<InferredHbr>& out)
   }
 }
 
-void RuleMatchEngine::match_as_effect(const IoRecord& r, std::vector<InferredHbr>& out) {
-  const RouterLog& local = logs_[r.router];
+void RuleMatchEngine::match_as_effect(const RouterIndex& local, const IoRecord& r,
+                                      std::vector<InferredHbr>& out) const {
   SimTime t = r.logged_time;
   const SimTime w = options_.short_window_us;
   const SimTime ls = options_.local_slack_us;
@@ -124,28 +191,18 @@ void RuleMatchEngine::match_as_effect(const IoRecord& r, std::vector<InferredHbr
     }
     return best;
   };
-  auto find_config = [&](SimTime window) {
-    return log_nearest(local, t, window, ls,
-                       [](const IoRecord& c) { return c.kind == IoKind::kConfigChange; });
-  };
-  auto find_hardware = [&] {
-    return log_nearest(local, t, w, ls,
-                       [](const IoRecord& c) { return c.kind == IoKind::kHardwareStatus; });
-  };
+  auto find_config = [&](SimTime window) { return nearest(&local.config, t, window, ls); };
+  auto find_hardware = [&] { return nearest(&local.hardware, t, w, ls); };
 
   switch (r.kind) {
     case IoKind::kRibUpdate: {
       const IoRecord* recv = nullptr;
       const char* recv_rule = nullptr;
       if (is_bgp(r.protocol)) {
-        recv = log_nearest(local, t, w, ls, [&](const IoRecord& c) {
-          return c.kind == IoKind::kRecvAdvert && is_bgp(c.protocol) && c.prefix == r.prefix;
-        });
+        recv = nearest(find_index(local.bgp_recv, prefix_key(r.prefix)), t, w, ls);
         recv_rule = "recv-advert->rib";
       } else if (r.protocol == Protocol::kOspf) {
-        recv = log_nearest(local, t, w, ls, [](const IoRecord& c) {
-          return c.kind == IoKind::kRecvAdvert && c.protocol == Protocol::kOspf;
-        });
+        recv = nearest(&local.ospf_recv, t, w, ls);
         recv_rule = "recv-lsa->ospf-rib";
       }
       Candidate pick = closest({{recv, recv_rule},
@@ -156,21 +213,16 @@ void RuleMatchEngine::match_as_effect(const IoRecord& r, std::vector<InferredHbr
       if (recv == nullptr && pick.record != nullptr && is_bgp(r.protocol) &&
           (pick.record->kind == IoKind::kConfigChange ||
            pick.record->kind == IoKind::kHardwareStatus)) {
-        const IoRecord* stored_path = log_nearest(
-            local, t, options_.soft_reconfig_window_us, ls, [&](const IoRecord& c) {
-              return c.kind == IoKind::kRecvAdvert && is_bgp(c.protocol) &&
-                     c.prefix == r.prefix && !c.withdraw;
-            });
+        const IoRecord* stored_path =
+            nearest(find_index(local.bgp_announce, prefix_key(r.prefix)), t,
+                    options_.soft_reconfig_window_us, ls);
         if (stored_path != nullptr) emit(stored_path, "recv-advert->rib");
       }
       break;
     }
 
     case IoKind::kFibUpdate: {
-      const IoRecord* rib = log_nearest(local, t, w, ls, [&](const IoRecord& c) {
-        return c.kind == IoKind::kRibUpdate && c.prefix == r.prefix &&
-               c.protocol == r.protocol;
-      });
+      const IoRecord* rib = nearest(find_index(local.rib, rib_key(r.prefix, r.protocol)), t, w, ls);
       if (rib != nullptr) {
         emit(rib, "rib->fib");
       } else {
@@ -184,9 +236,7 @@ void RuleMatchEngine::match_as_effect(const IoRecord& r, std::vector<InferredHbr
 
     case IoKind::kSendAdvert: {
       if (is_bgp(r.protocol)) {
-        const IoRecord* rib = log_nearest(local, t, w, ls, [&](const IoRecord& c) {
-          return c.kind == IoKind::kRibUpdate && is_bgp(c.protocol) && c.prefix == r.prefix;
-        });
+        const IoRecord* rib = nearest(find_index(local.bgp_rib, prefix_key(r.prefix)), t, w, ls);
         if (rib != nullptr) {
           emit(rib, "bgp-rib->send");
         } else {
@@ -196,16 +246,16 @@ void RuleMatchEngine::match_as_effect(const IoRecord& r, std::vector<InferredHbr
           emit(pick.record, pick.rule != nullptr ? pick.rule : "");
         }
       } else {
-        const IoRecord* same_lsa = log_nearest(local, t, w, ls, [&](const IoRecord& c) {
-          return c.kind == IoKind::kRecvAdvert && c.protocol == Protocol::kOspf &&
-                 c.detail == r.detail;
-        });
+        // An LSA text never interned has never been received.
+        const TimeIndex* by_lsa = nullptr;
+        if (auto id = content_ids_.find(r.detail); id != content_ids_.end()) {
+          by_lsa = find_index(local.ospf_recv_by_lsa, id->second);
+        }
+        const IoRecord* same_lsa = nearest(by_lsa, t, w, ls);
         if (same_lsa != nullptr) {
           emit(same_lsa, "lsa-recv->flood");
         } else {
-          const IoRecord* any_lsa = log_nearest(local, t, w, ls, [](const IoRecord& c) {
-            return c.kind == IoKind::kRecvAdvert && c.protocol == Protocol::kOspf;
-          });
+          const IoRecord* any_lsa = nearest(&local.ospf_recv, t, w, ls);
           Candidate pick = closest({{any_lsa, "lsa-recv->flood"},
                                     {find_config(options_.soft_reconfig_window_us),
                                      "config->ospf-flood"},
@@ -227,7 +277,7 @@ void RuleMatchEngine::match_channels(RecordRef self, const IoRecord& r,
                                      std::vector<InferredHbr>& out) {
   if (r.peer == kExternalRouter || r.peer == kInvalidRouter) return;
   if (r.kind == IoKind::kSendAdvert) {
-    Channel& channel = channels_[channel_key(r, true)];
+    Channel& channel = channels_[channel_of(r, true)];
     // Receives that this (too-late) send can no longer serve are dropped,
     // matching the batch matcher's skip semantics.
     while (!channel.unmatched_recvs.empty() &&
@@ -243,7 +293,7 @@ void RuleMatchEngine::match_channels(RecordRef self, const IoRecord& r,
       channel.unmatched_sends.push_back(self);
     }
   } else if (r.kind == IoKind::kRecvAdvert) {
-    Channel& channel = channels_[channel_key(r, false)];
+    Channel& channel = channels_[channel_of(r, false)];
     if (!channel.unmatched_sends.empty() &&
         at(channel.unmatched_sends.front()).logged_time <=
             r.logged_time + options_.cross_router_slack_us) {

@@ -285,6 +285,47 @@ TEST(Daemon, BackpressureSlowConsumerDropsAtHardCapThenRecovers) {
   EXPECT_EQ(daemon.session().records_delivered(), sent - final_dropped);
 }
 
+TEST(Daemon, RejectsHostileLinesAndKeepsIngesting) {
+  // A line nesting 100 000 brackets used to overflow the parser's stack and
+  // kill the daemon; it and a record with trailing bytes must be rejected,
+  // counted, and followed by normal delivery.
+  Fig2Trace trace = make_fig2_trace();
+  DaemonOptions options = make_options(trace, "hostile");
+
+  GuardDaemon daemon(options);
+  ASSERT_TRUE(daemon.bind());
+  std::thread server([&daemon] { daemon.run(); });
+
+  std::vector<IoRecord> valid(trace.records.begin(), trace.records.begin() + 2);
+  std::string payload = "{\"id\":1,\"x\":" + std::string(100'000, '[') + "\n";
+  payload += to_json_line(valid[0]) + " trailing garbage\n";
+  payload += to_jsonl(valid);
+
+  int ingest = connect_unix(daemon.ingest_socket_path());
+  ASSERT_GE(ingest, 0);
+  ASSERT_TRUE(send_all(ingest, payload));
+  ::close(ingest);
+
+  int control = connect_unix(daemon.control_socket_path());
+  ASSERT_GE(control, 0);
+  // Poll instead of `digest`: ingest has no acknowledgement yet, so only
+  // the counters themselves prove every line was read.
+  std::string status;
+  for (int i = 0; i < 2000; ++i) {
+    status = rpc(control, "status");
+    if (status_field(status, "records_rejected") + status_field(status, "records_delivered") ==
+        2 + valid.size()) {
+      break;
+    }
+    ::usleep(2'000);
+  }
+  EXPECT_EQ(status_field(status, "records_rejected"), 2u) << status;
+  EXPECT_EQ(status_field(status, "records_delivered"), valid.size()) << status;
+  EXPECT_EQ(rpc(control, "shutdown").rfind("ok", 0), 0u);
+  ::close(control);
+  server.join();
+}
+
 TEST(Daemon, StopRequestExitsTheLoopCleanly) {
   Fig2Trace trace = make_fig2_trace();
   DaemonOptions options = make_options(trace, "stop");

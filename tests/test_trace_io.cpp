@@ -8,6 +8,7 @@
 #include "hbguard/sim/scenario.hpp"
 #include "hbguard/sim/workload.hpp"
 #include "hbguard/util/rng.hpp"
+#include "reference_trace_parser.hpp"
 
 namespace hbguard {
 namespace {
@@ -355,6 +356,175 @@ TEST(TraceIo, FibEntrySurvivesRoundTrip) {
   ASSERT_TRUE(parsed.ok());
   ASSERT_TRUE(parsed.records[0].fib_entry.has_value());
   EXPECT_EQ(*parsed.records[0].fib_entry, entry);
+}
+
+TEST(TraceIo, RejectsNestingPastTheDepthLimit) {
+  // One hostile line used to recurse once per bracket until the stack ran
+  // out; it must come back as an error instead.
+  std::string line = "{\"id\":1,\"x\":" + std::string(100'000, '[');
+  IoRecord record;
+  std::string error;
+  EXPECT_EQ(parse_trace_line(line, record, error), TraceLineStatus::kError);
+  EXPECT_NE(error.find("nesting"), std::string::npos) << error;
+
+  // Nesting up to the limit is still only syntax to validate.
+  auto nested = [](int depth) {
+    return "{\"id\":1,\"router\":2,\"kind\":\"fib\",\"seq\":3,\"x\":" +
+           std::string(static_cast<std::size_t>(depth - 1), '[') +
+           std::string(static_cast<std::size_t>(depth - 1), ']') + "}";
+  };
+  EXPECT_EQ(parse_trace_line(nested(kMaxJsonDepth), record, error), TraceLineStatus::kRecord)
+      << error;
+  EXPECT_EQ(parse_trace_line(nested(kMaxJsonDepth + 1), record, error),
+            TraceLineStatus::kError);
+}
+
+TEST(TraceIo, RejectsTrailingBytesAfterTheRecord) {
+  const std::string record_text = "{\"id\":1,\"router\":2,\"kind\":\"fib\",\"seq\":3}";
+  IoRecord record;
+  std::string error;
+  EXPECT_EQ(parse_trace_line(record_text + " trailing garbage", record, error),
+            TraceLineStatus::kError);
+  EXPECT_EQ(parse_trace_line(record_text + "{}", record, error), TraceLineStatus::kError);
+  // Whitespace, including a CRLF line ending's \r, stays legal.
+  EXPECT_EQ(parse_trace_line(record_text + " \t\r", record, error), TraceLineStatus::kRecord)
+      << error;
+  EXPECT_EQ(record.router_seq, 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Differential fuzz against the value-tree parser (reference_trace_parser.hpp).
+
+/// Deepest container nesting of a syntactically valid line.
+int nesting_depth(std::string_view line) {
+  int depth = 0, deepest = 0;
+  bool in_string = false;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    char c = line[i];
+    if (in_string) {
+      if (c == '\\') i += line.substr(i + 1, 1) == "u" ? 5 : 1;  // \uXXXX eats four bytes
+      else if (c == '"') in_string = false;
+    } else if (c == '"') {
+      in_string = true;
+    } else if (c == '{' || c == '[') {
+      deepest = std::max(deepest, ++depth);
+    } else if (c == '}' || c == ']') {
+      --depth;
+    }
+  }
+  return deepest;
+}
+
+/// Whether bytes other than whitespace follow the first JSON value.
+bool has_trailing_bytes(std::string_view line) {
+  reference::JsonParser parser{line, 0, {}};
+  reference::JsonValue value;
+  if (!parser.parse_value(value)) return false;
+  parser.skip_ws();
+  return parser.pos != line.size();
+}
+
+/// One to three stacked mutations: byte flips, truncations, inserted JSON
+/// metacharacters, duplicated or wrong-typed known keys (front: the copy is
+/// the first occurrence and wins; back: it is ignored), nesting around the
+/// depth limit, \u escapes, and trailing bytes.
+std::string mutate(std::string line, Rng& rng) {
+  static constexpr std::string_view kMeta = "{}[]\",:\\ \t\r\v\f-0123456789tfnu";
+  static const std::string kKeys[] = {
+      "id",     "router", "kind",       "logged_time", "seq",       "protocol",  "prefix",
+      "session", "peer",  "withdraw",   "local_pref",  "detail",    "link_up",   "fib_entry",
+      "true_time", "message_id", "true_causes", "i\\u0064", "\\u006bind", "se\\u0071", "other"};
+  static const std::string kValues[] = {
+      "1",         "-1",        "0",          "007",      "99999999999999999999", "1.5",
+      "-",         "\"x\"",     "\"fib\"",    "\"ospf\"", "\"10.0.0.0/24\"",      "\"10.0.0.0/33\"",
+      "true",      "false",     "null",       "[]",       "[1,\"a\",[2],{}]",      "{}",
+      "{\"prefix\":\"10.0.0.0/8\",\"action\":\"drop\",\"prefix\":5}",
+      "{\"action\":\"forward\",\"next_hop\":\"2\"}", "\"\\u0041\\u4zz1\"", "\"a\\/b\""};
+  static const std::string kTrailers[] = {" ", "\r", " \t\r", " x", "}", "{}", "\v", ",", "\n"};
+  auto pick = [&](const auto& pool) -> const auto& {
+    return pool[rng.uniform_int(0, static_cast<std::int64_t>(std::size(pool)) - 1)];
+  };
+  auto position = [&] {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(line.size())));
+  };
+  auto front = [&](const std::string& member) {
+    line.insert(line.empty() ? 0 : 1, member + ",");
+  };
+  for (std::int64_t step = rng.uniform_int(1, 3); step > 0; --step) {
+    switch (rng.uniform_int(0, 7)) {
+      case 0:
+        if (!line.empty()) line[position() % line.size()] = static_cast<char>(rng.uniform_int(0, 255));
+        break;
+      case 1:
+        line.resize(position());
+        break;
+      case 2:
+        line.insert(position(), 1, pick(kMeta));
+        break;
+      case 3:
+        front("\"" + pick(kKeys) + "\":" + pick(kValues));
+        break;
+      case 4:
+        if (!line.empty()) line.insert(line.size() - 1, ",\"" + pick(kKeys) + "\":" + pick(kValues));
+        break;
+      case 5: {
+        auto brackets = static_cast<std::size_t>(rng.uniform_int(kMaxJsonDepth - 3, kMaxJsonDepth + 1));
+        front("\"nest\":" + std::string(brackets, '[') + std::string(brackets, ']'));
+        break;
+      }
+      case 6: {
+        static constexpr std::string_view kHex = "0123456789abcdefABCDEFxz-+\" ";
+        std::string escape = "\\u";
+        for (int i = 0; i < 4; ++i) escape += pick(kHex);
+        line.insert(position(), escape);
+        break;
+      }
+      default:
+        line += pick(kTrailers);
+        break;
+    }
+  }
+  return line;
+}
+
+TEST(TraceIo, SinglePassParserMatchesTheValueTreeOracleUnderFuzz) {
+  Rng rng(20260);
+  std::size_t accepted = 0, rejected = 0, too_deep = 0, trailing = 0;
+  for (IoId id = 1; id <= 30'000; ++id) {
+    IoRecord original = random_record(rng, id);
+    TraceWriteOptions options;
+    options.redact_ground_truth = rng.chance(0.3);
+    std::string line = mutate(to_json_line(original, options), rng);
+
+    IoRecord expected, actual;
+    std::string expected_error, actual_error;
+    TraceLineStatus expected_status = reference::parse_trace_line(line, expected, expected_error);
+    TraceLineStatus actual_status = parse_trace_line(line, actual, actual_error);
+    if (expected_status == TraceLineStatus::kRecord && actual_status == TraceLineStatus::kError) {
+      // Only the two new rejections may turn an accepted line away.
+      bool deep = nesting_depth(line) > kMaxJsonDepth;
+      bool tail = has_trailing_bytes(line);
+      ASSERT_TRUE(deep || tail) << "newly rejected (" << actual_error << "): " << line;
+      too_deep += deep;
+      trailing += tail;
+      continue;
+    }
+    ASSERT_EQ(actual_status, expected_status)
+        << "line: " << line << "\n  oracle: " << expected_error << "\n  parser: " << actual_error;
+    if (actual_status == TraceLineStatus::kRecord) {
+      ++accepted;
+      ASSERT_TRUE(records_equal(expected, actual))
+          << "line: " << line << "\n  oracle: " << to_json_line(expected)
+          << "\n  parser: " << to_json_line(actual);
+    } else if (actual_status == TraceLineStatus::kError) {
+      ++rejected;
+    }
+  }
+  // The mutations must exercise every outcome, not just one.
+  EXPECT_GT(accepted, 3'000u);
+  EXPECT_GT(rejected, 3'000u);
+  EXPECT_GT(too_deep, 50u);
+  EXPECT_GT(trailing, 50u);
 }
 
 }  // namespace
