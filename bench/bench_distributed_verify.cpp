@@ -9,24 +9,21 @@
 // ways and report messages, payload, per-node work (the bottleneck metric)
 // and critical-path latency.
 //
-// Part 2 times sharded HBG construction against the single-graph build on a
-// large churn trace: per-shard rule matching over a thread pool, cross-shard
-// send→recv pairs exchanged as encoded shard_wire frames through the
-// asynchronous pipeline (append overlaps the exchange; quiesce() is the
-// barrier). It prints the §5 feasibility accounting (per-router resident
-// bytes, real encoded bytes on the wire, encode/decode time, the
-// append/quiesce overlap split, and a socket-loopback multi-process build)
-// and enforces three gates:
+// Part 2 builds the sharded HBG of a large churn trace at 1, 4 and 8
+// shards: per-shard rule matching, cross-shard send→recv pairs exchanged as
+// encoded shard_wire frames. It prints the §5 feasibility accounting
+// (per-router resident bytes, real encoded bytes on the wire, encode/decode
+// time) and the build time against the single-graph build — information
+// only, since §5's claims are locality and bytes, not speed — and enforces
+// two gates:
 //   * byte-identical queries — every sampled root_causes/ancestors answer
 //     must match the single-graph oracle exactly (exit 1 on divergence);
-//   * construction speedup — with >= 4 hardware threads, the 8-shard pooled
-//     build must be at least 2x faster than the serial single-graph build;
 //   * wire budget — the 8-shard exchange must spend no more than 32 encoded
 //     bytes per cross-shard edge it discovers.
 // Writes BENCH_distributed_hbg.json.
 #include "bench_util.hpp"
 
-#include <algorithm>
+#include <functional>
 
 #include "hbguard/dverify/distributed.hpp"
 #include "hbguard/hbg/builder.hpp"
@@ -35,7 +32,6 @@
 #include "hbguard/provenance/distributed_hbg.hpp"
 #include "hbguard/sim/workload.hpp"
 #include "hbguard/snapshot/naive.hpp"
-#include "hbguard/util/thread_pool.hpp"
 
 using namespace hbguard;
 using namespace hbguard::bench;
@@ -79,7 +75,7 @@ int main() {
   header("bench_distributed_verify",
          "§5 (A3) — centralized vs distributed verification + sharded HBG construction",
          "distributed: bounded per-node work, more messages, higher latency; "
-         "sharded construction: identical queries, >=2x faster at 8 shards on >=4 cores",
+         "sharded construction: identical queries, <= 32 wire bytes per cross edge",
          /*seed=*/77);
 
   Table table({"routers", "prefixes", "c.msgs", "d.msgs", "c.max-node-work", "d.max-node-work",
@@ -159,7 +155,6 @@ int main() {
   std::vector<IoRecord> records = construction_trace(91, 24, 400);
   std::printf("trace: %zu records over 24 routers\n", records.size());
 
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const int kRuns = 3;
 
   double serial_ms = best_of(kRuns, [&] {
@@ -174,49 +169,32 @@ int main() {
   oracle.attach_store(&records);
   oracle.append(records);
 
-  ThreadPool pool(std::min(hw, 8u));
-  Table construction({"shards", "build (best of 3)", "speedup", "append/quiesce", "cross edges",
+  Table construction({"shards", "build (best of 3)", "vs single graph", "cross edges",
                       "messages", "wire bytes", "enc/dec", "queries match"});
   JsonWriter json;
   json.begin_object();
   json.key("bench").value("distributed_hbg");
   json.key("records").value(records.size());
-  json.key("hardware_threads").value(hw);
   json.key("serial_build_ms").value(serial_ms);
   json.key("shards").begin_array();
 
   std::size_t divergences = 0;
-  double sharded8_ms = 0;
   std::size_t wire_bytes8 = 0;
   std::size_t cross_edges8 = 0;
   for (std::size_t shards : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
     DistributedHbgStore::Options store_options;
     store_options.num_shards = shards;
-    // The timed region covers the whole pipeline: appends (exchange frames
-    // overlap ingest) plus the quiescence barrier (deferred cross-match).
-    double build_ms = 0;
-    double append_ms = 0;
-    double quiesce_ms = 0;
-    for (int run = 0; run < kRuns; ++run) {
+    const double build_ms = best_of(kRuns, [&] {
       DistributedHbgStore timed(store_options);
       timed.attach_store(&records);
       Stopwatch watch;
-      timed.append(records, &pool);
-      double appended = watch.ms();
-      timed.quiesce(&pool);
-      double total = watch.ms();
-      if (run == 0 || total < build_ms) {
-        build_ms = total;
-        append_ms = appended;
-        quiesce_ms = total - appended;
-      }
-    }
-    if (shards == 8) sharded8_ms = build_ms;
+      timed.append(records);
+      return watch.ms();
+    });
 
     DistributedHbgStore store(store_options);
     store.attach_store(&records);
-    store.append(records, &pool);
-    store.quiesce(&pool);
+    store.append(records);
 
     // Equality gate: sampled queries must match the single graph exactly.
     std::size_t checked = 0;
@@ -237,10 +215,8 @@ int main() {
     const double encode_ms = static_cast<double>(cs.encode_ns) / 1e6;
     const double decode_ms = static_cast<double>(cs.decode_ns) / 1e6;
     construction.row({std::to_string(shards), fmt(build_ms) + " ms",
-                      fmt(serial_ms / build_ms, 2) + "x",
-                      fmt(append_ms) + "/" + fmt(quiesce_ms) + " ms",
-                      std::to_string(cs.cross_edges), std::to_string(cs.messages),
-                      std::to_string(cs.wire_bytes),
+                      fmt(serial_ms / build_ms, 2) + "x", std::to_string(cs.cross_edges),
+                      std::to_string(cs.messages), std::to_string(cs.wire_bytes),
                       fmt(encode_ms) + "/" + fmt(decode_ms) + " ms",
                       mismatches == 0 ? "yes (" + std::to_string(checked) + " sampled)"
                                       : "NO (" + std::to_string(mismatches) + " diverged)"});
@@ -248,8 +224,6 @@ int main() {
     json.begin_object();
     json.key("num_shards").value(shards);
     json.key("build_ms").value(build_ms);
-    json.key("append_ms").value(append_ms);
-    json.key("quiesce_ms").value(quiesce_ms);
     json.key("speedup_vs_serial").value(serial_ms / build_ms);
     json.key("cross_edges").value(cs.cross_edges);
     json.key("messages").value(cs.messages);
@@ -287,65 +261,14 @@ int main() {
   json.end_array();
 
   construction.print();
+  std::printf("note: build times are information only — the store builds serially, and "
+              "SS5's\nclaims are per-router storage and bytes on the wire, not speed.\n");
 
-  // Socket-loopback multi-process build: same trace, 8 shards, every shard's
-  // matcher spawned behind a socketpair. Timed once (spawn cost included) and
-  // held to the same query-equality gate.
-  {
-    DistributedHbgStore::Options loop_options;
-    loop_options.num_shards = 8;
-    loop_options.transport = DistributedHbgStore::Transport::kLoopback;
-    Stopwatch watch;
-    DistributedHbgStore store(loop_options);
-    store.attach_store(&records);
-    store.append(records, &pool);
-    store.quiesce(&pool);
-    double loop_ms = watch.ms();
-
-    std::size_t mismatches = 0;
-    for (std::size_t i = 0; i < records.size(); i += 7) {
-      IoId id = records[i].id;
-      if (store.root_causes(id) != oracle.graph().root_causes(id)) ++mismatches;
-    }
-    divergences += mismatches;
-    const auto& cs = store.construction_stats();
-    std::printf("loopback (8 shards, spawned matchers): %.3f ms, %zu wire bytes, "
-                "%zu local-frame bytes, queries %s\n",
-                loop_ms, cs.wire_bytes, cs.loopback_local_bytes,
-                mismatches == 0 ? "match" : "DIVERGED");
-    json.key("loopback").begin_object();
-    json.key("num_shards").value(std::size_t{8});
-    json.key("build_ms").value(loop_ms);
-    json.key("wire_bytes").value(cs.wire_bytes);
-    json.key("loopback_local_bytes").value(cs.loopback_local_bytes);
-    json.key("query_mismatches").value(mismatches);
-    json.end_object();
-  }
-
-  const bool enforce_speedup = hw >= 4;
-  const double speedup8 = sharded8_ms > 0 ? serial_ms / sharded8_ms : 0;
-  json.key("speedup_at_8_shards").value(speedup8);
-  json.key("speedup_gate_enforced").value(enforce_speedup);
-  if (!enforce_speedup) {
-    json.key("speedup_gate_skipped_reason")
-        .value("host has " + std::to_string(hw) + " hardware thread(s), gate requires >= 4");
-  }
   json.key("query_divergences").value(divergences);
-
   if (divergences > 0) {
     std::printf("GATE FAILED: %zu sharded query answers diverged from the single graph\n",
                 divergences);
     exit_code = 1;
-  }
-  if (enforce_speedup) {
-    std::printf("speedup gate: 8-shard build %.2fx vs serial (>= 2.00x required)\n", speedup8);
-    if (speedup8 < 2.0) {
-      std::printf("GATE FAILED: 8-shard construction speedup %.2fx < 2x\n", speedup8);
-      exit_code = 1;
-    }
-  } else {
-    std::printf("speedup gate: skipped — hardware_threads=%u < 4 (result would measure "
-                "oversubscription, not sharding)\n", hw);
   }
 
   // Wire-budget gate: the exchange must stay frugal in absolute terms —

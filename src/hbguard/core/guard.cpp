@@ -304,13 +304,8 @@ std::vector<Violation> Guard::scan() {
   // distributed queries.
   if (distributed_store_ != nullptr) {
     std::span<const IoRecord> all = capture.records();
-    if (all.size() > distributed_cursor_) {
-      distributed_store_->append(all.subspan(distributed_cursor_), pool_.get());
-      // Queries follow within this scan, so run the quiescence barrier on
-      // the pool instead of letting the first query do it serially.
-      distributed_store_->quiesce(pool_.get());
-      distributed_cursor_ = all.size();
-    }
+    distributed_store_->append(all.subspan(distributed_cursor_));
+    distributed_cursor_ = all.size();
   }
 
   // Skip predictive blocking while degraded: it learns and predicts from

@@ -434,14 +434,18 @@ bool GuardDaemon::execute_command(Connection&, const std::string& line,
       response = "err usage: why <io-id>";
       return true;
     }
-    IoId io = static_cast<IoId>(std::strtoull(words[1].c_str(), nullptr, 10));
+    std::optional<IoId> io = parse_control_id(words[1]);
+    if (!io) {
+      response = "err bad id: " + words[1];
+      return true;
+    }
     HappensBeforeGraph hbg = session_->guard().current_hbg();
-    if (hbg.record(io) == nullptr) {
+    if (hbg.record(*io) == nullptr) {
       response = "err no record #" + words[1] + " in the capture";
       return true;
     }
     RootCauseAnalyzer analyzer;
-    response = RootCauseAnalyzer::render(hbg, analyzer.analyze(hbg, io));
+    response = RootCauseAnalyzer::render(hbg, analyzer.analyze(hbg, *io));
     return true;
   }
   if (cmd == "repairs") {
@@ -469,8 +473,12 @@ bool GuardDaemon::execute_command(Connection&, const std::string& line,
     }
     // Normalize, WAL, then execute via the same path recovery replays —
     // the logged line and the live action cannot drift apart.
-    std::uint64_t id = std::strtoull(words[2].c_str(), nullptr, 10);
-    std::string canonical = "repairs " + words[1] + " " + std::to_string(id);
+    std::optional<std::uint64_t> id = parse_control_id(words[2]);
+    if (!id) {
+      response = "err bad id: " + words[2];
+      return true;
+    }
+    std::string canonical = "repairs " + words[1] + " " + std::to_string(*id);
     if (wal_) wal_->append_control(canonical);
     response = apply_logged_control(*session_, canonical);
     return true;

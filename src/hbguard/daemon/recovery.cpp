@@ -1,5 +1,6 @@
 #include "hbguard/daemon/recovery.hpp"
 
+#include <charconv>
 #include <chrono>
 #include <sstream>
 
@@ -22,6 +23,16 @@ std::string session_fingerprint(const ReplaySessionOptions& options) {
     out << options.policies[index]->name();
   }
   return out.str();
+}
+
+std::optional<std::uint64_t> parse_control_id(std::string_view token) {
+  // Unsigned from_chars rejects signs and empty input and reports overflow;
+  // the end check rejects a digit prefix such as "1x".
+  std::uint64_t id = 0;
+  const char* end = token.data() + token.size();
+  auto [ptr, ec] = std::from_chars(token.data(), end, id);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return id;
 }
 
 std::string apply_logged_control(ReplayGuardSession& session, const std::string& line) {
@@ -55,14 +66,15 @@ std::string apply_logged_control(ReplayGuardSession& session, const std::string&
     return "ok mode " + std::string(to_string(mode));
   }
   if (cmd == "repairs" && words.size() == 3) {
-    std::uint64_t id = std::strtoull(words[2].c_str(), nullptr, 10);
+    std::optional<std::uint64_t> id = parse_control_id(words[2]);
+    if (!id) return "err bad id: " + words[2];
     Guard::ProposalOutcome outcome;
     if (words[1] == "approve") {
-      outcome = session.guard().approve_proposal(id);
+      outcome = session.guard().approve_proposal(*id);
     } else if (words[1] == "decline") {
-      outcome = session.guard().decline_proposal(id);
+      outcome = session.guard().decline_proposal(*id);
     } else if (words[1] == "revert") {
-      outcome = session.guard().revert_repair(id);
+      outcome = session.guard().revert_repair(*id);
     } else {
       return "err unknown repairs action: " + words[1];
     }

@@ -41,8 +41,8 @@ class IncrementalHbgBuilder {
   // A DistributedHbgStore shard is one of these builders restricted to the
   // shard's own tap stream: the engine runs same-router rules only (the
   // channel pass is stitched from exchanged ShardMessages instead), and
-  // externally matched edges — cross-channel pairs the shard learns about
-  // via its inbox — are appended through add_matched_edge.
+  // externally matched edges — channel pairs whose send and receive both
+  // live on the shard — are appended through add_matched_edge.
 
   /// Turn the engine's internal send→recv channel pass off (shard-local
   /// matching). Call before the first append.

@@ -3,8 +3,6 @@
 #include <charconv>
 #include <cstdio>
 
-#include "hbguard/util/strings.hpp"
-
 namespace hbguard {
 
 namespace {
@@ -18,13 +16,16 @@ std::optional<std::uint32_t> parse_octet(std::string_view text) {
 }  // namespace
 
 std::optional<IpAddress> IpAddress::parse(std::string_view text) {
-  auto parts = split(text, '.');
-  if (parts.size() != 4) return std::nullopt;
   std::uint32_t bits = 0;
-  for (const auto& part : parts) {
-    auto octet = parse_octet(part);
+  for (int field = 0; field < 4; ++field) {
+    // The first three fields end at the next dot; the fourth runs to the
+    // end of the text, so a stray dot or trailing byte fails its parse.
+    std::size_t end = field < 3 ? text.find('.') : text.size();
+    if (end == std::string_view::npos) return std::nullopt;
+    auto octet = parse_octet(text.substr(0, end));
     if (!octet) return std::nullopt;
     bits = (bits << 8) | *octet;
+    if (field < 3) text.remove_prefix(end + 1);
   }
   return IpAddress(bits);
 }

@@ -2,17 +2,23 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
 #include <functional>
+#include <set>
+#include <string>
 
+#include "hbguard/hbg/incremental.hpp"
 #include "hbguard/hbr/incremental.hpp"
 #include "hbguard/util/logging.hpp"
-#include "hbguard/util/thread_pool.hpp"
 
 namespace hbguard {
 
 namespace {
 constexpr std::size_t kVertexSlotBytes = 16;  // id + store index
 constexpr std::size_t kHalfEdgeBytes = 16;    // other + origin + confidence
+/// Cross-shard sends per encoded frame: an outbox flushes when it reaches
+/// this size, and whatever is left flushes at the end of every append.
+constexpr std::size_t kExchangeBatch = 64;
 
 bool internal_peer(const IoRecord& r) {
   return r.peer != kExternalRouter && r.peer != kInvalidRouter;
@@ -23,13 +29,92 @@ std::uint64_t now_ns() {
                                         std::chrono::steady_clock::now().time_since_epoch())
                                         .count());
 }
+
+/// One shard's FIFO channel matcher. It replicates
+/// RuleMatchEngine::match_channels exactly — including the
+/// skip-too-late-receive semantics — over ShardMessages fed in global
+/// capture order, and knows nothing of shards or graphs: the store
+/// classifies each matched (send, recv) pair.
+class ShardChannelMatcher {
+ public:
+  explicit ShardChannelMatcher(SimTime cross_router_slack_us)
+      : slack_us_(cross_router_slack_us) {}
+
+  /// Sort `events` by capture sequence (unique per record, so this is the
+  /// total order the single-graph engine saw), feed them, and call
+  /// `on_match(send_io, recv_io)` for every pair they complete.
+  template <typename OnMatch>
+  void feed_sorted(std::vector<ShardMessage>& events, OnMatch&& on_match) {
+    std::sort(events.begin(), events.end(),
+              [](const ShardMessage& a, const ShardMessage& b) { return a.seq < b.seq; });
+    for (const ShardMessage& event : events) {
+      ChannelState& channel = channels_[event.channel];
+      if (event.is_send) {
+        // Receives this (too-late) send can no longer serve are dropped —
+        // RuleMatchEngine::match_channels' skip semantics.
+        while (!channel.unmatched_recvs.empty() &&
+               event.logged_time > channel.unmatched_recvs.front().logged_time + slack_us_) {
+          channel.unmatched_recvs.pop_front();
+        }
+        if (!channel.unmatched_recvs.empty()) {
+          on_match(event.io, channel.unmatched_recvs.front().id);
+          channel.unmatched_recvs.pop_front();
+        } else {
+          channel.unmatched_sends.push_back({event.io, event.logged_time});
+        }
+      } else if (!channel.unmatched_sends.empty() &&
+                 channel.unmatched_sends.front().logged_time <= event.logged_time + slack_us_) {
+        on_match(channel.unmatched_sends.front().id, event.io);
+        channel.unmatched_sends.pop_front();
+      } else {
+        channel.unmatched_recvs.push_back({event.io, event.logged_time});
+      }
+    }
+  }
+
+ private:
+  struct PendingIo {
+    IoId id = kNoIo;
+    SimTime logged_time = 0;
+  };
+  struct ChannelState {
+    std::deque<PendingIo> unmatched_sends;
+    std::deque<PendingIo> unmatched_recvs;
+  };
+
+  SimTime slack_us_;
+  std::map<std::string, ChannelState> channels_;
+};
 }  // namespace
+
+struct DistributedHbgStore::Shard {
+  IncrementalHbgBuilder builder;
+  ShardChannelMatcher matcher;  // FIFO state persists across appends
+
+  /// outboxes[r]: sends addressed to shard r, not yet encoded into a frame.
+  std::vector<std::vector<ShardMessage>> outboxes;
+  /// This append's channel events awaiting the match: the shard's own
+  /// receives and same-shard sends, plus every send decoded from a frame.
+  std::vector<ShardMessage> events;
+
+  // Retained message index + exact accounting. Router byte shares are the
+  // received frames' real sizes apportioned over their messages.
+  std::vector<ShardMessage> inbox;
+  std::size_t inbox_wire_bytes = 0;
+  std::map<RouterId, std::size_t> inbox_router_bytes;
+
+  std::map<IoId, std::vector<HbgEdge>> cross_in;   // remote parents by local recv
+  std::map<IoId, std::vector<HbgEdge>> cross_out;  // remote children by local send
+
+  explicit Shard(const MatcherOptions& matcher_options)
+      : builder(matcher_options), matcher(matcher_options.cross_router_slack_us) {
+    builder.set_channel_matching(false);
+  }
+};
 
 DistributedHbgStore::DistributedHbgStore() : DistributedHbgStore(Options{}) {}
 
-DistributedHbgStore::DistributedHbgStore(Options options) : options_(std::move(options)) {
-  if (options_.exchange_batch == 0) options_.exchange_batch = 1;
-}
+DistributedHbgStore::DistributedHbgStore(Options options) : options_(std::move(options)) {}
 
 DistributedHbgStore::DistributedHbgStore(const HappensBeforeGraph& global)
     : DistributedHbgStore(global, Options{}) {}
@@ -40,7 +125,6 @@ DistributedHbgStore::DistributedHbgStore(const HappensBeforeGraph& global, Optio
   // exchange happens — the edge partition is taken as-is. Vertices share
   // the global graph's record store when it has one (each vertex then costs
   // one id+index slot instead of a full record copy).
-  streaming_ = false;
   store_ = global.record_store();
   std::less_equal<const IoRecord*> le;
   std::less<const IoRecord*> lt;
@@ -72,22 +156,15 @@ DistributedHbgStore::DistributedHbgStore(const HappensBeforeGraph& global, Optio
 }
 
 DistributedHbgStore::~DistributedHbgStore() = default;
+DistributedHbgStore::DistributedHbgStore(DistributedHbgStore&&) = default;
+DistributedHbgStore& DistributedHbgStore::operator=(DistributedHbgStore&&) = default;
 
 void DistributedHbgStore::attach_store(const std::vector<IoRecord>* store) { store_ = store; }
 
 DistributedHbgStore::Shard& DistributedHbgStore::new_shard() {
-  shards_.push_back(
-      std::make_unique<Shard>(options_.matcher, options_.matcher.cross_router_slack_us));
+  shards_.push_back(std::make_unique<Shard>(options_.matcher));
   Shard& shard = *shards_.back();
-  if (store_ != nullptr) {
-    shard.builder.attach_store(store_);
-  }
-  if (streaming_ && options_.transport == Transport::kLoopback) {
-    // A failed start degrades this shard to the in-process matcher
-    // (loopback.running() gates every transport decision); start() already
-    // logged why.
-    shard.loopback.start(options_.matcher.cross_router_slack_us);
-  }
+  if (store_ != nullptr) shard.builder.attach_store(store_);
   return shard;
 }
 
@@ -102,8 +179,7 @@ std::uint32_t DistributedHbgStore::assign_shard(RouterId router) {
     while (shards_.size() <= slot) new_shard();
   } else {
     // One shard per router, created in order of first appearance (capture
-    // order for streaming construction — deterministic at any thread
-    // count, since assignment happens in the serial routing phase).
+    // order for streaming construction).
     slot = static_cast<std::uint32_t>(shards_.size());
     new_shard();
   }
@@ -118,253 +194,123 @@ void DistributedHbgStore::owner_set(IoId id, RouterId router) {
   owner_[id] = router;
 }
 
-void DistributedHbgStore::append(std::span<const IoRecord> records, ThreadPool* pool) {
+void DistributedHbgStore::append(std::span<const IoRecord> records) {
   if (records.empty()) return;
-  quiescent_ = false;
   const std::uint64_t seq_base = stats_.records_ingested;
   stats_.records_ingested += records.size();
 
-  // Serial routing: assign owners and shards and partition the batch. All
-  // per-record work — rule matching, channel-key construction, message
-  // encoding — runs in the parallel wave below. Peers are pinned here so
-  // shard_of is read-only once the wave starts.
   for (std::size_t i = 0; i < records.size(); ++i) {
     const IoRecord& r = records[i];
     owner_set(r.id, r.router);
-    std::uint32_t home = assign_shard(r.router);
-    shards_[home]->batch.push_back(static_cast<std::uint32_t>(i));
-    if ((r.kind == IoKind::kSendAdvert || r.kind == IoKind::kRecvAdvert) && internal_peer(r)) {
-      assign_shard(r.peer);
-    }
-  }
-  for (auto& shard : shards_) shard->outboxes.resize(shards_.size());
-
-  // The pipelined wave, one task per shard: append own records, emit
-  // channel events (full outboxes encode and hand off to receiver inboxes
-  // mid-wave), and opportunistically decode whatever other shards have
-  // already pushed. No shard waits for another shard's matching pass — the
-  // deferred cross-match runs at quiesce().
-  auto shard_task = [&](std::size_t s) {
-    ingest_shard_batch(static_cast<std::uint32_t>(s), records, seq_base);
-    drain_shard_inbox(*shards_[s]);
-  };
-  if (pool != nullptr && shards_.size() > 1) {
-    pool->parallel_for(shards_.size(), shard_task);
-  } else {
-    for (std::size_t s = 0; s < shards_.size(); ++s) shard_task(s);
-  }
-}
-
-void DistributedHbgStore::ingest_shard_batch(std::uint32_t shard_index,
-                                             std::span<const IoRecord> records,
-                                             std::uint64_t seq_base) {
-  Shard& shard = *shards_[shard_index];
-  for (std::uint32_t index : shard.batch) {
+    const std::uint32_t home = assign_shard(r.router);
+    Shard& shard = *shards_[home];
     // Same-router rule matching over the shard's own tap stream only. Every
     // edge the local-only engine emits has both endpoints on the same
     // router, hence inside this shard.
-    shard.builder.append(records.subspan(index, 1));
+    shard.builder.append(records.subspan(i, 1));
 
+    const bool is_send = r.kind == IoKind::kSendAdvert;
+    if ((!is_send && r.kind != IoKind::kRecvAdvert) || !internal_peer(r)) continue;
     // Channel events carry the record's global capture sequence so every
-    // matcher can restore capture order after the asynchronous exchange.
-    const IoRecord& r = records[index];
-    const std::uint64_t seq = seq_base + index;
-    if (r.kind == IoKind::kSendAdvert && internal_peer(r)) {
-      ShardMessage message{seq,           r.id, r.router, r.peer, r.logged_time,
-                           /*is_send=*/true, RuleMatchEngine::channel_key(r, /*is_send=*/true)};
-      std::uint32_t recv_shard = shard_of(r.peer);
-      if (recv_shard == shard_index) {
-        queue_local_event(shard_index, std::move(message));
-      } else {
-        ++shard.sent_messages;
-        Outbox& outbox = shard.outboxes[recv_shard];
-        outbox.pending.push_back(std::move(message));
-        if (outbox.pending.size() >= options_.exchange_batch) {
-          flush_outbox(shard_index, recv_shard);
-        }
-      }
-    } else if (r.kind == IoKind::kRecvAdvert && internal_peer(r)) {
-      queue_local_event(shard_index,
-                        ShardMessage{seq, r.id, r.peer, r.router, r.logged_time,
-                                     /*is_send=*/false,
-                                     RuleMatchEngine::channel_key(r, /*is_send=*/false)});
-    }
-  }
-  shard.batch.clear();
-}
-
-void DistributedHbgStore::queue_local_event(std::uint32_t shard_index, ShardMessage message) {
-  Shard& shard = *shards_[shard_index];
-  if (shard.loopback.running()) {
-    // Loopback: even receiver-local events reach the matcher only as wire
-    // frames, batched through the shard's own outbox slot.
-    Outbox& outbox = shard.outboxes[shard_index];
-    outbox.pending.push_back(std::move(message));
-    if (outbox.pending.size() >= options_.exchange_batch) {
-      flush_outbox(shard_index, shard_index);
-    }
-  } else {
-    shard.local_events.push_back(std::move(message));
-  }
-}
-
-void DistributedHbgStore::flush_outbox(std::uint32_t shard_index, std::uint32_t receiver) {
-  Shard& shard = *shards_[shard_index];
-  Outbox& outbox = shard.outboxes[receiver];
-  if (outbox.pending.empty()) return;
-  std::vector<std::uint8_t> frame;
-  const std::uint64_t start = now_ns();
-  if (receiver == shard_index) {
-    encode_shard_frame(ShardFrameType::kLocalBatch, outbox.pending, frame);
-    shard.encode_ns += now_ns() - start;
-    shard.local_wire_bytes += frame.size();
-    shard.loopback.write_frames(frame);
-  } else {
-    encode_shard_frame(ShardFrameType::kCrossBatch, outbox.pending, frame);
-    shard.encode_ns += now_ns() - start;
-    ++shard.sent_frames;
-    shard.sent_wire_bytes += frame.size();
-    shards_[receiver]->inbox_frames.push(std::move(frame));
-  }
-  outbox.pending.clear();
-}
-
-void DistributedHbgStore::drain_shard_inbox(Shard& shard) {
-  std::vector<std::vector<std::uint8_t>> frames = shard.inbox_frames.drain();
-  if (frames.empty()) return;
-  DecodedShardFrame decoded;
-  for (const std::vector<std::uint8_t>& frame : frames) {
-    const std::uint64_t start = now_ns();
-    if (!decode_shard_frame(frame, decoded) || decoded.type != ShardFrameType::kCrossBatch ||
-        decoded.events.empty()) {
-      HBG_ERROR << "distributed hbg: dropping malformed exchange frame (" << frame.size()
-                << " bytes)";
+    // shard's match can restore capture order across the exchange.
+    ShardMessage event{seq_base + i,
+                       r.id,
+                       is_send ? r.router : r.peer,
+                       is_send ? r.peer : r.router,
+                       r.logged_time,
+                       is_send,
+                       RuleMatchEngine::channel_key(r, is_send)};
+    const std::uint32_t peer_shard = assign_shard(r.peer);
+    if (!is_send || peer_shard == home) {
+      shard.events.push_back(std::move(event));
       continue;
     }
-    shard.decode_ns += now_ns() - start;
-    shard.inbox_wire_bytes += frame.size();
-    // Apportion the frame's real bytes over its messages, remainder to the
-    // earliest: frame composition is deterministic (senders flush in
-    // capture order at fixed batch boundaries), so per-router byte
-    // accounting is too, at any thread count.
-    const std::size_t base = frame.size() / decoded.events.size();
-    std::size_t remainder = frame.size() % decoded.events.size();
-    for (ShardMessage& message : decoded.events) {
-      shard.inbox_router_bytes[message.to_router] += base + (remainder > 0 ? 1 : 0);
-      if (remainder > 0) --remainder;
-      shard.inbox.push_back(message);
-      if (!shard.loopback.running()) {
-        shard.remote_events.push_back(std::move(message));
-      }
-    }
-    if (shard.loopback.running()) {
-      // The decoded copy above only feeds the retained index/accounting;
-      // the matcher child gets the identical raw frame.
-      shard.loopback.write_frames(frame);
+    ++stats_.messages;
+    if (shard.outboxes.size() <= peer_shard) shard.outboxes.resize(shards_.size());
+    std::vector<ShardMessage>& outbox = shard.outboxes[peer_shard];
+    outbox.push_back(std::move(event));
+    if (outbox.size() >= kExchangeBatch) flush_outbox(shard, peer_shard);
+  }
+
+  // Nothing deferred survives the call: partial outboxes flush, then every
+  // shard matches its own events together with the sends it decoded.
+  for (auto& shard : shards_) {
+    for (std::uint32_t receiver = 0; receiver < shard->outboxes.size(); ++receiver) {
+      flush_outbox(*shard, receiver);
     }
   }
+  for (std::uint32_t s = 0; s < shards_.size(); ++s) match_shard(s);
 }
 
-void DistributedHbgStore::quiesce(ThreadPool* pool) {
-  if (quiescent_) return;
-  auto run = [&](auto&& task) {
-    if (pool != nullptr && shards_.size() > 1) {
-      pool->parallel_for(shards_.size(), task);
-    } else {
-      for (std::size_t s = 0; s < shards_.size(); ++s) task(s);
-    }
-  };
-  // Wave 1: every shard flushes its partial outboxes — cross frames land
-  // in receiver inboxes, loopback-local frames go to the matcher children.
-  run([&](std::size_t s) {
-    for (std::uint32_t r = 0; r < shards_[s]->outboxes.size(); ++r) {
-      flush_outbox(static_cast<std::uint32_t>(s), r);
-    }
-  });
-  // parallel_for joins before returning, so wave 2 starts only after every
-  // sender has flushed: the barrier that makes the deferred match complete.
-  run([&](std::size_t s) { match_shard(static_cast<std::uint32_t>(s)); });
-  deliver_cross_edges();
-  fold_exchange_stats();
-  quiescent_ = true;
+void DistributedHbgStore::flush_outbox(Shard& sender, std::uint32_t receiver) {
+  std::vector<ShardMessage>& pending = sender.outboxes[receiver];
+  if (pending.empty()) return;
+  std::vector<std::uint8_t> frame;
+  std::uint64_t start = now_ns();
+  encode_shard_frame(pending, frame);
+  stats_.encode_ns += now_ns() - start;
+  ++stats_.frames;
+  stats_.wire_bytes += frame.size();
+  pending.clear();
+
+  // The receiving shard learns these sends only from the frame's bytes.
+  start = now_ns();
+  std::vector<ShardMessage> decoded;
+  if (!decode_shard_frame(frame, decoded)) {
+    HBG_ERROR << "distributed hbg: dropping malformed exchange frame (" << frame.size()
+              << " bytes)";
+    return;
+  }
+  stats_.decode_ns += now_ns() - start;
+  Shard& shard = *shards_[receiver];
+  shard.inbox_wire_bytes += frame.size();
+  // Apportion the frame's real bytes over its messages, remainder to the
+  // earliest: frame composition is deterministic (each outbox fills in
+  // capture order and flushes at fixed batch boundaries), so per-router
+  // byte accounting is too.
+  const std::size_t base = frame.size() / decoded.size();
+  std::size_t remainder = frame.size() % decoded.size();
+  for (ShardMessage& message : decoded) {
+    shard.inbox_router_bytes[message.to_router] += base + (remainder > 0 ? 1 : 0);
+    if (remainder > 0) --remainder;
+    shard.inbox.push_back(message);
+    shard.events.push_back(std::move(message));
+  }
 }
 
 void DistributedHbgStore::match_shard(std::uint32_t shard_index) {
   Shard& shard = *shards_[shard_index];
-  drain_shard_inbox(shard);
-  std::vector<ShardMatch> matches;
-  if (shard.loopback.running()) {
-    matches = shard.loopback.flush();
-  } else {
-    std::vector<ShardMessage> merged = std::move(shard.local_events);
-    shard.local_events.clear();
-    merged.insert(merged.end(), std::make_move_iterator(shard.remote_events.begin()),
-                  std::make_move_iterator(shard.remote_events.end()));
-    shard.remote_events.clear();
-    shard.matcher.feed_sorted(merged, matches);
-  }
-  apply_matches(shard_index, matches);
-}
-
-void DistributedHbgStore::apply_matches(std::uint32_t shard_index,
-                                        std::span<const ShardMatch> matches) {
-  // The matcher is shard-ignorant: it returns raw (send, recv) pairs and
-  // the store classifies each one here via the send record's owner.
-  Shard& shard = *shards_[shard_index];
-  for (const ShardMatch& match : matches) {
-    HbgEdge edge{match.send_io, match.recv_io, 1.0, "send->recv"};
-    std::uint32_t send_shard = shard_of(owner_of(match.send_io));
+  shard.matcher.feed_sorted(shard.events, [&](IoId send_io, IoId recv_io) {
+    HbgEdge edge{send_io, recv_io, 1.0, "send->recv"};
+    const std::uint32_t send_shard = shard_of(owner_of(send_io));
     if (send_shard == shard_index) {
       shard.builder.add_matched_edge(edge);
-    } else {
-      shard.cross_in[match.recv_io].push_back(edge);
-      shard.emitted_cross.emplace_back(send_shard, std::move(edge));
+      return;
     }
-  }
+    // Spanning pair: a remote parent on the receiver, and a remote child on
+    // the sender so descendant walks can leave its shard.
+    shard.cross_in[recv_io].push_back(edge);
+    shards_[send_shard]->cross_out[send_io].push_back(std::move(edge));
+    ++cross_edge_total_;
+    ++stats_.cross_edges;
+  });
+  shard.events.clear();
 }
 
-void DistributedHbgStore::deliver_cross_edges() {
-  // Serial tail of the barrier: deliver cross-shard matches back to the
-  // sending shard's forward index so descendant walks can leave the shard.
-  for (auto& shard : shards_) {
-    for (auto& [send_shard, edge] : shard->emitted_cross) {
-      ++cross_edge_total_;
-      ++stats_.cross_edges;
-      shards_[send_shard]->cross_out[edge.from].push_back(std::move(edge));
-    }
-    shard->emitted_cross.clear();
-  }
+const std::vector<ShardMessage>& DistributedHbgStore::inbox(std::size_t shard) const {
+  return shards_[shard]->inbox;
 }
 
-void DistributedHbgStore::fold_exchange_stats() {
-  for (auto& shard : shards_) {
-    stats_.messages += shard->sent_messages;
-    stats_.frames += shard->sent_frames;
-    stats_.wire_bytes += shard->sent_wire_bytes;
-    stats_.loopback_local_bytes += shard->local_wire_bytes;
-    stats_.encode_ns += shard->encode_ns;
-    stats_.decode_ns += shard->decode_ns;
-    shard->sent_messages = 0;
-    shard->sent_frames = 0;
-    shard->sent_wire_bytes = 0;
-    shard->local_wire_bytes = 0;
-    shard->encode_ns = 0;
-    shard->decode_ns = 0;
-  }
-}
-
-void DistributedHbgStore::ensure_quiescent() const {
-  if (!quiescent_) const_cast<DistributedHbgStore*>(this)->quiesce(nullptr);
+std::size_t DistributedHbgStore::inbox_wire_bytes(std::size_t shard) const {
+  return shards_[shard]->inbox_wire_bytes;
 }
 
 const HappensBeforeGraph* DistributedHbgStore::subgraph(RouterId router) const {
-  ensure_quiescent();
   if (router >= router_shard_.size() || router_shard_[router] == kNoShard) return nullptr;
   return &shards_[router_shard_[router]]->builder.graph();
 }
 
 const IoRecord* DistributedHbgStore::record(IoId id) const {
-  ensure_quiescent();
   RouterId owner = owner_of(id);
   if (owner == kInvalidRouter) return nullptr;
   return shards_[shard_of(owner)]->builder.graph().record(id);
@@ -372,7 +318,6 @@ const IoRecord* DistributedHbgStore::record(IoId id) const {
 
 std::vector<IoId> DistributedHbgStore::root_causes(IoId fault, double min_confidence,
                                                    DistributedQueryStats* stats) const {
-  ensure_quiescent();
   std::vector<IoId> roots;
   RouterId fault_owner = owner_of(fault);
   if (fault_owner == kInvalidRouter) return roots;
@@ -427,7 +372,6 @@ std::vector<IoId> DistributedHbgStore::root_causes(IoId fault, double min_confid
 
 std::vector<IoId> DistributedHbgStore::ancestors(IoId fault, double min_confidence,
                                                  DistributedQueryStats* stats) const {
-  ensure_quiescent();
   std::vector<IoId> up;
   RouterId fault_owner = owner_of(fault);
   if (fault_owner == kInvalidRouter) return up;
@@ -472,7 +416,6 @@ std::vector<IoId> DistributedHbgStore::path_from(IoId root, IoId fault, double m
   // Mirrors HappensBeforeGraph::path_from's canonical spec: BFS distances
   // from the root over the forward edges, then backtrack picking the
   // smallest-id predecessor on a shortest path at each step.
-  ensure_quiescent();
   if (root == fault) return {root};
   if (owner_of(root) == kInvalidRouter || owner_of(fault) == kInvalidRouter) return {};
 
@@ -555,7 +498,6 @@ std::vector<IoId> DistributedHbgStore::path_from(IoId root, IoId fault, double m
 
 std::map<RouterId, DistributedHbgStore::RouterStorage>
 DistributedHbgStore::per_router_storage() const {
-  ensure_quiescent();
   std::map<RouterId, RouterStorage> storage;
   for (RouterId router = 0; router < router_shard_.size(); ++router) {
     if (router_shard_[router] != kNoShard) storage[router];

@@ -6,41 +6,25 @@
 // happens-before subgraph."
 //
 // DistributedHbgStore shards the happens-before graph by router (or by a
-// fixed shard count, several routers per shard). Construction itself is
-// sharded: every shard runs the same-router matching rules over only its
-// own tap stream — one local-only RuleMatchEngine per shard, fanned out
-// over a ThreadPool — and appends into its own CSR-backed
+// fixed shard count, several routers per shard). Every shard runs the
+// same-router matching rules over only its own tap stream — one local-only
+// RuleMatchEngine per shard — and appends into its own CSR-backed
 // HappensBeforeGraph. Same-router rules read nothing but the record's own
-// router log, so per-shard matching emits exactly the edges a global
-// engine would.
+// router log, so per-shard matching emits exactly the edges a global engine
+// would.
 //
 // Cross-router HBRs (send→recv) are the only edges whose endpoints can
 // live on different shards. They are matched by the *receiving* shard,
-// which replays the engine's FIFO channel semantics over its local channel
-// events merged with everything other shards sent it. The exchange is an
-// asynchronous pipeline:
-//
-//   append   each shard appends its own records and, for every send whose
-//            receiver lives elsewhere, queues a ShardMessage in a
-//            per-receiver outbox; full outboxes are encoded into binary
-//            shard_wire frames (varint + delta + interned channel keys)
-//            and handed off to the receiver's lock-free inbox. Receivers
-//            drain and decode opportunistically. No shard ever waits for
-//            another shard's matching pass.
-//   quiesce  the explicit barrier before queries: remaining outboxes
-//            flush, inboxes drain, and every shard sorts its buffered
-//            events by capture sequence and runs the deferred cross-match
-//            (ShardChannelMatcher). Matched pairs that stay within one
-//            shard become ordinary graph edges; pairs that span shards are
-//            stored as remote-parent entries (cross_in) on the receiver
-//            and remote-child entries (cross_out) on the sender.
-//
-// With Options::transport = Transport::kLoopback the matching pass runs
-// behind a real process boundary: each shard spawns a matcher process and
-// every channel event reaches it only as encoded frames over an AF_UNIX
-// socketpair (see shard_exchange.hpp) — the §5 "passing messages between
-// routers" deployment, differentially proven byte-identical to the
-// single-graph oracle by tests/test_distributed_hbg.cpp.
+// which replays the engine's FIFO channel semantics over its own channel
+// events merged with every send other shards addressed to it. A receiving
+// shard learns a remote send only by decoding the binary shard_wire frame
+// that carried it (varint + delta + interned channel keys, 64 sends per
+// frame). Construction is serial and complete within each append(): the
+// batch is walked in capture order, partial outboxes flush before it
+// returns, and every shard then runs its channel match. Matched pairs that
+// stay within one shard become ordinary graph edges; pairs that span shards
+// are stored as remote-parent entries (cross_in) on the receiver and
+// remote-child entries (cross_out) on the sender.
 //
 // The exchange is counted exactly: ConstructionStats::wire_bytes is the
 // actual encoded size of the cross-shard frames (not an estimate), with
@@ -51,24 +35,16 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
-#include <set>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "hbguard/hbg/graph.hpp"
-#include "hbguard/hbg/incremental.hpp"
 #include "hbguard/hbr/rule_matcher.hpp"
-#include "hbguard/provenance/shard_exchange.hpp"
 #include "hbguard/provenance/shard_wire.hpp"
-#include "hbguard/util/handoff_queue.hpp"
 
 namespace hbguard {
-
-class ThreadPool;
 
 struct DistributedQueryStats {
   std::size_t messages = 0;           // partial paths shipped across shards
@@ -91,37 +67,16 @@ class DistributedHbgStore {
     /// (router % num_shards).
     std::size_t num_shards = 0;
 
-    /// How channel events reach a shard's matching pass.
-    enum class Transport : std::uint8_t {
-      /// Encoded frames hand off through in-memory lock-free inboxes; the
-      /// deferred cross-match runs on the construction ThreadPool.
-      kInProcess,
-      /// Each shard spawns a matcher process behind an AF_UNIX socketpair;
-      /// all events travel as wire frames. Same answers, real process
-      /// boundary.
-      kLoopback,
-    };
-    Transport transport = Transport::kInProcess;
-
-    /// ShardMessages per encoded exchange frame: outboxes flush when they
-    /// reach this size (and at the quiescence barrier).
-    std::size_t exchange_batch = 64;
-
     MatcherOptions matcher;
   };
-  using Transport = Options::Transport;
 
-  /// Communication cost paid while building the sharded graph. Counters
-  /// other than records_ingested are folded in at the quiescence barrier.
+  /// Communication cost paid while building the sharded graph.
   struct ConstructionStats {
     std::size_t records_ingested = 0;
     std::size_t messages = 0;     // ShardMessages exchanged (cross-shard sends)
     std::size_t frames = 0;       // encoded cross-shard frames carrying them
     std::size_t wire_bytes = 0;   // actual encoded bytes of those frames
     std::size_t cross_edges = 0;  // matched send→recv pairs spanning shards
-    /// kLoopback only: bytes of receiver-local events shipped to the
-    /// spawned matchers. Harness traffic, not §5 wire cost — kept separate.
-    std::size_t loopback_local_bytes = 0;
     std::uint64_t encode_ns = 0;  // time spent encoding exchange frames
     std::uint64_t decode_ns = 0;  // time spent decoding them
   };
@@ -146,34 +101,19 @@ class DistributedHbgStore {
   DistributedHbgStore(const HappensBeforeGraph& global, Options options);
 
   ~DistributedHbgStore();
-  DistributedHbgStore(DistributedHbgStore&&) = default;
-  DistributedHbgStore& operator=(DistributedHbgStore&&) = default;
+  DistributedHbgStore(DistributedHbgStore&&);
+  DistributedHbgStore& operator=(DistributedHbgStore&&);
 
   /// Share the capture record store so shard vertices hold indices instead
   /// of copies. Call before the first append.
   void attach_store(const std::vector<IoRecord>* store);
 
-  /// Ingest a capture-order batch. Per-shard rule matching fans out over
-  /// `pool` (nullptr = serial) and cross-shard sends enter the exchange
-  /// pipeline; the cross-match itself is deferred until quiesce(). Results
-  /// are identical at any thread count and any batch chunking.
-  void append(std::span<const IoRecord> records, ThreadPool* pool = nullptr);
-
-  /// The explicit quiescence barrier: flush every outbox, drain every
-  /// inbox, run the deferred cross-match, and deliver cross-shard edges.
-  /// Queries call this implicitly (serially) if it was skipped; callers
-  /// holding a pool should invoke it themselves so the barrier parallelizes
-  /// across shards. Idempotent.
-  void quiesce(ThreadPool* pool = nullptr);
-
-  /// True when every exchanged event has been matched (no pending frames,
-  /// events or partial outboxes).
-  bool quiescent() const { return quiescent_; }
+  /// Ingest a capture-order batch: per-shard rule matching, the cross-shard
+  /// frame exchange and every shard's channel match all finish before this
+  /// returns. Answers are identical at any batch chunking.
+  void append(std::span<const IoRecord> records);
 
   // -- Provenance queries (byte-identical to the global graph) ------------
-  //
-  // Safe to call concurrently only on a quiescent store: the first query
-  // after an append runs the (serial) quiescence barrier.
 
   /// Backward traversal from `fault` to its provenance leaves — the same
   /// answer HappensBeforeGraph::root_causes gives, computed by distributed
@@ -205,20 +145,14 @@ class DistributedHbgStore {
   std::size_t shard_count() const { return shards_.size(); }
   /// Matched send→recv edges whose endpoints live on different shards.
   std::size_t cross_edge_count() const { return cross_edge_total_; }
-  /// Valid once quiescent (exchange counters fold in at the barrier).
   const ConstructionStats& construction_stats() const { return stats_; }
   const Options& options() const { return options_; }
 
   /// The message index one shard retained: every cross-shard send it
-  /// decoded, in frame-arrival order (unspecified across concurrent
-  /// senders; contents are deterministic).
-  const std::vector<ShardMessage>& inbox(std::size_t shard) const {
-    return shards_[shard]->inbox;
-  }
+  /// decoded, in frame-arrival order.
+  const std::vector<ShardMessage>& inbox(std::size_t shard) const;
   /// Actual encoded bytes of the frames `shard` received.
-  std::size_t inbox_wire_bytes(std::size_t shard) const {
-    return shards_[shard]->inbox_wire_bytes;
-  }
+  std::size_t inbox_wire_bytes(std::size_t shard) const;
 
   /// Per-router resident-byte accounting over every shard (§5 "each router
   /// can store its own happens-before subgraph"). Inbox bytes are the real
@@ -226,48 +160,7 @@ class DistributedHbgStore {
   std::map<RouterId, RouterStorage> per_router_storage() const;
 
  private:
-  /// One per-receiver outbox of not-yet-encoded cross-shard sends.
-  struct Outbox {
-    std::vector<ShardMessage> pending;
-  };
-
-  struct Shard {
-    IncrementalHbgBuilder builder;
-    ShardChannelMatcher matcher;  // in-process deferred cross-match state
-
-    // Exchange state. `outboxes[r]` buffers sends for shard r; full ones
-    // encode into frames pushed onto the receiver's lock-free inbox.
-    std::vector<Outbox> outboxes;
-    HandoffQueue<std::vector<std::uint8_t>> inbox_frames;
-    std::vector<ShardMessage> local_events;   // own events awaiting the match
-    std::vector<ShardMessage> remote_events;  // decoded inbox events (in-process)
-
-    // Retained message index + exact accounting. Router byte shares are the
-    // received frames' real sizes apportioned over their messages.
-    std::vector<ShardMessage> inbox;
-    std::size_t inbox_wire_bytes = 0;
-    std::map<RouterId, std::size_t> inbox_router_bytes;
-    std::size_t sent_messages = 0;
-    std::size_t sent_frames = 0;
-    std::size_t sent_wire_bytes = 0;
-    std::size_t local_wire_bytes = 0;  // kLoopback: encoded local events
-    std::uint64_t encode_ns = 0;
-    std::uint64_t decode_ns = 0;
-
-    std::map<IoId, std::vector<HbgEdge>> cross_in;   // remote parents by local recv
-    std::map<IoId, std::vector<HbgEdge>> cross_out;  // remote children by local send
-    // Per-append scratch (serial routing phase fills, parallel phase
-    // drains):
-    std::vector<std::uint32_t> batch;  // indices into the append span
-    std::vector<std::pair<std::uint32_t, HbgEdge>> emitted_cross;  // (send shard, edge)
-
-    LoopbackMatcherProcess loopback;  // kLoopback matcher process
-
-    Shard(const MatcherOptions& matcher_options, SimTime slack)
-        : builder(matcher_options), matcher(slack) {
-      builder.set_channel_matching(false);
-    }
-  };
+  struct Shard;
 
   std::uint32_t shard_of(RouterId router) const { return router_shard_[router]; }
   std::uint32_t assign_shard(RouterId router);
@@ -277,17 +170,8 @@ class DistributedHbgStore {
   }
   void owner_set(IoId id, RouterId router);
 
-  void ingest_shard_batch(std::uint32_t shard_index, std::span<const IoRecord> records,
-                          std::uint64_t seq_base);
-  void queue_local_event(std::uint32_t shard_index, ShardMessage message);
-  void flush_outbox(std::uint32_t shard_index, std::uint32_t receiver);
-  void drain_shard_inbox(Shard& shard);
+  void flush_outbox(Shard& sender, std::uint32_t receiver);
   void match_shard(std::uint32_t shard_index);
-  void apply_matches(std::uint32_t shard_index, std::span<const ShardMatch> matches);
-  void deliver_cross_edges();  // serial tail of quiesce
-  void fold_exchange_stats();
-  /// Queries on a non-quiescent store run the barrier serially first.
-  void ensure_quiescent() const;
 
   Options options_;
   const std::vector<IoRecord>* store_ = nullptr;
@@ -296,10 +180,6 @@ class DistributedHbgStore {
   std::vector<std::uint32_t> router_shard_;
   std::vector<RouterId> owner_;
   std::size_t cross_edge_total_ = 0;
-  /// False on the adoption path: no engines run, so no matcher children
-  /// spawn and no exchange state is touched.
-  bool streaming_ = true;
-  bool quiescent_ = true;
   ConstructionStats stats_;
 
   static constexpr std::uint32_t kNoShard = 0xFFFFFFFFu;

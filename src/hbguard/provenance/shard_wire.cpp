@@ -42,11 +42,9 @@ struct DeltaState {
 
 }  // namespace
 
-void encode_shard_frame(ShardFrameType type, std::span<const ShardMessage> batch,
-                        std::vector<std::uint8_t>& out) {
-  assert(type == ShardFrameType::kCrossBatch || type == ShardFrameType::kLocalBatch);
+void encode_shard_frame(std::span<const ShardMessage> batch, std::vector<std::uint8_t>& out) {
   std::size_t prefix = open_frame(out);
-  out.push_back(static_cast<std::uint8_t>(type));
+  out.push_back(static_cast<std::uint8_t>(ShardFrameType::kCrossBatch));
 
   // Interned channel-key table, first-appearance order (deterministic: the
   // batch contents alone decide the encoding, not any map iteration order).
@@ -72,10 +70,7 @@ void encode_shard_frame(ShardFrameType type, std::span<const ShardMessage> batch
   DeltaState prev;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const ShardMessage& m = batch[i];
-    assert(type != ShardFrameType::kCrossBatch || m.is_send);
-    if (type == ShardFrameType::kLocalBatch) {
-      out.push_back(m.is_send ? 1 : 0);
-    }
+    assert(m.is_send);
     put_varint(out, key_index[i]);
     put_zigzag(out, static_cast<std::int64_t>(m.seq - prev.seq));
     put_zigzag(out, static_cast<std::int64_t>(m.io - prev.io));
@@ -88,28 +83,6 @@ void encode_shard_frame(ShardFrameType type, std::span<const ShardMessage> batch
   seal_frame(out, prefix);
 }
 
-void encode_match_frame(std::span<const ShardMatch> matches, std::vector<std::uint8_t>& out) {
-  std::size_t prefix = open_frame(out);
-  out.push_back(static_cast<std::uint8_t>(ShardFrameType::kMatches));
-  put_varint(out, matches.size());
-  std::uint64_t prev_send = 0;
-  std::uint64_t prev_recv = 0;
-  for (const ShardMatch& m : matches) {
-    put_zigzag(out, static_cast<std::int64_t>(m.send_io - prev_send));
-    put_zigzag(out, static_cast<std::int64_t>(m.recv_io - prev_recv));
-    prev_send = m.send_io;
-    prev_recv = m.recv_io;
-  }
-  seal_frame(out, prefix);
-}
-
-void encode_control_frame(ShardFrameType type, std::vector<std::uint8_t>& out) {
-  assert(type == ShardFrameType::kFlush || type == ShardFrameType::kShutdown);
-  std::size_t prefix = open_frame(out);
-  out.push_back(static_cast<std::uint8_t>(type));
-  seal_frame(out, prefix);
-}
-
 std::size_t shard_frame_size(std::span<const std::uint8_t> buffer) {
   if (buffer.size() < 4) return 0;
   std::size_t payload = static_cast<std::size_t>(buffer[0]) |
@@ -119,105 +92,60 @@ std::size_t shard_frame_size(std::span<const std::uint8_t> buffer) {
   return 4 + payload;
 }
 
-bool decode_shard_frame(std::span<const std::uint8_t> frame, DecodedShardFrame& out) {
-  out.events.clear();
-  out.matches.clear();
+bool decode_shard_frame(std::span<const std::uint8_t> frame, std::vector<ShardMessage>& out) {
+  out.clear();
   if (frame.size() < 5) return false;  // prefix + type byte
   std::size_t payload = shard_frame_size(frame);
   if (payload != frame.size()) return false;  // truncated or trailing bytes
   if (payload - 4 > kMaxShardFramePayload) return false;
 
   std::size_t pos = 4;
-  std::uint8_t type = frame[pos++];
-  switch (type) {
-    case static_cast<std::uint8_t>(ShardFrameType::kFlush):
-    case static_cast<std::uint8_t>(ShardFrameType::kShutdown):
-      out.type = static_cast<ShardFrameType>(type);
-      return pos == frame.size();
+  if (frame[pos++] != static_cast<std::uint8_t>(ShardFrameType::kCrossBatch)) return false;
 
-    case static_cast<std::uint8_t>(ShardFrameType::kMatches): {
-      out.type = ShardFrameType::kMatches;
-      std::uint64_t count = 0;
-      if (!get_varint(frame, pos, count)) return false;
-      // Each match costs >= 2 bytes; a count claiming more than the payload
-      // could hold is corrupt, not merely truncated.
-      if (count > (frame.size() - pos)) return false;
-      out.matches.reserve(count);
-      std::uint64_t prev_send = 0;
-      std::uint64_t prev_recv = 0;
-      for (std::uint64_t i = 0; i < count; ++i) {
-        std::int64_t dsend = 0;
-        std::int64_t drecv = 0;
-        if (!get_zigzag(frame, pos, dsend) || !get_zigzag(frame, pos, drecv)) return false;
-        prev_send += static_cast<std::uint64_t>(dsend);
-        prev_recv += static_cast<std::uint64_t>(drecv);
-        out.matches.push_back({prev_send, prev_recv});
-      }
-      return pos == frame.size();
-    }
-
-    case static_cast<std::uint8_t>(ShardFrameType::kCrossBatch):
-    case static_cast<std::uint8_t>(ShardFrameType::kLocalBatch): {
-      out.type = static_cast<ShardFrameType>(type);
-      const bool local = out.type == ShardFrameType::kLocalBatch;
-
-      std::uint64_t key_count = 0;
-      if (!get_varint(frame, pos, key_count)) return false;
-      if (key_count > frame.size() - pos) return false;
-      std::vector<std::string> keys;
-      keys.reserve(key_count);
-      for (std::uint64_t i = 0; i < key_count; ++i) {
-        std::uint64_t len = 0;
-        if (!get_varint(frame, pos, len)) return false;
-        if (len > frame.size() - pos) return false;
-        keys.emplace_back(reinterpret_cast<const char*>(frame.data() + pos), len);
-        pos += len;
-      }
-
-      std::uint64_t event_count = 0;
-      if (!get_varint(frame, pos, event_count)) return false;
-      // Each event costs >= 6 bytes (5 varints + key index).
-      if (event_count > frame.size() - pos) return false;
-      out.events.reserve(event_count);
-      DeltaState prev;
-      for (std::uint64_t i = 0; i < event_count; ++i) {
-        ShardMessage m;
-        if (local) {
-          if (pos >= frame.size()) return false;
-          std::uint8_t flags = frame[pos++];
-          if ((flags & ~1u) != 0) return false;
-          m.is_send = (flags & 1) != 0;
-        } else {
-          m.is_send = true;
-        }
-        std::uint64_t key_idx = 0;
-        if (!get_varint(frame, pos, key_idx)) return false;
-        if (key_idx >= keys.size()) return false;
-        std::int64_t dseq = 0, dio = 0, dfrom = 0, dto = 0, dtime = 0;
-        if (!get_zigzag(frame, pos, dseq) || !get_zigzag(frame, pos, dio) ||
-            !get_zigzag(frame, pos, dfrom) || !get_zigzag(frame, pos, dto) ||
-            !get_zigzag(frame, pos, dtime)) {
-          return false;
-        }
-        prev.seq += static_cast<std::uint64_t>(dseq);
-        prev.io += static_cast<std::uint64_t>(dio);
-        prev.from_router += static_cast<std::uint64_t>(dfrom);
-        prev.to_router += static_cast<std::uint64_t>(dto);
-        prev.logged_time += static_cast<std::uint64_t>(dtime);
-        m.seq = prev.seq;
-        m.io = prev.io;
-        m.from_router = static_cast<RouterId>(prev.from_router);
-        m.to_router = static_cast<RouterId>(prev.to_router);
-        m.logged_time = static_cast<SimTime>(prev.logged_time);
-        m.channel = keys[key_idx];
-        out.events.push_back(std::move(m));
-      }
-      return pos == frame.size();
-    }
-
-    default:
-      return false;
+  std::uint64_t key_count = 0;
+  if (!get_varint(frame, pos, key_count)) return false;
+  if (key_count > frame.size() - pos) return false;
+  std::vector<std::string> keys;
+  keys.reserve(key_count);
+  for (std::uint64_t i = 0; i < key_count; ++i) {
+    std::uint64_t len = 0;
+    if (!get_varint(frame, pos, len)) return false;
+    if (len > frame.size() - pos) return false;
+    keys.emplace_back(reinterpret_cast<const char*>(frame.data() + pos), len);
+    pos += len;
   }
+
+  std::uint64_t event_count = 0;
+  if (!get_varint(frame, pos, event_count)) return false;
+  // Each event costs >= 6 bytes (5 varints + key index).
+  if (event_count > frame.size() - pos) return false;
+  out.reserve(event_count);
+  DeltaState prev;
+  for (std::uint64_t i = 0; i < event_count; ++i) {
+    std::uint64_t key_idx = 0;
+    if (!get_varint(frame, pos, key_idx)) return false;
+    if (key_idx >= keys.size()) return false;
+    std::int64_t dseq = 0, dio = 0, dfrom = 0, dto = 0, dtime = 0;
+    if (!get_zigzag(frame, pos, dseq) || !get_zigzag(frame, pos, dio) ||
+        !get_zigzag(frame, pos, dfrom) || !get_zigzag(frame, pos, dto) ||
+        !get_zigzag(frame, pos, dtime)) {
+      return false;
+    }
+    prev.seq += static_cast<std::uint64_t>(dseq);
+    prev.io += static_cast<std::uint64_t>(dio);
+    prev.from_router += static_cast<std::uint64_t>(dfrom);
+    prev.to_router += static_cast<std::uint64_t>(dto);
+    prev.logged_time += static_cast<std::uint64_t>(dtime);
+    ShardMessage m;
+    m.seq = prev.seq;
+    m.io = prev.io;
+    m.from_router = static_cast<RouterId>(prev.from_router);
+    m.to_router = static_cast<RouterId>(prev.to_router);
+    m.logged_time = static_cast<SimTime>(prev.logged_time);
+    m.channel = keys[key_idx];
+    out.push_back(std::move(m));
+  }
+  return pos == frame.size();
 }
 
 }  // namespace hbguard

@@ -9,25 +9,16 @@
 //   payload := u8 type, body
 //
 //   type 1  kCrossBatch   cross-shard sends — the §5 wire traffic
-//   type 2  kLocalBatch   loopback transport: receiver-local events
-//   type 3  kFlush        barrier: stitch buffered events, reply kMatches
-//   type 4  kMatches      matched (send, recv) pairs, matcher → store
-//   type 5  kShutdown     loopback matcher process: exit cleanly
 //
-//   batch body (types 1, 2):
+//   body:
 //     varint key_count                 interned channel-key table,
 //     key_count x { varint len, bytes }  first-appearance order
 //     varint event_count
-//     event_count x {
-//       u8 flags                       type 2 only (bit0 = is_send);
-//                                      type 1 events are always sends
+//     event_count x {                  every event is a send
 //       varint key_index
 //       zigzag Δseq  zigzag Δio  zigzag Δfrom  zigzag Δto  zigzag Δtime
 //     }                                deltas vs the previous event in the
 //                                      frame (first event vs zero)
-//   match body (type 4):
-//     varint match_count
-//     match_count x { zigzag Δsend_io, zigzag Δrecv_io }
 //
 // Varints are LEB128 (7 bits per byte, high bit = continue, max 10 bytes);
 // signed fields are zigzag-mapped first. Channel keys repeat heavily inside
@@ -36,10 +27,11 @@
 // — ConstructionStats::wire_bytes reports the *actual* encoded frame
 // sizes, not an estimate.
 //
-// decode_shard_frame rejects anything malformed — truncated frames, key
-// indexes past the table, counts that overrun the payload, trailing bytes —
-// by returning false and leaving no partial state in `out` beyond what it
-// already parsed into cleared vectors. See tests/test_shard_wire.cpp.
+// decode_shard_frame rejects anything malformed — truncated frames, any
+// type byte but kCrossBatch, key indexes past the table, counts that
+// overrun the payload, trailing bytes — by returning false and leaving no
+// partial state in `out` beyond what it already parsed into the cleared
+// vector. See tests/test_shard_wire.cpp.
 #pragma once
 
 #include <cstdint>
@@ -52,12 +44,13 @@
 
 namespace hbguard {
 
-/// One FIFO channel event exchanged between shards during distributed HBG
-/// construction: everything the receiving shard's matcher needs to replay
-/// the engine's channel semantics as if it had seen the record locally.
+/// One FIFO channel event of distributed HBG construction: everything a
+/// shard's channel matcher needs to replay the engine's channel semantics
+/// as if it had seen the record locally. Only sends cross the wire; a
+/// shard's own receives stay local.
 struct ShardMessage {
   std::uint64_t seq = 0;  // global capture-order sequence of the record
-  IoId io = kNoIo;        // the send (or, loopback-local, recv) record
+  IoId io = kNoIo;        // the send (or, receiver-local, recv) record
   RouterId from_router = kInvalidRouter;  // channel-upstream (sending) router
   RouterId to_router = kInvalidRouter;    // channel-downstream (receiving) router
   SimTime logged_time = 0;
@@ -67,44 +60,19 @@ struct ShardMessage {
   bool operator==(const ShardMessage&) const = default;
 };
 
-/// One matched send→recv pair reported back by a shard matcher.
-struct ShardMatch {
-  IoId send_io = kNoIo;
-  IoId recv_io = kNoIo;
-
-  bool operator==(const ShardMatch&) const = default;
-};
-
 enum class ShardFrameType : std::uint8_t {
   kCrossBatch = 1,
-  kLocalBatch = 2,
-  kFlush = 3,
-  kMatches = 4,
-  kShutdown = 5,
 };
 
-/// Append one complete frame (length prefix + payload) for `batch` to
-/// `out`. `type` must be kCrossBatch or kLocalBatch. kCrossBatch requires
-/// every event to be a send (is_send is implied on the wire and asserted).
-void encode_shard_frame(ShardFrameType type, std::span<const ShardMessage> batch,
-                        std::vector<std::uint8_t>& out);
+/// Append one complete kCrossBatch frame (length prefix + payload) for
+/// `batch` to `out`. Every event must be a send (is_send is implied on the
+/// wire and asserted).
+void encode_shard_frame(std::span<const ShardMessage> batch, std::vector<std::uint8_t>& out);
 
-/// Append one kMatches frame to `out`.
-void encode_match_frame(std::span<const ShardMatch> matches, std::vector<std::uint8_t>& out);
-
-/// Append one bodyless control frame (kFlush / kShutdown) to `out`.
-void encode_control_frame(ShardFrameType type, std::vector<std::uint8_t>& out);
-
-struct DecodedShardFrame {
-  ShardFrameType type = ShardFrameType::kFlush;
-  std::vector<ShardMessage> events;   // kCrossBatch / kLocalBatch
-  std::vector<ShardMatch> matches;    // kMatches
-};
-
-/// Decode exactly one complete frame. `frame` must span the whole frame
-/// (length prefix included) and nothing more. Returns false on any
-/// truncation or malformed content.
-bool decode_shard_frame(std::span<const std::uint8_t> frame, DecodedShardFrame& out);
+/// Decode exactly one complete frame into `out` (cleared first). `frame`
+/// must span the whole frame (length prefix included) and nothing more.
+/// Returns false on any truncation or malformed content.
+bool decode_shard_frame(std::span<const std::uint8_t> frame, std::vector<ShardMessage>& out);
 
 /// Total size of the frame starting at `buffer` (prefix + payload), or 0
 /// while fewer than 4 bytes are available. Streaming readers call this to

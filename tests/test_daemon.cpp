@@ -20,6 +20,7 @@
 #include "fixtures.hpp"
 #include "hbguard/capture/trace_io.hpp"
 #include "hbguard/daemon/daemon.hpp"
+#include "hbguard/daemon/recovery.hpp"
 #include "hbguard/sim/scenario.hpp"
 
 namespace hbguard {
@@ -197,6 +198,16 @@ TEST(Daemon, ControlSurfaceDrivesProposalsOverRpc) {
   std::string list = rpc(control, "repairs list");
   EXPECT_NE(list.find("#1 pending"), std::string::npos) << list;
 
+  // Malformed ids are refused whole: a digit prefix, no digits at all, or a
+  // value past 64 bits must not be read as some other id.
+  for (const char* bad : {"repairs decline 1x", "repairs decline abc",
+                          "repairs approve 18446744073709551616", "why 3abc"}) {
+    std::string answer = rpc(control, bad);
+    EXPECT_EQ(answer.rfind("err bad id", 0), 0u) << bad << " -> " << answer;
+  }
+  list = rpc(control, "repairs list");
+  EXPECT_NE(list.find("#1 pending"), std::string::npos) << list;
+
   // The replay host does not own the misconfigured device's config store, so
   // approval reports the out-of-band path rather than faking a revert.
   std::string approve = rpc(control, "repairs approve 1");
@@ -214,6 +225,15 @@ TEST(Daemon, ControlSurfaceDrivesProposalsOverRpc) {
   EXPECT_EQ(bye.rfind("ok", 0), 0u) << bye;
   ::close(control);
   server.join();
+}
+
+TEST(Daemon, ControlIdsParseOnlyWholeDecimalTokens) {
+  EXPECT_EQ(parse_control_id("0"), 0u);
+  EXPECT_EQ(parse_control_id("007"), 7u);
+  EXPECT_EQ(parse_control_id("18446744073709551615"), 18446744073709551615u);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1x", "0x1", "1.0", "18446744073709551616"}) {
+    EXPECT_EQ(parse_control_id(bad), std::nullopt) << '"' << bad << '"';
+  }
 }
 
 TEST(Daemon, BackpressureSlowConsumerDropsAtHardCapThenRecovers) {

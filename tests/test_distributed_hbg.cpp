@@ -5,10 +5,10 @@
 // cross-router send→recv pairs exchanged as explicit ShardMessages — must
 // answer every provenance query byte-identically to the single global
 // HappensBeforeGraph built from the same capture stream, at any shard
-// count, any thread count, and any append chunking. Randomized churn
-// traces (seeded topology + workload, control-plane faults off and on)
-// drive the comparison; the Guard-level matrix then pins the end-to-end
-// report digest across distributed_shards × num_threads.
+// count and any append chunking. Randomized churn traces (seeded topology
+// + workload, control-plane faults off and on) drive the comparison; the
+// Guard-level matrix then pins the end-to-end report digest across
+// distributed_shards × num_threads.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -23,7 +23,6 @@
 #include "hbguard/hbg/incremental.hpp"
 #include "hbguard/provenance/distributed_hbg.hpp"
 #include "hbguard/sim/workload.hpp"
-#include "hbguard/util/thread_pool.hpp"
 
 namespace hbguard {
 namespace {
@@ -67,36 +66,19 @@ std::vector<IoRecord> churn_trace(std::uint64_t seed, std::size_t routers,
                                net.capture().records().end());
 }
 
-/// Streaming-build a store over `records` in fixed-size chunks, fanned out
-/// over `threads` workers (1 = no pool, the serial path), then run the
-/// quiescence barrier so queries see the finished exchange.
-DistributedHbgStore build_store(
-    const std::vector<IoRecord>& records, std::size_t num_shards, unsigned threads,
-    std::size_t chunk = 97,
-    DistributedHbgStore::Transport transport = DistributedHbgStore::Transport::kInProcess) {
+/// Streaming-build a store over `records` in fixed-size chunks.
+DistributedHbgStore build_store(const std::vector<IoRecord>& records, std::size_t num_shards,
+                                std::size_t chunk = 97) {
   DistributedHbgStore::Options options;
   options.num_shards = num_shards;
-  options.transport = transport;
   DistributedHbgStore store(options);
   store.attach_store(&records);
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   std::span<const IoRecord> all(records);
   for (std::size_t i = 0; i < all.size(); i += chunk) {
-    store.append(all.subspan(i, std::min(chunk, all.size() - i)), pool.get());
+    store.append(all.subspan(i, std::min(chunk, all.size() - i)));
   }
-  store.quiesce(pool.get());
   return store;
 }
-
-const char* transport_name(DistributedHbgStore::Transport transport) {
-  return transport == DistributedHbgStore::Transport::kLoopback ? "loopback" : "in-process";
-}
-
-constexpr DistributedHbgStore::Transport kTransports[] = {
-    DistributedHbgStore::Transport::kInProcess,
-    DistributedHbgStore::Transport::kLoopback,
-};
 
 /// Assert every provenance query over `store` matches the oracle graph,
 /// byte for byte. Returns the aggregated distributed query stats so callers
@@ -135,7 +117,7 @@ DistributedQueryStats expect_queries_match(const DistributedHbgStore& store,
   return total;
 }
 
-TEST(DistributedHbg, ShardedConstructionMatchesOracleAcrossShardAndThreadCounts) {
+TEST(DistributedHbg, ShardedConstructionMatchesOracleAcrossShardCounts) {
   std::vector<IoRecord> records = churn_trace(21, 8, 40, /*control_faults=*/false);
   ASSERT_GT(records.size(), 100u);
 
@@ -143,36 +125,30 @@ TEST(DistributedHbg, ShardedConstructionMatchesOracleAcrossShardAndThreadCounts)
   oracle.attach_store(&records);
   oracle.append(records);
 
-  for (DistributedHbgStore::Transport transport : kTransports) {
-    for (std::size_t shards : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-      for (unsigned threads : {1u, 2u, 8u}) {
-        SCOPED_TRACE(testing::Message() << "transport=" << transport_name(transport)
-                                        << " shards=" << shards << " threads=" << threads);
-        DistributedHbgStore store = build_store(records, shards, threads, 97, transport);
-        EXPECT_EQ(store.shard_count(), shards);
-        // Edge accounting: local shard edges plus cross-shard pairs must tile
-        // the oracle's edge set exactly.
-        std::size_t local_edges = 0;
-        std::set<RouterId> seen_routers;
-        for (const IoRecord& r : records) seen_routers.insert(r.router);
-        for (RouterId router : seen_routers) {
-          ASSERT_NE(store.subgraph(router), nullptr);
-        }
-        for (const auto& [router, storage] : store.per_router_storage()) {
-          local_edges += storage.local_edges;
-        }
-        EXPECT_EQ(local_edges + store.cross_edge_count(), oracle.graph().edge_count());
+  for (std::size_t shards : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
+    DistributedHbgStore store = build_store(records, shards);
+    EXPECT_EQ(store.shard_count(), shards);
+    // Edge accounting: local shard edges plus cross-shard pairs must tile
+    // the oracle's edge set exactly.
+    std::size_t local_edges = 0;
+    std::set<RouterId> seen_routers;
+    for (const IoRecord& r : records) seen_routers.insert(r.router);
+    for (RouterId router : seen_routers) {
+      ASSERT_NE(store.subgraph(router), nullptr);
+    }
+    for (const auto& [router, storage] : store.per_router_storage()) {
+      local_edges += storage.local_edges;
+    }
+    EXPECT_EQ(local_edges + store.cross_edge_count(), oracle.graph().edge_count());
 
-        DistributedQueryStats stats =
-            expect_queries_match(store, oracle.graph(), records, "streaming");
-        if (shards == 1) {
-          EXPECT_EQ(store.construction_stats().messages, 0u);
-          EXPECT_EQ(store.cross_edge_count(), 0u);
-          EXPECT_EQ(stats.messages, 0u);
-        } else if (store.cross_edge_count() > 0) {
-          EXPECT_GT(stats.messages, 0u) << "cross edges exist but no query crossed a shard";
-        }
-      }
+    DistributedQueryStats stats = expect_queries_match(store, oracle.graph(), records, "streaming");
+    if (shards == 1) {
+      EXPECT_EQ(store.construction_stats().messages, 0u);
+      EXPECT_EQ(store.cross_edge_count(), 0u);
+      EXPECT_EQ(stats.messages, 0u);
+    } else if (store.cross_edge_count() > 0) {
+      EXPECT_GT(stats.messages, 0u) << "cross edges exist but no query crossed a shard";
     }
   }
 }
@@ -187,15 +163,10 @@ TEST(DistributedHbg, ShardedConstructionMatchesOracleUnderControlFaults) {
   oracle.attach_store(&records);
   oracle.append(records);
 
-  for (DistributedHbgStore::Transport transport : kTransports) {
-    for (std::size_t shards : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-      for (unsigned threads : {1u, 2u, 8u}) {
-        SCOPED_TRACE(testing::Message() << "transport=" << transport_name(transport)
-                                        << " shards=" << shards << " threads=" << threads);
-        DistributedHbgStore store = build_store(records, shards, threads, 97, transport);
-        expect_queries_match(store, oracle.graph(), records, "faulted");
-      }
-    }
+  for (std::size_t shards : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
+    DistributedHbgStore store = build_store(records, shards);
+    expect_queries_match(store, oracle.graph(), records, "faulted");
   }
 }
 
@@ -206,7 +177,7 @@ TEST(DistributedHbg, PerRouterShardingMatchesOracle) {
   oracle.attach_store(&records);
   oracle.append(records);
 
-  DistributedHbgStore store = build_store(records, 0, 2);
+  DistributedHbgStore store = build_store(records, 0);
   std::set<RouterId> routers;
   for (const IoRecord& r : records) routers.insert(r.router);
   EXPECT_EQ(store.shard_count(), routers.size());
@@ -216,15 +187,24 @@ TEST(DistributedHbg, PerRouterShardingMatchesOracle) {
 TEST(DistributedHbg, ChunkingDoesNotChangeAnswers) {
   // The same trace streamed in tiny, medium, and single-batch appends must
   // produce identical stores (channel FIFO state persists across appends).
+  // Only the framing may differ: partial outboxes flush at the end of every
+  // append, so smaller chunks ship more, smaller frames.
   std::vector<IoRecord> records = churn_trace(24, 8, 40, /*control_faults=*/false);
   IncrementalHbgBuilder oracle;
   oracle.attach_store(&records);
   oracle.append(records);
 
+  DistributedHbgStore whole = build_store(records, 4, records.size());
+  const auto& expected = whole.construction_stats();
+  EXPECT_GT(expected.cross_edges, 0u);
   for (std::size_t chunk : {std::size_t{1}, std::size_t{13}, records.size()}) {
     SCOPED_TRACE(testing::Message() << "chunk=" << chunk);
-    DistributedHbgStore store = build_store(records, 4, 2, chunk);
+    DistributedHbgStore store = build_store(records, 4, chunk);
     expect_queries_match(store, oracle.graph(), records, "chunked");
+    const auto& stats = store.construction_stats();
+    EXPECT_EQ(stats.records_ingested, expected.records_ingested);
+    EXPECT_EQ(stats.messages, expected.messages);
+    EXPECT_EQ(stats.cross_edges, expected.cross_edges);
   }
 }
 
@@ -242,13 +222,13 @@ TEST(DistributedHbg, AdoptionModeMatchesStreamingStore) {
   EXPECT_EQ(adopted.shard_count(), 4u);
   expect_queries_match(adopted, oracle.graph(), records, "adopted");
 
-  DistributedHbgStore streamed = build_store(records, 4, 2);
+  DistributedHbgStore streamed = build_store(records, 4);
   EXPECT_EQ(adopted.cross_edge_count(), streamed.cross_edge_count());
 }
 
 TEST(DistributedHbg, ConstructionAccountingIsExact) {
   std::vector<IoRecord> records = churn_trace(26, 8, 40, /*control_faults=*/false);
-  DistributedHbgStore store = build_store(records, 8, 2);
+  DistributedHbgStore store = build_store(records, 8);
 
   const auto& stats = store.construction_stats();
   EXPECT_EQ(stats.records_ingested, records.size());
@@ -256,7 +236,6 @@ TEST(DistributedHbg, ConstructionAccountingIsExact) {
   EXPECT_GT(stats.messages, 0u) << "an 8-shard build of a churn trace must exchange sends";
   EXPECT_GT(stats.frames, 0u);
   EXPECT_LE(stats.frames, stats.messages);
-  EXPECT_EQ(stats.loopback_local_bytes, 0u) << "in-process builds ship no loopback frames";
 
   // Every counted message is sitting in exactly one inbox, and wire_bytes
   // is the actual encoded size of the frames that carried them: what the
@@ -291,48 +270,6 @@ TEST(DistributedHbg, ConstructionAccountingIsExact) {
   }
   EXPECT_EQ(ios, records.size());
   EXPECT_GE(storage_bytes, inbox_bytes);
-}
-
-TEST(DistributedHbg, LoopbackTransportMatchesInProcessExactly) {
-  // The spawned matcher processes see events only as encoded frames over
-  // their socketpairs; answers and exchange accounting must nonetheless be
-  // identical to the in-process transport (same frames, same matches).
-  std::vector<IoRecord> records = churn_trace(27, 8, 40, /*control_faults=*/false);
-  IncrementalHbgBuilder oracle;
-  oracle.attach_store(&records);
-  oracle.append(records);
-
-  DistributedHbgStore in_process = build_store(records, 8, 2);
-  DistributedHbgStore loopback =
-      build_store(records, 8, 2, 97, DistributedHbgStore::Transport::kLoopback);
-  expect_queries_match(loopback, oracle.graph(), records, "loopback");
-
-  EXPECT_EQ(loopback.cross_edge_count(), in_process.cross_edge_count());
-  EXPECT_EQ(loopback.construction_stats().messages, in_process.construction_stats().messages);
-  EXPECT_EQ(loopback.construction_stats().frames, in_process.construction_stats().frames);
-  EXPECT_EQ(loopback.construction_stats().wire_bytes,
-            in_process.construction_stats().wire_bytes);
-  // Receiver-local events crossed the process boundary too — as kLocalBatch
-  // frames, accounted separately from the §5 cross-shard traffic.
-  EXPECT_GT(loopback.construction_stats().loopback_local_bytes, 0u);
-}
-
-TEST(DistributedHbg, FirstQueryRunsTheBarrierImplicitly) {
-  // A store queried without an explicit quiesce() must run the barrier
-  // itself (serially) and still answer byte-identically.
-  std::vector<IoRecord> records = churn_trace(28, 6, 30, /*control_faults=*/false);
-  IncrementalHbgBuilder oracle;
-  oracle.attach_store(&records);
-  oracle.append(records);
-
-  DistributedHbgStore::Options options;
-  options.num_shards = 4;
-  DistributedHbgStore store(options);
-  store.attach_store(&records);
-  store.append(records);
-  EXPECT_FALSE(store.quiescent());
-  expect_queries_match(store, oracle.graph(), records, "implicit-quiesce");
-  EXPECT_TRUE(store.quiescent());
 }
 
 // ---------------------------------------------------------------------------

@@ -23,6 +23,41 @@ TEST(IpAddress, ParseRejectsMalformed) {
   EXPECT_FALSE(IpAddress::parse("1.2.3.-4").has_value());
 }
 
+TEST(IpAddress, ParseAcceptsExactlyFourShortDecimalFields) {
+  // The accepted grammar: four fields of 1-3 digits, each <= 255, joined by
+  // single dots. Leading zeros inside that width are fine; anything around
+  // or between the fields is not.
+  struct Case {
+    const char* text;
+    std::optional<std::uint32_t> bits;
+  };
+  const Case cases[] = {
+      {"1..2.3", std::nullopt},
+      {".1.2.3", std::nullopt},
+      {"1.2.3.", std::nullopt},
+      {"1.2.3.4.", std::nullopt},
+      {"0001.2.3.4", std::nullopt},
+      {"+1.2.3.4", std::nullopt},
+      {" 1.2.3.4", std::nullopt},
+      {"1.2.3.4 ", std::nullopt},
+      {"1.2.3.4\n", std::nullopt},
+      {"1.2.3.04x", std::nullopt},
+      {"1.2.3.256", std::nullopt},
+      {"1.2.3.999", std::nullopt},
+      {"01.2.3.4", 0x01020304u},
+      {"001.002.003.004", 0x01020304u},
+      {"0.0.0.0", 0x00000000u},
+      {"255.255.255.255", 0xffffffffu},
+  };
+  for (const Case& c : cases) {
+    std::optional<IpAddress> ip = IpAddress::parse(c.text);
+    ASSERT_EQ(ip.has_value(), c.bits.has_value()) << '"' << c.text << '"';
+    if (ip) {
+      EXPECT_EQ(ip->bits(), *c.bits) << c.text;
+    }
+  }
+}
+
 TEST(IpAddress, OrderingFollowsNumericValue) {
   EXPECT_LT(IpAddress(10, 0, 0, 1), IpAddress(10, 0, 0, 2));
   EXPECT_LT(IpAddress(9, 255, 255, 255), IpAddress(10, 0, 0, 0));

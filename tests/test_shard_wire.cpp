@@ -7,7 +7,8 @@
 //     ids and times);
 //   * rejection — decode_shard_frame returns false on any malformed input
 //     (truncations at every byte, trailing bytes, corrupt counts, bad key
-//     indexes) instead of fabricating events or crashing.
+//     indexes, unknown type bytes) instead of fabricating events or
+//     crashing.
 // The fuzz sections drive both with seeded randomness so failures replay.
 #include <gtest/gtest.h>
 
@@ -22,16 +23,14 @@
 namespace hbguard {
 namespace {
 
-std::vector<ShardMessage> roundtrip(ShardFrameType type,
-                                    const std::vector<ShardMessage>& batch) {
+std::vector<ShardMessage> roundtrip(const std::vector<ShardMessage>& batch) {
   std::vector<std::uint8_t> frame;
-  encode_shard_frame(type, batch, frame);
+  encode_shard_frame(batch, frame);
   EXPECT_EQ(shard_frame_size(frame), frame.size());
-  DecodedShardFrame decoded;
+  EXPECT_EQ(frame[4], static_cast<std::uint8_t>(ShardFrameType::kCrossBatch));
+  std::vector<ShardMessage> decoded;
   EXPECT_TRUE(decode_shard_frame(frame, decoded));
-  EXPECT_EQ(decoded.type, type);
-  EXPECT_TRUE(decoded.matches.empty());
-  return decoded.events;
+  return decoded;
 }
 
 TEST(ShardWire, VarintRoundTripCoversBoundaries) {
@@ -88,7 +87,7 @@ TEST(ShardWire, ZigzagIsAnInvolutionOnExtremes) {
 }
 
 TEST(ShardWire, EmptyBatchAndEmptyChannelsRoundTrip) {
-  EXPECT_TRUE(roundtrip(ShardFrameType::kCrossBatch, {}).empty());
+  EXPECT_TRUE(roundtrip({}).empty());
 
   // Empty channel keys are legal (a degenerate but encodable FIFO key) and
   // must intern like any other key.
@@ -96,7 +95,7 @@ TEST(ShardWire, EmptyBatchAndEmptyChannelsRoundTrip) {
   batch.push_back({1, 10, 0, 1, 100, true, ""});
   batch.push_back({2, 11, 0, 1, 200, true, ""});
   batch.push_back({3, 12, 0, 1, 300, true, "x"});
-  EXPECT_EQ(roundtrip(ShardFrameType::kCrossBatch, batch), batch);
+  EXPECT_EQ(roundtrip(batch), batch);
 }
 
 TEST(ShardWire, ExtremeFieldValuesRoundTrip) {
@@ -108,15 +107,7 @@ TEST(ShardWire, ExtremeFieldValuesRoundTrip) {
                    std::numeric_limits<SimTime>::max(), true, "hi"});
   batch.push_back({0, 0, kExternalRouter, 0, std::numeric_limits<SimTime>::min(), true, "lo"});
   batch.push_back({std::numeric_limits<std::uint64_t>::max() / 2, 1, 7, 9, -1, true, "hi"});
-  EXPECT_EQ(roundtrip(ShardFrameType::kCrossBatch, batch), batch);
-}
-
-TEST(ShardWire, LocalBatchCarriesReceiveFlags) {
-  std::vector<ShardMessage> batch;
-  batch.push_back({5, 50, 2, 3, 500, true, "chan"});
-  batch.push_back({6, 51, 2, 3, 600, false, "chan"});
-  batch.push_back({7, 52, 3, 2, 700, false, "other"});
-  EXPECT_EQ(roundtrip(ShardFrameType::kLocalBatch, batch), batch);
+  EXPECT_EQ(roundtrip(batch), batch);
 }
 
 TEST(ShardWire, DuplicateChannelKeysInternToOneTableEntry) {
@@ -130,69 +121,57 @@ TEST(ShardWire, DuplicateChannelKeysInternToOneTableEntry) {
                      i % 2 == 0 ? key_a : key_b});
   }
   std::vector<std::uint8_t> frame;
-  encode_shard_frame(ShardFrameType::kCrossBatch, batch, frame);
+  encode_shard_frame(batch, frame);
   EXPECT_LT(frame.size(), 2 * key_a.size() + 64 * 12);
-  DecodedShardFrame decoded;
+  std::vector<ShardMessage> decoded;
   ASSERT_TRUE(decode_shard_frame(frame, decoded));
-  EXPECT_EQ(decoded.events, batch);
-}
-
-TEST(ShardWire, MatchFrameRoundTripsIncludingExtremes) {
-  std::vector<ShardMatch> matches;
-  matches.push_back({1, 2});
-  matches.push_back({std::numeric_limits<IoId>::max(), 3});
-  matches.push_back({0, std::numeric_limits<IoId>::max()});
-  std::vector<std::uint8_t> frame;
-  encode_match_frame(matches, frame);
-  DecodedShardFrame decoded;
-  ASSERT_TRUE(decode_shard_frame(frame, decoded));
-  EXPECT_EQ(decoded.type, ShardFrameType::kMatches);
-  EXPECT_EQ(decoded.matches, matches);
-  EXPECT_TRUE(decoded.events.empty());
-}
-
-TEST(ShardWire, ControlFramesRoundTrip) {
-  for (ShardFrameType type : {ShardFrameType::kFlush, ShardFrameType::kShutdown}) {
-    std::vector<std::uint8_t> frame;
-    encode_control_frame(type, frame);
-    EXPECT_EQ(frame.size(), 5u);
-    DecodedShardFrame decoded;
-    ASSERT_TRUE(decode_shard_frame(frame, decoded));
-    EXPECT_EQ(decoded.type, type);
-  }
+  EXPECT_EQ(decoded, batch);
 }
 
 TEST(ShardWire, MultipleFramesConcatenateAndSplitCleanly) {
-  // A socket stream is just frames back to back; shard_frame_size must find
-  // every cut point exactly.
-  std::vector<ShardMessage> batch;
-  batch.push_back({1, 2, 3, 4, 5, true, "k"});
+  // A byte stream is just frames back to back; shard_frame_size must find
+  // every cut point exactly, including around an empty batch.
+  const std::vector<std::vector<ShardMessage>> batches = {
+      {{1, 2, 3, 4, 5, true, "k"}},
+      {},
+      {{6, 7, 3, 4, 8, true, "k"}, {9, 10, 4, 3, 11, true, "other"}},
+  };
   std::vector<std::uint8_t> stream;
-  encode_shard_frame(ShardFrameType::kCrossBatch, batch, stream);
-  encode_control_frame(ShardFrameType::kFlush, stream);
-  encode_match_frame({{ShardMatch{2, 9}}}, stream);
+  for (const auto& batch : batches) encode_shard_frame(batch, stream);
 
   std::size_t pos = 0;
-  std::vector<ShardFrameType> seen;
+  std::vector<std::vector<ShardMessage>> seen;
   while (pos < stream.size()) {
     std::span<const std::uint8_t> rest(stream.data() + pos, stream.size() - pos);
     std::size_t size = shard_frame_size(rest);
     ASSERT_GE(size, 5u);
     ASSERT_LE(size, rest.size());
-    DecodedShardFrame decoded;
+    std::vector<ShardMessage> decoded;
     ASSERT_TRUE(decode_shard_frame(rest.subspan(0, size), decoded));
-    seen.push_back(decoded.type);
+    seen.push_back(std::move(decoded));
     pos += size;
   }
-  EXPECT_EQ(seen, (std::vector<ShardFrameType>{ShardFrameType::kCrossBatch,
-                                               ShardFrameType::kFlush,
-                                               ShardFrameType::kMatches}));
+  EXPECT_EQ(seen, batches);
+}
+
+TEST(ShardWire, UnknownFrameTypesAreRejected) {
+  // kCrossBatch (1) is the only frame type; every other type byte must be
+  // refused even when the body would otherwise decode.
+  std::vector<std::uint8_t> frame;
+  encode_shard_frame(std::vector<ShardMessage>{{1, 2, 3, 4, 5, true, "k"}}, frame);
+  std::vector<ShardMessage> decoded;
+  ASSERT_TRUE(decode_shard_frame(frame, decoded));
+  for (std::uint8_t type : {0, 2, 3, 4, 5, 255}) {
+    std::vector<std::uint8_t> retyped = frame;
+    retyped[4] = type;
+    EXPECT_FALSE(decode_shard_frame(retyped, decoded)) << int{type};
+    EXPECT_TRUE(decoded.empty());
+  }
 }
 
 TEST(ShardWire, FuzzRandomBatchesRoundTripExactly) {
   std::mt19937_64 rng(0xC0DEC);
   for (int iteration = 0; iteration < 300; ++iteration) {
-    const bool local = rng() % 2 == 0;
     // Small alphabet of keys so duplicates are common; sizes 0..40 so the
     // empty-batch and single-message paths get constant coverage.
     std::uniform_int_distribution<std::size_t> size_dist(0, 40);
@@ -206,12 +185,10 @@ TEST(ShardWire, FuzzRandomBatchesRoundTripExactly) {
       m.from_router = static_cast<RouterId>(rng());
       m.to_router = static_cast<RouterId>(rng());
       m.logged_time = static_cast<SimTime>(wide(rng));
-      m.is_send = local ? rng() % 2 == 0 : true;
       m.channel = std::string(static_cast<std::size_t>(key_dist(rng)),
                               static_cast<char>('a' + key_dist(rng)));
     }
-    auto type = local ? ShardFrameType::kLocalBatch : ShardFrameType::kCrossBatch;
-    EXPECT_EQ(roundtrip(type, batch), batch) << "iteration " << iteration;
+    EXPECT_EQ(roundtrip(batch), batch) << "iteration " << iteration;
   }
 }
 
@@ -229,9 +206,9 @@ TEST(ShardWire, FuzzTruncatedFramesAreRejectedAtEveryCut) {
     m.channel = "channel-" + std::to_string(rng() % 4);
   }
   std::vector<std::uint8_t> frame;
-  encode_shard_frame(ShardFrameType::kCrossBatch, batch, frame);
+  encode_shard_frame(batch, frame);
 
-  DecodedShardFrame decoded;
+  std::vector<ShardMessage> decoded;
   // decode_shard_frame requires the span to be exactly one frame: every
   // strict prefix must be rejected, as must any trailing garbage.
   for (std::size_t cut = 0; cut < frame.size(); ++cut) {
@@ -252,10 +229,10 @@ TEST(ShardWire, FuzzRandomByteFlipsNeverDecodeOutOfBounds) {
                      "key-" + std::to_string(i % 3)});
   }
   std::vector<std::uint8_t> frame;
-  encode_shard_frame(ShardFrameType::kCrossBatch, batch, frame);
+  encode_shard_frame(batch, frame);
 
   std::mt19937_64 rng(0xF1BBED);
-  DecodedShardFrame decoded;
+  std::vector<ShardMessage> decoded;
   for (int iteration = 0; iteration < 500; ++iteration) {
     std::vector<std::uint8_t> corrupt = frame;
     // Corrupt the payload only: resizing via the length prefix is the
@@ -269,7 +246,7 @@ TEST(ShardWire, FuzzRandomByteFlipsNeverDecodeOutOfBounds) {
   std::vector<ShardMessage> one;
   one.push_back({1, 2, 3, 4, 5, true, "k"});
   std::vector<std::uint8_t> bad;
-  encode_shard_frame(ShardFrameType::kCrossBatch, one, bad);
+  encode_shard_frame(one, bad);
   // Payload layout: type, key_count=1, len=1, 'k', event_count=1, key_idx=0...
   // bump the key index varint (single byte, value 0) to 7.
   bad[4 + 1 + 1 + 1 + 1 + 1] = 7;
@@ -278,7 +255,7 @@ TEST(ShardWire, FuzzRandomByteFlipsNeverDecodeOutOfBounds) {
 
 TEST(ShardWire, OversizedLengthPrefixIsRejected) {
   std::vector<std::uint8_t> frame;
-  encode_control_frame(ShardFrameType::kFlush, frame);
+  encode_shard_frame(std::vector<ShardMessage>{{1, 2, 3, 4, 5, true, "k"}}, frame);
   // Claim a payload beyond the hard cap; decode must refuse before any
   // allocation sized by the attacker-controlled prefix.
   const std::uint32_t huge = (1u << 24) + 1;
@@ -286,7 +263,7 @@ TEST(ShardWire, OversizedLengthPrefixIsRejected) {
   frame[1] = static_cast<std::uint8_t>(huge >> 8);
   frame[2] = static_cast<std::uint8_t>(huge >> 16);
   frame[3] = static_cast<std::uint8_t>(huge >> 24);
-  DecodedShardFrame decoded;
+  std::vector<ShardMessage> decoded;
   EXPECT_FALSE(decode_shard_frame(frame, decoded));
 }
 
