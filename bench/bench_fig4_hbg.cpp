@@ -67,7 +67,7 @@ int main() {
               static_cast<unsigned long long>(fault),
               RootCauseAnalyzer::render(hbg, provenance).c_str());
 
-  auto truth = HbgBuilder::build_ground_truth(all_records);
+  auto truth = HbgBuilder::build(all_records, GroundTruthInference());
   auto truth_provenance = analyzer.analyze(truth, fault);
 
   bool inferred_hit = false, truth_hit = false;

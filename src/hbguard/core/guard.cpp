@@ -28,28 +28,6 @@ std::string_view to_string(RepairProposal::Status status) {
   return "?";
 }
 
-namespace {
-
-// The snapshotter inherits the Guard-wide thread knob so one setting
-// parallelizes the whole pipeline.
-ConsistentSnapshotter::Options snapshot_options(const GuardOptions& options) {
-  ConsistentSnapshotter::Options snap = options.snapshot;
-  snap.num_threads = options.num_threads;
-  return snap;
-}
-
-// The incremental snapshotter mirrors the scratch builder's consistency
-// knobs so the two paths stay byte-equivalent.
-IncrementalSnapshotter::Options incremental_snapshot_options(const GuardOptions& options) {
-  IncrementalSnapshotter::Options snap;
-  snap.min_confidence = options.snapshot.min_confidence;
-  snap.require_send_for_recv = options.snapshot.require_send_for_recv;
-  snap.in_flux_window_us = options.snapshot.in_flux_window_us;
-  return snap;
-}
-
-}  // namespace
-
 Guard::Guard(Network& network, PolicyList policies, GuardOptions options)
     : network_(network),
       pool_(resolve_num_threads(options.num_threads) == 1
@@ -57,23 +35,17 @@ Guard::Guard(Network& network, PolicyList policies, GuardOptions options)
                 : std::make_shared<ThreadPool>(options.num_threads)),
       verifier_(policies, VerifierOptions{options.num_threads}, pool_),
       options_(options),
-      rules_(options.matcher),
-      snapshotter_(snapshot_options(options)),
+      // The horizon snapshotter inherits the Guard-wide thread knob so one
+      // setting parallelizes the whole pipeline.
+      horizon_snapshotter_({{options.snapshot}, options.num_threads}),
       analyzer_(RootCauseAnalyzer::Options{options.min_confidence}),
       reverter_(network),
       incremental_builder_(options.matcher),
-      incremental_snapshotter_(incremental_snapshot_options(options)),
+      snapshotter_(options.snapshot),
       traffic_scheduler_(options.traffic) {
-  snapshotter_.set_thread_pool(pool_);
-  // Annotate streaming ECs with the demand so operators (and the weighted
-  // bench) read per-class traffic totals straight off classes().
-  if (options_.traffic.weights != nullptr) {
-    streaming_classes_.set_traffic_weights(options_.traffic.weights);
-  }
-  // The batch matcher fans candidate matching out over the shared pool; the
-  // HBG and match engine reference the capture store instead of copying
+  horizon_snapshotter_.set_thread_pool(pool_);
+  // The HBG and match engine reference the capture store instead of copying
   // records (the hub outlives the guard and its store only grows).
-  rules_.set_thread_pool(pool_);
   incremental_builder_.attach_store(&network.capture().records());
   incremental_builder_.set_compact_budget(options_.compact_budget);
   if (distributed_active()) {
@@ -91,51 +63,38 @@ Guard::Guard(Network& network, PolicyList policies, GuardOptions options)
 Guard::~Guard() = default;
 
 HappensBeforeGraph Guard::current_hbg() const {
-  const std::vector<IoRecord>& store = network_.capture().records();
-  std::span<const IoRecord> records = store;
-  if (options_.use_ground_truth_hbg) return HbgBuilder::build_ground_truth(records, &store);
-  if (options_.inference != nullptr) {
-    return HbgBuilder::build(records, *options_.inference, &store);
-  }
-  if (options_.incremental_hbg && incremental_builder_.records_ingested() > 0) {
+  if (options_.inference == nullptr && incremental_builder_.records_ingested() > 0) {
     return incremental_builder_.graph();  // copy of the live graph
   }
-  return HbgBuilder::build(records, rules_, &store);
+  const std::vector<IoRecord>& store = network_.capture().records();
+  RuleMatchingInference rules(options_.matcher);
+  const HbrInferencer& inference = options_.inference != nullptr ? *options_.inference : rules;
+  return HbgBuilder::build(store, inference, &store);
 }
 
-const HappensBeforeGraph& Guard::live_hbg() {
-  std::span<const IoRecord> records = network_.capture().records();
-  bool scratch = options_.use_ground_truth_hbg || options_.inference != nullptr ||
-                 !options_.incremental_hbg;
-  if (scratch) {
-    const std::vector<IoRecord>* store = &network_.capture().records();
-    if (options_.use_ground_truth_hbg) {
-      scratch_hbg_ = HbgBuilder::build_ground_truth(records, store);
-    } else if (options_.inference != nullptr) {
-      scratch_hbg_ = HbgBuilder::build(records, *options_.inference, store);
-    } else {
-      scratch_hbg_ = HbgBuilder::build(records, rules_, store);
-    }
-    return scratch_hbg_;
+const HappensBeforeGraph& Guard::update_hbg() {
+  const std::vector<IoRecord>& store = network_.capture().records();
+  if (options_.inference != nullptr) {
+    rebuilt_hbg_ = HbgBuilder::build(store, *options_.inference, &store);
+    // A rebuilt graph has no edge delta to invalidate closures with, so the
+    // snapshot restarts from record 0; a fresh snapshotter's first delta is
+    // full.
+    snapshotter_ = IncrementalSnapshotter(options_.snapshot);
+    snapshot_cursor_ = 0;
+    return rebuilt_hbg_;
   }
-  if (records.size() > ingested_) {
-    // Collect the edge delta for the incremental snapshotter's closure
-    // invalidation; cleared when a snapshot ingest consumes it.
-    incremental_builder_.append(records.subspan(ingested_),
-                                incremental_snapshot_active() ? &pending_hbg_edges_ : nullptr);
-    ingested_ = records.size();
+  if (store.size() > ingested_) {
+    // Collect the edge delta for the snapshotter's closure invalidation;
+    // cleared when a snapshot ingest consumes it.
+    incremental_builder_.append(std::span<const IoRecord>(store).subspan(ingested_),
+                                &pending_hbg_edges_);
+    ingested_ = store.size();
   }
   return incremental_builder_.graph();
 }
 
-bool Guard::incremental_snapshot_active() const {
-  return options_.incremental_snapshot && options_.incremental_hbg &&
-         !options_.use_ground_truth_hbg && options_.inference == nullptr;
-}
-
 bool Guard::distributed_active() const {
-  return options_.distributed_shards > 0 && options_.incremental_hbg &&
-         !options_.use_ground_truth_hbg && options_.inference == nullptr;
+  return options_.distributed_shards > 0 && options_.inference == nullptr;
 }
 
 GuardReport Guard::run() {
@@ -296,7 +255,7 @@ std::vector<Violation> Guard::scan() {
   }
   fib_index_cursor_ = capture.records().size();
 
-  const HappensBeforeGraph& hbg = live_hbg();
+  const HappensBeforeGraph& hbg = update_hbg();
 
   // Mirror the capture delta into the sharded store: per-shard rule
   // matching over each shard's own stream, cross-router HBRs exchanged as
@@ -311,7 +270,7 @@ std::vector<Violation> Guard::scan() {
   // Skip predictive blocking while degraded: it learns and predicts from
   // replayed state that is known-stale right now.
   if (options_.repair == RepairMode::kEarlyBlock && !repair_in_flight_ && !degraded) {
-    if (auto action = try_early_block()) {
+    if (auto action = try_early_block(hbg)) {
       GuardIncident incident;
       incident.detected_at = network_.sim().now();
       incident.action = "early-reverted v" + std::to_string(action->reverted) +
@@ -324,10 +283,9 @@ std::vector<Violation> Guard::scan() {
     }
   }
 
-  // Snapshot + verify. The incremental path feeds only new records (and
-  // the HBG edge delta) into persistent replay state, then hands the
-  // verifier the changed-prefix set so untouched destinations skip
-  // re-keying; the scratch path rebuilds from the full history.
+  // Snapshot + verify. The snapshotter folds in only the records (and HBG
+  // edges) since the last ingest, then hands the verifier the
+  // changed-prefix set so untouched destinations skip re-keying.
   // Scan watchdog: a health flip (gap opened/healed, quarantine entered or
   // left) means frontiers may have rewound or a router's replayed view was
   // wholesale reset — drop incremental trust for this scan and re-verify
@@ -338,53 +296,30 @@ std::vector<Violation> Guard::scan() {
     pending_full_verify_ = true;
   }
 
-  VerifyResult result;
-  std::optional<ScheduledScan> sched;
-  if (incremental_snapshot_active()) {
-    SnapshotDelta delta;
-    const DataPlaneSnapshot& snapshot = incremental_snapshotter_.ingest(
-        capture.records_since(snapshot_cursor_), hbg, pending_hbg_edges_, &delta, nullptr,
-        &lossy);
-    snapshot_cursor_ = capture.records().size();
-    pending_hbg_edges_.clear();
-    if (degraded) {
-      // At least one router's stream has an open gap or is quarantined: any
-      // PASS/FAIL would be built on a view known to be unreliable. Keep the
-      // replay state warm but report this scan as unknown.
-      ++report_.degrade.degraded_scans;
-      report_.degrade.unknown_verdicts += verifier_.policies().size();
-      report_.scan_verdicts.push_back(ScanVerdict::kUnknown);
-      pending_full_verify_ = true;  // this scan's delta was never verified
-      return {};
-    }
-    if (pending_full_verify_) {
-      delta.full = true;
-      delta.changed_prefixes.clear();
-      pending_full_verify_ = false;
-    }
-    // Same delta, same trust rules as the verifier: a degraded scan above
-    // returned before this point, and its stale delta arrives here as full.
-    if (options_.streaming_eqclass) streaming_classes_.update(snapshot, delta, pool_.get());
-    sched = plan_traffic_scan();
-    VerifyPlan plan;
-    if (sched.has_value()) plan.covered = sched->covered;
-    result = verifier_.verify(snapshot, &delta, sched.has_value() ? &plan : nullptr);
-  } else {
-    if (degraded) {
-      ++report_.degrade.degraded_scans;
-      report_.degrade.unknown_verdicts += verifier_.policies().size();
-      report_.scan_verdicts.push_back(ScanVerdict::kUnknown);
-      return {};
-    }
-    pending_full_verify_ = false;
-    DataPlaneSnapshot snapshot =
-        snapshotter_.build(capture.records(), hbg, {}, nullptr, &lossy);
-    if (options_.streaming_eqclass) streaming_classes_.rebuild(snapshot, pool_.get());
-    sched = plan_traffic_scan();
-    VerifyPlan plan;
-    if (sched.has_value()) plan.covered = sched->covered;
-    result = verifier_.verify(snapshot, nullptr, sched.has_value() ? &plan : nullptr);
+  SnapshotDelta delta;
+  const DataPlaneSnapshot& snapshot = snapshotter_.ingest(
+      capture.records_since(snapshot_cursor_), hbg, pending_hbg_edges_, &delta, nullptr, &lossy);
+  snapshot_cursor_ = capture.records().size();
+  pending_hbg_edges_.clear();
+  if (degraded) {
+    // At least one router's stream has an open gap or is quarantined: any
+    // PASS/FAIL would be built on a view known to be unreliable. Keep the
+    // replay state warm but report this scan as unknown.
+    ++report_.degrade.degraded_scans;
+    report_.degrade.unknown_verdicts += verifier_.policies().size();
+    report_.scan_verdicts.push_back(ScanVerdict::kUnknown);
+    pending_full_verify_ = true;  // this scan's delta was never verified
+    return {};
   }
+  if (pending_full_verify_) {
+    delta.full = true;
+    delta.changed_prefixes.clear();
+    pending_full_verify_ = false;
+  }
+  std::optional<ScheduledScan> sched = plan_traffic_scan();
+  VerifyPlan plan;
+  if (sched.has_value()) plan.covered = sched->covered;
+  VerifyResult result = verifier_.verify(snapshot, &delta, sched.has_value() ? &plan : nullptr);
   if (sched.has_value()) traffic_scheduler_.mark_verified(sched->covered);
   // A clean budgeted scan that deferred a tail is not a full PASS: the
   // covered weight is verified, the tail was never looked at. Report it as
@@ -492,7 +427,7 @@ std::vector<Violation> Guard::scan() {
     }
     case RepairMode::kRevert:
     case RepairMode::kEarlyBlock: {
-      learn_early_block(provenance, result.violations, /*violated=*/true);
+      learn_early_block(hbg, provenance, result.violations, /*violated=*/true);
       auto action = reverter_.revert_root_cause(provenance);
       if (action.has_value()) {
         incident.action = "reverted v" + std::to_string(action->reverted) + " on R" +
@@ -601,7 +536,7 @@ void Guard::import_state(GuardPersistentState state) {
   last_health_transitions_ = state.last_health_transitions;
 }
 
-void Guard::learn_early_block(const ProvenanceResult& provenance,
+void Guard::learn_early_block(const HappensBeforeGraph& hbg, const ProvenanceResult& provenance,
                               const std::vector<Violation>& violations, bool violated) {
   for (const RootCause& cause : provenance.causes) {
     if (cause.kind != CauseKind::kConfigChange) continue;
@@ -611,9 +546,8 @@ void Guard::learn_early_block(const ProvenanceResult& provenance,
     for (std::size_t i = 0; i < network_.router_count(); ++i) {
       horizons[static_cast<RouterId>(i)] = cause.record.logged_time - 1;
     }
-    const HappensBeforeGraph& hbg = live_hbg();
     DataPlaneSnapshot before =
-        snapshotter_.build(network_.capture().records(), hbg, horizons);
+        horizon_snapshotter_.build(network_.capture().records(), hbg, horizons);
     EquivalenceClasses classes = compute_equivalence_classes(before, pool_.get());
 
     std::string change_signature = normalize_change_description(cause.record.detail);
@@ -627,7 +561,7 @@ void Guard::learn_early_block(const ProvenanceResult& provenance,
   }
 }
 
-std::optional<RevertAction> Guard::try_early_block() {
+std::optional<RevertAction> Guard::try_early_block(const HappensBeforeGraph& hbg) {
   // Walk only records past the persistent cursor: each record is examined
   // exactly once across the guard's lifetime (the capture is append-only).
   // On an early return the cursor already points past the triggering
@@ -650,8 +584,7 @@ std::optional<RevertAction> Guard::try_early_block() {
     for (std::size_t i = 0; i < network_.router_count(); ++i) {
       horizons[static_cast<RouterId>(i)] = record.logged_time - 1;
     }
-    const HappensBeforeGraph& hbg = live_hbg();
-    DataPlaneSnapshot before = snapshotter_.build(records, hbg, horizons);
+    DataPlaneSnapshot before = horizon_snapshotter_.build(records, hbg, horizons);
     EquivalenceClasses classes = compute_equivalence_classes(before, pool_.get());
 
     std::string change_signature = normalize_change_description(record.detail);

@@ -5,10 +5,11 @@
 //        → bad FIB updates → TRACE PROVENANCE → root cause
 //        → BLOCK I/Os / revert configuration
 //
-// Guard watches a live Network's capture stream. Each scan builds the HBG
-// from observable I/Os (or ground truth, for oracle ablations), assembles a
-// consistent snapshot, verifies the policy list, and — on violation —
-// traces provenance and repairs according to the configured mode:
+// Guard watches a live Network's capture stream. Each scan extends the HBG
+// with the newly observed I/Os (or rebuilds it with a custom inferencer,
+// e.g. ground truth for oracle ablations), folds them into a consistent
+// snapshot, verifies the policy list, and — on violation — traces
+// provenance and repairs according to the configured mode:
 //
 //   kReport     diagnose only (§6's "report the configuration change as
 //               problematic to the operator")
@@ -85,23 +86,13 @@ struct GuardOptions {
   double min_confidence = 0.9;
   /// Virtual time between scans of the capture stream.
   SimTime scan_interval_us = 100'000;
-  /// Use the simulator's ground-truth causes instead of inference (oracle
-  /// ablation).
-  bool use_ground_truth_hbg = false;
-  /// Maintain the HBG incrementally across scans (pay only for new I/Os)
-  /// rather than rebuilding from the full history each scan.
-  bool incremental_hbg = true;
-  /// Maintain the consistent snapshot incrementally across scans: persist
-  /// per-router FIB replay state, ingest only records past each router's
-  /// frontier, and re-run happens-before closure only where the frontier
-  /// or incoming HBG edges changed. Scan-stream snapshots (and hence
-  /// reports) are byte-identical to scratch builds; flip off to get the
-  /// legacy rebuild-from-history behaviour. Requires the incremental HBG
-  /// path — scratch HBG modes (ground truth, custom inference,
-  /// incremental_hbg = false) always build scratch snapshots.
-  bool incremental_snapshot = true;
   /// Custom HBR inference (e.g. CombinedInference with a trained pattern
-  /// miner). Non-null forces scratch (non-incremental) graph builds.
+  /// miner, or GroundTruthInference as an oracle ablation). Null: the HBG is
+  /// maintained incrementally across scans (rule matching pays only for new
+  /// I/Os). Non-null: every scan rebuilds the HBG from the full history with
+  /// this inferencer and re-derives the snapshot from record 0 — the
+  /// rebuild-per-scan pipeline the parity tests compare the default against
+  /// (pass RuleMatchingInference(matcher) for the same rules rebuilt).
   std::shared_ptr<HbrInferencer> inference;
   /// > 0: maintain a sharded DistributedHbgStore (§5) alongside the live
   /// HBG — per-shard rule matching over each shard's own tap stream,
@@ -111,8 +102,8 @@ struct GuardOptions {
   /// tests/test_distributed_hbg.cpp); construction/query communication
   /// costs are exposed via distributed_store() and
   /// distributed_query_stats(), outside the report digest. Requires the
-  /// rules-based incremental HBG path (ground truth, custom inference and
-  /// incremental_hbg = false scans ignore this knob).
+  /// rules-based incremental HBG path (scans with a custom `inference`
+  /// ignore this knob).
   std::size_t distributed_shards = 0;
   /// > 0: amortize the incremental HBG's CSR re-pack under this per-append
   /// half-edge budget instead of re-packing eagerly inside one add_edge
@@ -120,16 +111,6 @@ struct GuardOptions {
   /// re-pack preserves per-vertex insertion order — but a long-running
   /// ingestion path (hbguardd) must bound its worst-case append latency.
   std::size_t compact_budget = 0;
-  /// Maintain packet equivalence classes incrementally across scans: the
-  /// guard keeps a StreamingEquivalenceClasses instance warm and applies
-  /// each scan's SnapshotDelta instead of recomputing all classes from the
-  /// full table. Materialized classes are byte-identical to
-  /// compute_equivalence_classes at every cut point (see
-  /// tests/test_streaming_eqclass.cpp); the win is on million-prefix
-  /// tables where a scan touches a handful of prefixes. Exposed via
-  /// streaming_classes(); off by default (the EC model consumers pay for
-  /// classes only on demand).
-  bool streaming_eqclass = false;
   /// Traffic-weighted verification scheduling (verify/traffic.hpp). When
   /// enabled, each verifying scan plans its destination set — heaviest
   /// traffic first, aged destinations ahead of everything — and a scan
@@ -149,7 +130,8 @@ struct GuardOptions {
   /// Give up on run() after this many scans without quiescence.
   std::size_t max_scans = 10'000;
   MatcherOptions matcher;
-  ConsistentSnapshotter::Options snapshot;
+  /// Happens-before closure settings for every snapshot the guard takes.
+  IncrementalSnapshotter::Options snapshot;
 };
 
 class Guard {
@@ -207,15 +189,16 @@ class Guard {
   GuardPersistentState export_state() const;
   /// Restore a snapshot onto a freshly constructed Guard (recovery): the
   /// caches and ingest cursors stay empty, so the next scan rebuilds them
-  /// with one incremental-from-empty ingest of the capture history — a
-  /// path the incremental-vs-scratch parity tests prove digest-identical.
+  /// with one ingest of the whole capture history into an empty
+  /// snapshotter — the path every rebuild-per-scan guard (custom
+  /// `inference`) takes each scan, which the parity tests pin to the
+  /// default guard's digests.
   void import_state(GuardPersistentState state);
   /// Sharded-verification counters (EC memo cache hits/misses per scan).
   VerifyStats verifier_stats() const { return verifier_.stats(); }
-  /// Incremental-snapshot counters (all zero when scans run scratch).
-  const IncrementalSnapshotter::Stats& snapshot_stats() const {
-    return incremental_snapshotter_.stats();
-  }
+  /// Snapshotter counters (with a custom `inference`, each scan starts a
+  /// fresh snapshotter, so they cover the latest scan only).
+  const IncrementalSnapshotter::Stats& snapshot_stats() const { return snapshotter_.stats(); }
   /// The sharded store maintained when distributed_shards > 0 (nullptr
   /// otherwise) — storage/communication accounting lives here.
   const DistributedHbgStore* distributed_store() const { return distributed_store_.get(); }
@@ -228,10 +211,6 @@ class Guard {
   /// incremental mode).
   HappensBeforeGraph current_hbg() const;
 
-  /// The streaming EC state maintained when options.streaming_eqclass is
-  /// set (ready() is false otherwise, and until the first verifying scan).
-  const StreamingEquivalenceClasses& streaming_classes() const { return streaming_classes_; }
-
   /// Traffic-weighted scheduling state (options.traffic). Weighted
   /// coverage, deferral counts and the detection-latency histogram are
   /// operator telemetry — hbguardd's status surfaces them — and live
@@ -240,13 +219,11 @@ class Guard {
   const TrafficScheduler& traffic_scheduler() const { return traffic_scheduler_; }
 
  private:
-  /// The live graph used by scans: the incremental builder's (after
-  /// ingesting new records) or a scratch rebuild.
-  const HappensBeforeGraph& live_hbg();
-  /// True when this guard's scans feed the incremental snapshotter rather
-  /// than rebuilding from history (needs the incremental HBG for its edge
-  /// deltas).
-  bool incremental_snapshot_active() const;
+  /// This scan's graph: the incremental builder's after appending the
+  /// capture delta (its new edges queue for the snapshotter), or — with a
+  /// custom inference — a rebuild over the full history, which also
+  /// restarts the snapshotter from record 0.
+  const HappensBeforeGraph& update_hbg();
   /// True when scans maintain (and query) the sharded distributed store —
   /// requires the same rules-based incremental path the store's engines
   /// mirror, so its answers provably match the live HBG's.
@@ -267,9 +244,9 @@ class Guard {
   void rank_causes_by_traffic(ProvenanceResult& provenance,
                               const std::vector<Violation>& violations) const;
 
-  void learn_early_block(const ProvenanceResult& provenance,
+  void learn_early_block(const HappensBeforeGraph& hbg, const ProvenanceResult& provenance,
                          const std::vector<Violation>& violations, bool violated);
-  std::optional<RevertAction> try_early_block();
+  std::optional<RevertAction> try_early_block(const HappensBeforeGraph& hbg);
 
   Network& network_;
   /// Shared across the verifier, snapshotter and EC computation; null when
@@ -277,8 +254,8 @@ class Guard {
   std::shared_ptr<ThreadPool> pool_;
   Verifier verifier_;
   GuardOptions options_;
-  RuleMatchingInference rules_;
-  ConsistentSnapshotter snapshotter_;
+  /// Early-block's pre-change snapshots (per-router horizons).
+  ConsistentSnapshotter horizon_snapshotter_;
   RootCauseAnalyzer analyzer_;
   ConfigReverter reverter_;
   std::unique_ptr<VerifyingBlocker> blocker_;  // kBlock mode only
@@ -286,19 +263,19 @@ class Guard {
   GuardReport report_;
 
   IncrementalHbgBuilder incremental_builder_;
-  std::size_t ingested_ = 0;             // records fed to the incremental builder
-  HappensBeforeGraph scratch_hbg_;       // non-incremental scan graph
+  std::size_t ingested_ = 0;        // records fed to the incremental builder
+  HappensBeforeGraph rebuilt_hbg_;  // this scan's graph under a custom inference
 
   /// Sharded §5 store (distributed_shards > 0 on the incremental path).
   std::unique_ptr<DistributedHbgStore> distributed_store_;
   std::size_t distributed_cursor_ = 0;  // records fed to the sharded store
   DistributedQueryStats distributed_query_stats_;
 
-  IncrementalSnapshotter incremental_snapshotter_;
+  IncrementalSnapshotter snapshotter_;
   /// HBG edges added by the incremental builder since the last snapshot
   /// ingest (the closure-invalidation delta).
   std::vector<HbgEdge> pending_hbg_edges_;
-  std::size_t snapshot_cursor_ = 0;   // records fed to the incremental snapshotter
+  std::size_t snapshot_cursor_ = 0;   // records fed to the snapshotter
   std::size_t early_cursor_ = 0;      // records walked by try_early_block
   std::size_t fib_index_cursor_ = 0;  // records folded into the FIB-update index
   /// Latest FIB-update I/O per prefix (and per router+prefix), in capture
@@ -312,12 +289,6 @@ class Guard {
   /// A degraded scan skipped verification after ingesting its snapshot
   /// delta; the next verifying scan must not trust its stale delta.
   bool pending_full_verify_ = false;
-
-  /// Incremental EC state (options.streaming_eqclass). Updated on every
-  /// verifying scan with the same delta the verifier sees — degraded scans
-  /// skip it, and the pending-full-verify escalation that protects the
-  /// verifier protects this state identically.
-  StreamingEquivalenceClasses streaming_classes_;
 
   /// Priority scheduler over the policy destination universe
   /// (options.traffic.enabled); idle otherwise. Ages advance only on

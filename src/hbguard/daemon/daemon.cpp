@@ -7,6 +7,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <sstream>
@@ -25,6 +26,16 @@ namespace hbguard {
 namespace {
 
 constexpr std::size_t kReadChunk = 64 * 1024;
+
+/// Longest line, ingest record or control command, the daemon buffers: far
+/// above any record hbguard writes. A longer line is discarded through its
+/// newline and rejected, so a peer that never sends one cannot grow a
+/// connection's buffer without bound.
+constexpr std::size_t kMaxLineBytes = 1 << 20;
+
+/// Queued in a control connection's lines in place of an oversize command;
+/// no line read off the socket can equal it (lines are split at '\n').
+const std::string kOversizeControlLine = "\n";
 
 /// Checkpoint generations kept by the post-checkpoint GC.
 constexpr std::size_t kCheckpointsKept = 2;
@@ -197,48 +208,77 @@ void GuardDaemon::read_connection(Connection& conn) {
       break;
     }
     ssize_t n = io::read_retry(conn.fd, buffer, sizeof(buffer));
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    if (n <= 0) {
       conn.closed = true;
-      break;
-    }
-    if (n == 0) {
-      conn.closed = true;
+      if (!conn.control && !conn.discarding && !conn.partial.empty()) {
+        // The stream ended mid-line: the record never arrived whole.
+        ++rejected_;
+        HBG_WARN_EVERY_N(64) << "hbguardd: ingest connection closed mid-line ("
+                             << conn.partial.size() << " bytes unterminated)";
+      }
+      conn.partial.clear();
       break;
     }
     conn.partial.append(buffer, static_cast<std::size_t>(n));
+    // Bytes before `scanned` held no newline on earlier reads.
     std::size_t start = 0;
-    for (;;) {
-      std::size_t newline = conn.partial.find('\n', start);
-      if (newline == std::string::npos) break;
+    std::size_t newline;
+    while ((newline = conn.partial.find('\n', std::max(start, conn.scanned))) !=
+           std::string::npos) {
       std::string_view line(conn.partial.data() + start, newline - start);
       start = newline + 1;
-      if (line.empty()) continue;
-      if (conn.control) {
-        conn.lines.emplace_back(line);
-        continue;
+      if (conn.discarding) {
+        conn.discarding = false;  // the oversize line's tail, rejected already
+      } else if (line.size() > kMaxLineBytes) {
+        reject_oversize_line(conn);
+      } else if (!line.empty()) {
+        take_line(conn, line);
       }
-      // Single-line parse straight out of the receive buffer — no
-      // istringstream, no per-line result vectors.
-      IoRecord record;
-      std::string parse_error;
-      TraceLineStatus status = parse_trace_line(line, record, parse_error);
-      if (status == TraceLineStatus::kBlank) continue;
-      if (status == TraceLineStatus::kError) {
-        ++rejected_;
-        HBG_WARN_EVERY_N(64) << "hbguardd: ingest parse error: " << parse_error;
-        continue;
-      }
-      if (conn.inbox.size() >= options_.inbox_soft_limit * 2) {
-        // Hard cap: a single read burst overshot the paused threshold.
-        ++conn.dropped;
-        ++dropped_;
-        continue;
-      }
-      conn.inbox.push_back(std::move(record));
     }
     conn.partial.erase(0, start);
+    if (!conn.discarding && conn.partial.size() > kMaxLineBytes) {
+      reject_oversize_line(conn);
+      conn.discarding = true;
+    }
+    if (conn.discarding) conn.partial.clear();
+    conn.scanned = conn.partial.size();
   }
+}
+
+void GuardDaemon::reject_oversize_line(Connection& conn) {
+  if (conn.control) {
+    conn.lines.push_back(kOversizeControlLine);
+    return;
+  }
+  ++rejected_;
+  HBG_WARN_EVERY_N(64) << "hbguardd: ingest line over " << kMaxLineBytes
+                       << " bytes rejected";
+}
+
+void GuardDaemon::take_line(Connection& conn, std::string_view line) {
+  if (conn.control) {
+    conn.lines.emplace_back(line);
+    return;
+  }
+  // Single-line parse straight out of the receive buffer — no
+  // istringstream, no per-line result vectors.
+  IoRecord record;
+  std::string parse_error;
+  TraceLineStatus status = parse_trace_line(line, record, parse_error);
+  if (status == TraceLineStatus::kBlank) return;
+  if (status == TraceLineStatus::kError) {
+    ++rejected_;
+    HBG_WARN_EVERY_N(64) << "hbguardd: ingest parse error: " << parse_error;
+    return;
+  }
+  if (conn.inbox.size() >= options_.inbox_soft_limit * 2) {
+    // Hard cap: a single read burst overshot the paused threshold.
+    ++conn.dropped;
+    ++dropped_;
+    return;
+  }
+  conn.inbox.push_back(std::move(record));
 }
 
 bool GuardDaemon::inboxes_empty() const {
@@ -407,6 +447,10 @@ std::string GuardDaemon::status_json() const {
 /// stays queued and is retried on the next drain pass.
 bool GuardDaemon::execute_command(Connection&, const std::string& line,
                                   std::string& response) {
+  if (line == kOversizeControlLine) {
+    response = "err line too long (limit " + std::to_string(kMaxLineBytes) + " bytes)";
+    return true;
+  }
   std::vector<std::string> words = split(trim(line), ' ');
   const std::string& cmd = words[0];
 

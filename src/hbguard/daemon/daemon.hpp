@@ -25,6 +25,11 @@
 //     gaps, which the session's StreamHealthTracker accounts as telemetry
 //     degradation (the guard degrades scans rather than trusting a stream
 //     with holes).
+//
+// Line framing: a line longer than the daemon's 1 MiB cap is discarded
+// through its newline — counted in records_rejected on ingest, answered
+// with `err line too long` on control — and an ingest stream that ends
+// mid-line counts its unterminated tail as rejected too.
 #pragma once
 
 #include <atomic>
@@ -32,6 +37,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hbguard/capture/wal.hpp"
@@ -104,6 +110,8 @@ class GuardDaemon {
     bool paused = false;        // POLLIN off (ingest backpressure)
     bool closed = false;        // EOF seen; drain inbox, then destroy
     std::string partial;        // trailing unterminated line from last read
+    std::size_t scanned = 0;    // bytes of `partial` already searched for '\n'
+    bool discarding = false;    // inside an oversize line: drop through its '\n'
     std::deque<IoRecord> inbox;     // parsed, undelivered records (ingest)
     std::deque<std::string> lines;  // queued RPC lines (control)
     std::uint64_t dropped = 0;      // records past the hard cap
@@ -112,6 +120,8 @@ class GuardDaemon {
   bool setup_socket(int& fd, const std::string& path);
   void accept_ready(int listen_fd, bool control);
   void read_connection(Connection& conn);
+  void take_line(Connection& conn, std::string_view line);  // one complete line
+  void reject_oversize_line(Connection& conn);
   bool init_durability();         // recovery + WAL open (bind() runs it first)
   void deliver_record(const IoRecord& record);  // WAL append + deliver
   bool take_checkpoint(std::string& message);   // sync, write, rotate, GC

@@ -2,10 +2,10 @@
 
 namespace hbguard {
 
-namespace {
-
-void add_vertices(HappensBeforeGraph& graph, std::span<const IoRecord> records,
-                  const std::vector<IoRecord>* store) {
+HappensBeforeGraph HbgBuilder::build(std::span<const IoRecord> records,
+                                     const HbrInferencer& inferencer,
+                                     const std::vector<IoRecord>* store) {
+  HappensBeforeGraph graph;
   if (store != nullptr && !records.empty()) {
     graph.attach_record_store(store);
     // `records` is a subspan of *store, so pointer arithmetic against the
@@ -14,34 +14,12 @@ void add_vertices(HappensBeforeGraph& graph, std::span<const IoRecord> records,
     for (std::size_t i = 0; i < records.size(); ++i) {
       graph.add_vertex_ref(records[i].id, static_cast<std::uint32_t>(base + i));
     }
-    return;
+  } else {
+    for (const IoRecord& record : records) graph.add_vertex(record);
   }
-  for (const IoRecord& record : records) graph.add_vertex(record);
-}
-
-}  // namespace
-
-HappensBeforeGraph HbgBuilder::build(std::span<const IoRecord> records,
-                                     const HbrInferencer& inferencer,
-                                     const std::vector<IoRecord>* store) {
-  HappensBeforeGraph graph;
-  add_vertices(graph, records, store);
   for (const InferredHbr& edge : inferencer.infer(records)) {
     if (graph.has_vertex(edge.from) && graph.has_vertex(edge.to)) {
       graph.add_edge(edge.from, edge.to, edge.confidence, edge.rule);
-    }
-  }
-  graph.compact();
-  return graph;
-}
-
-HappensBeforeGraph HbgBuilder::build_ground_truth(std::span<const IoRecord> records,
-                                                  const std::vector<IoRecord>* store) {
-  HappensBeforeGraph graph;
-  add_vertices(graph, records, store);
-  for (const InferredHbr& edge : ground_truth_edges(records)) {
-    if (graph.has_vertex(edge.from) && graph.has_vertex(edge.to)) {
-      graph.add_edge(edge.from, edge.to, 1.0, "truth");
     }
   }
   graph.compact();

@@ -18,11 +18,6 @@ class HbgBuilder {
   static HappensBeforeGraph build(std::span<const IoRecord> records,
                                   const HbrInferencer& inferencer,
                                   const std::vector<IoRecord>* store = nullptr);
-
-  /// Build the ground-truth HBG from the simulator's cause links
-  /// (evaluation oracle; impossible on real routers).
-  static HappensBeforeGraph build_ground_truth(std::span<const IoRecord> records,
-                                               const std::vector<IoRecord>* store = nullptr);
 };
 
 }  // namespace hbguard

@@ -279,7 +279,7 @@ void RuleMatchEngine::match_channels(RecordRef self, const IoRecord& r,
   if (r.kind == IoKind::kSendAdvert) {
     Channel& channel = channels_[channel_of(r, true)];
     // Receives that this (too-late) send can no longer serve are dropped,
-    // matching the batch matcher's skip semantics.
+    // so one unserved receive does not stall the channel's FIFO pairing.
     while (!channel.unmatched_recvs.empty() &&
            r.logged_time > at(channel.unmatched_recvs.front()).logged_time +
                                options_.cross_router_slack_us) {

@@ -2,8 +2,9 @@
 //
 // The paper's deployment maintains the HBG continuously as I/Os stream in;
 // rebuilding the graph from scratch on every scan is O(trace²) over a
-// run's lifetime. RuleMatchEngine ingests records one at a time and emits
-// the same edges the batch matcher produces.
+// run's lifetime. RuleMatchEngine ingests records one at a time; it is the
+// only implementation of the grouped §4.2 rules (RuleMatchingInference is
+// this engine run over a whole span).
 //
 // §4.2 matches a rule by searching "the (timestamp- and prefix-filtered)
 // stream of I/Os" for its left-hand side. The engine keeps exactly those
@@ -25,9 +26,9 @@
 // One caveat under clock noise: a cause logged *after* its effect (within
 // the slack) may arrive after the effect was already matched; the engine
 // then emits the late edge additionally rather than replacing the earlier
-// pick, so the incremental edge set is a superset of the batch matcher's
-// for such records. With monotone per-router logs (slack 0) the outputs are
-// identical.
+// pick, so such an effect can carry both edges. With monotone per-router
+// logs (slack 0) every cause arrives before its effect, so no late edge is
+// ever emitted.
 #pragma once
 
 #include "hbguard/hbr/inference.hpp"
@@ -150,25 +151,6 @@ class RuleMatchEngine {
   /// the slack horizon.
   std::deque<RecordRef> recent_effects_;
   std::size_t records_seen_ = 0;
-};
-
-/// HbrInferencer adapter: batch inference through the incremental engine.
-/// RuleMatchingInference (rule_matcher.cpp) is a separate batch matcher
-/// with its own linear scans; on monotone per-router logs the two produce
-/// the same edge set (test_incremental).
-class IncrementalRuleInference : public HbrInferencer {
- public:
-  explicit IncrementalRuleInference(MatcherOptions options = {}) : options_(options) {}
-  std::string name() const override { return "rules-incremental"; }
-  std::vector<InferredHbr> infer(std::span<const IoRecord> records) const override {
-    RuleMatchEngine engine(options_);
-    std::vector<InferredHbr> edges;
-    engine.add_all(records, edges);
-    return edges;
-  }
-
- private:
-  MatcherOptions options_;
 };
 
 }  // namespace hbguard

@@ -8,7 +8,7 @@
 // mining — and expects "a combination of these (and other) techniques".
 // Implementations here: TimestampInference (naive baseline), RuleMatching
 // Inference (§4.2 "Rule matching"), PatternMiningInference (§4.2 "Pattern
-// matching") and CombinedInference.
+// matching"), CombinedInference and the GroundTruthInference oracle.
 #pragma once
 
 #include <memory>
@@ -42,6 +42,17 @@ class HbrInferencer {
 
 /// Ground-truth edges from the simulator's cause links (evaluation oracle).
 std::vector<InferredHbr> ground_truth_edges(std::span<const IoRecord> records);
+
+/// ground_truth_edges as an inferencer: 1.0-confidence "truth" edges, for
+/// building the ground-truth HBG (an oracle ablation; impossible on real
+/// routers, whose logs carry no cause links).
+class GroundTruthInference : public HbrInferencer {
+ public:
+  std::string name() const override { return "truth"; }
+  std::vector<InferredHbr> infer(std::span<const IoRecord> records) const override {
+    return ground_truth_edges(records);
+  }
+};
 
 /// Precision/recall of `inferred` against the ground truth of `records`.
 struct InferenceScore {

@@ -8,20 +8,18 @@
 // rules share a right-hand side (a RIB update can be caused by a received
 // advertisement, a configuration change — possibly tens of seconds earlier
 // via soft reconfiguration — or a hardware event). Emitting every rule's
-// most recent match floods the HBG with false edges. This matcher instead
+// most recent match floods the HBG with false edges. The matcher instead
 // groups the competing rules per output kind and links to the *temporally
 // closest* matching input, while always keeping the content-matched edge
 // (same prefix for BGP, same LSA identity for OSPF) when one exists.
+//
+// The rules live in one place, RuleMatchEngine (hbr/incremental.hpp);
+// RuleMatchingInference is that engine run over a whole span.
 #pragma once
 
-#include <memory>
-
 #include "hbguard/hbr/inference.hpp"
-#include "hbguard/hbr/rules.hpp"
 
 namespace hbguard {
-
-class ThreadPool;
 
 struct MatcherOptions {
   /// Window for ordinary input→output and output→output rules.
@@ -41,6 +39,9 @@ struct MatcherOptions {
   SimTime local_slack_us = 0;
 };
 
+/// Batch rule matching: a fresh RuleMatchEngine fed `records` in capture
+/// order, so the edges (and their order) are exactly the ones an
+/// IncrementalHbgBuilder appending the same records emits.
 class RuleMatchingInference : public HbrInferencer {
  public:
   RuleMatchingInference() = default;
@@ -51,17 +52,8 @@ class RuleMatchingInference : public HbrInferencer {
 
   const MatcherOptions& options() const { return options_; }
 
-  /// Fan candidate matching out over per-router log windows on `pool`
-  /// (nullptr = serial). Each worker chunk emits edges into its own buffer
-  /// in record order and the chunks concatenate in record order, so the
-  /// edge list — and every downstream HBG — is byte-identical to the serial
-  /// result at any thread count. The cross-router FIFO channel pass stays
-  /// serial (it is a linear stitch over already-grouped streams).
-  void set_thread_pool(std::shared_ptr<ThreadPool> pool) { pool_ = std::move(pool); }
-
  private:
   MatcherOptions options_;
-  std::shared_ptr<ThreadPool> pool_;
 };
 
 }  // namespace hbguard

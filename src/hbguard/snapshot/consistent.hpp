@@ -49,26 +49,32 @@ struct ConsistencyReport {
   }
 };
 
+/// The happens-before closure's settings. ConsistentSnapshotter and
+/// IncrementalSnapshotter take the same struct, so a setting reaches
+/// whichever snapshotter a pipeline runs.
+struct ConsistencyOptions {
+  /// Minimum edge confidence for closure checking (pattern-mined HBRs
+  /// below this are ignored, per §4.2's confidence thresholding).
+  double min_confidence = 0.9;
+  /// Rewind past internal recvs with no matching send edge (§5: a
+  /// missing output means "all router I/Os have not been received").
+  bool require_send_for_recv = true;
+  /// A send without a matched receive marks its prefix in-flux only while
+  /// the peer's frontier is within this window of the send — older
+  /// unmatched sends are presumed delivered (inference can miss an edge;
+  /// real propagation completes in well under this bound).
+  SimTime in_flux_window_us = 5'000'000;
+  /// A recv whose send is absent is presumed *lost in capture* (rather
+  /// than in flight) — and kept — when the sender is a known-lossy
+  /// stream AND the sender's log extends at least this far past the
+  /// recv: the hub admits per-router records in seq order, so once later
+  /// records of the sender are stored the send can never arrive.
+  SimTime lost_send_grace_us = 10'000;
+};
+
 class ConsistentSnapshotter {
  public:
-  struct Options {
-    /// Minimum edge confidence for closure checking (pattern-mined HBRs
-    /// below this are ignored, per §4.2's confidence thresholding).
-    double min_confidence = 0.9;
-    /// Rewind past internal recvs with no matching send edge (§5: a
-    /// missing output means "all router I/Os have not been received").
-    bool require_send_for_recv = true;
-    /// A send without a matched receive marks its prefix in-flux only while
-    /// the peer's frontier is within this window of the send — older
-    /// unmatched sends are presumed delivered (inference can miss an edge;
-    /// real propagation completes in well under this bound).
-    SimTime in_flux_window_us = 5'000'000;
-    /// A recv whose send is absent is presumed *lost in capture* (rather
-    /// than in flight) — and kept — when the sender is a known-lossy
-    /// stream AND the sender's log extends at least this far past the
-    /// recv: the hub admits per-router records in seq order, so once later
-    /// records of the sender are stored the send can never arrive.
-    SimTime lost_send_grace_us = 10'000;
+  struct Options : ConsistencyOptions {
     /// Worker threads for the per-router FIB replay (0 = one per hardware
     /// thread, 1 = serial). The happens-before closure itself is inherently
     /// sequential; only the replay shards. Parallel and serial builds

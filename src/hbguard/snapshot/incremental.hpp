@@ -37,18 +37,7 @@ namespace hbguard {
 
 class IncrementalSnapshotter {
  public:
-  struct Options {
-    /// Minimum edge confidence for closure checking (mirror of
-    /// ConsistentSnapshotter::Options::min_confidence).
-    double min_confidence = 0.9;
-    /// Rewind past internal recvs with no matching send edge.
-    bool require_send_for_recv = true;
-    /// In-flux window for diagnostic reports (see ConsistentSnapshotter).
-    SimTime in_flux_window_us = 5'000'000;
-    /// Lost-send presumption window (mirror of
-    /// ConsistentSnapshotter::Options::lost_send_grace_us).
-    SimTime lost_send_grace_us = 10'000;
-  };
+  using Options = ConsistencyOptions;
 
   struct Stats {
     std::size_t scans = 0;             // ingest() calls

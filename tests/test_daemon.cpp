@@ -12,6 +12,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,6 +24,7 @@
 #include "hbguard/daemon/daemon.hpp"
 #include "hbguard/daemon/recovery.hpp"
 #include "hbguard/sim/scenario.hpp"
+#include "hbguard/util/strings.hpp"
 
 namespace hbguard {
 namespace {
@@ -57,10 +60,11 @@ bool send_all(int fd, std::string_view data) {
   return true;
 }
 
-/// One RPC round-trip: send `command`, collect the "."-framed response body.
-std::string rpc(int fd, const std::string& command) {
-  if (!send_all(fd, command + "\n")) return {};
-  std::string buffer;
+/// Read one "."-framed response body off `fd`. `buffer` carries bytes read
+/// past the frame over to the next call, so several replies to one write
+/// can be read back one at a time. nullopt when the stream ends (or a read
+/// times out) before the frame does.
+std::optional<std::string> read_reply(int fd, std::string& buffer) {
   std::string body;
   char chunk[4096];
   for (;;) {
@@ -74,9 +78,16 @@ std::string rpc(int fd, const std::string& command) {
       body += '\n';
     }
     ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n <= 0) return body;
+    if (n <= 0) return std::nullopt;
     buffer.append(chunk, static_cast<std::size_t>(n));
   }
+}
+
+/// One RPC round-trip: send `command`, collect the "."-framed response body.
+std::string rpc(int fd, const std::string& command) {
+  if (!send_all(fd, command + "\n")) return {};
+  std::string buffer;
+  return read_reply(fd, buffer).value_or("");
 }
 
 std::string chomp(std::string text) {
@@ -307,8 +318,9 @@ TEST(Daemon, BackpressureSlowConsumerDropsAtHardCapThenRecovers) {
 
 TEST(Daemon, RejectsHostileLinesAndKeepsIngesting) {
   // A line nesting 100 000 brackets used to overflow the parser's stack and
-  // kill the daemon; it and a record with trailing bytes must be rejected,
-  // counted, and followed by normal delivery.
+  // kill the daemon; it, a record with trailing bytes, a line past the
+  // daemon's 1 MiB line cap and an unterminated tail at EOF must each be
+  // rejected and counted, and the valid records around them delivered.
   Fig2Trace trace = make_fig2_trace();
   DaemonOptions options = make_options(trace, "hostile");
 
@@ -316,10 +328,14 @@ TEST(Daemon, RejectsHostileLinesAndKeepsIngesting) {
   ASSERT_TRUE(daemon.bind());
   std::thread server([&daemon] { daemon.run(); });
 
-  std::vector<IoRecord> valid(trace.records.begin(), trace.records.begin() + 2);
+  std::vector<IoRecord> valid(trace.records.begin(), trace.records.begin() + 3);
   std::string payload = "{\"id\":1,\"x\":" + std::string(100'000, '[') + "\n";
   payload += to_json_line(valid[0]) + " trailing garbage\n";
-  payload += to_jsonl(valid);
+  payload += to_jsonl({valid[0], valid[1]});
+  // 3 MiB before its newline: discarded whole, counted once.
+  payload += to_json_line(trace.records[3]) + std::string(3 << 20, ' ') + "\n";
+  payload += to_jsonl({valid[2]});
+  payload += to_json_line(trace.records[3]);  // no newline before EOF
 
   int ingest = connect_unix(daemon.ingest_socket_path());
   ASSERT_GE(ingest, 0);
@@ -334,16 +350,102 @@ TEST(Daemon, RejectsHostileLinesAndKeepsIngesting) {
   for (int i = 0; i < 2000; ++i) {
     status = rpc(control, "status");
     if (status_field(status, "records_rejected") + status_field(status, "records_delivered") ==
-        2 + valid.size()) {
+        4 + valid.size()) {
       break;
     }
     ::usleep(2'000);
   }
-  EXPECT_EQ(status_field(status, "records_rejected"), 2u) << status;
+  EXPECT_EQ(status_field(status, "records_rejected"), 4u) << status;
   EXPECT_EQ(status_field(status, "records_delivered"), valid.size()) << status;
+  // An oversize control line is answered, and the connection still works.
+  EXPECT_EQ(rpc(control, std::string(2 << 20, 's')).rfind("err line too long", 0), 0u);
+  EXPECT_NE(rpc(control, "status").find("records_delivered"), std::string::npos);
   EXPECT_EQ(rpc(control, "shutdown").rfind("ok", 0), 0u);
   ::close(control);
   server.join();
+}
+
+/// Every truncation of each well-formed control command (but `shutdown`),
+/// plus seeded byte flips — some of which split a command into two lines.
+std::vector<std::string> control_mutations() {
+  const std::vector<std::string> commands = {
+      "status",           "scan",          "pause",         "resume",
+      "why 1",            "repairs list",  "repairs approve 1", "repairs decline 1",
+      "repairs revert 1", "mode report",   "mode propose",  "checkpoint",
+      "digest"};
+  std::mt19937 rng(16);
+  std::vector<std::string> mutations;
+  for (const std::string& command : commands) {
+    for (std::size_t length = 0; length <= command.size(); ++length) {
+      mutations.push_back(command.substr(0, length));
+    }
+    for (int flip = 0; flip < 16; ++flip) {
+      std::string mutated = command;
+      std::size_t at = rng() % mutated.size();
+      mutated[at] = static_cast<char>(mutated[at] ^ (1 + rng() % 255));
+      mutations.push_back(mutated);
+    }
+  }
+  return mutations;
+}
+
+std::size_t nonempty_lines(const std::string& text) {
+  std::size_t count = 0;
+  for (const std::string& line : split(text, '\n')) count += line.empty() ? 0 : 1;
+  return count;
+}
+
+TEST(Daemon, ControlRpcAnswersEveryMutatedLineExactlyOnce) {
+  Fig2Trace trace = make_fig2_trace();
+  DaemonOptions options = make_options(trace, "fuzz");
+  std::vector<std::string> mutations = control_mutations();
+
+  GuardDaemon daemon(options);
+  ASSERT_TRUE(daemon.bind());
+  std::thread server([&daemon] { daemon.run(); });
+
+  int ingest = connect_unix(daemon.ingest_socket_path());
+  ASSERT_GE(ingest, 0);
+  ASSERT_TRUE(send_all(ingest, to_jsonl(trace.records)));
+  ::close(ingest);
+
+  int control = connect_unix(daemon.control_socket_path());
+  ASSERT_GE(control, 0);
+  // A missing reply fails the read instead of hanging the test.
+  timeval timeout{10, 0};
+  ASSERT_EQ(::setsockopt(control, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+  EXPECT_FALSE(chomp(rpc(control, "digest")).empty());  // the whole trace is delivered
+
+  std::string buffer;
+  for (const std::string& mutation : mutations) {
+    ASSERT_TRUE(send_all(control, mutation + "\n"));
+    for (std::size_t i = 0; i < nonempty_lines(mutation); ++i) {
+      ASSERT_TRUE(read_reply(control, buffer).has_value()) << '"' << mutation << '"';
+    }
+    // The next reply answers this status: no mutation got a second reply.
+    ASSERT_TRUE(send_all(control, "status\n"));
+    std::optional<std::string> status = read_reply(control, buffer);
+    ASSERT_TRUE(status.has_value()) << '"' << mutation << '"';
+    ASSERT_EQ(status->rfind("{\"records_delivered\"", 0), 0u)
+        << '"' << mutation << "\" -> " << *status;
+  }
+  EXPECT_EQ(status_field(rpc(control, "status"), "records_delivered"), trace.records.size());
+  EXPECT_EQ(rpc(control, "shutdown").rfind("ok", 0), 0u);
+  ::close(control);
+  server.join();
+
+  // The replay path runs the same lines through apply_logged_control.
+  ReplayGuardSession session(options.session);
+  for (const IoRecord& record : trace.records) {
+    while (session.scan_due_before(record)) session.run_one_due_scan();
+    session.deliver(record);
+    while (session.scan_due_now()) session.run_one_due_scan();
+  }
+  for (const std::string& mutation : mutations) {
+    std::string answer = apply_logged_control(session, mutation);
+    EXPECT_TRUE(answer.rfind("ok", 0) == 0 || answer.rfind("err", 0) == 0)
+        << '"' << mutation << "\" -> " << answer;
+  }
 }
 
 TEST(Daemon, StopRequestExitsTheLoopCleanly) {

@@ -302,6 +302,41 @@ TEST(FaultInjection, LostSendsDoNotRewindHealthyRoutersForever) {
   EXPECT_NE(faulty.report.scan_verdicts.back(), ScanVerdict::kUnknown);
 }
 
+TEST(FaultInjection, LostSendGraceReachesTheDefaultPipeline) {
+  // GuardOptions::snapshot.lost_send_grace_us decides how far a lossy
+  // sender's log must run past a receive before its missing send is
+  // presumed lost. The default guard must honour it exactly as a guard that
+  // rebuilds its HBG and snapshot every scan does: a 60 s grace changes
+  // what the default guard concludes from faulty capture, and concludes it
+  // identically on both pipelines.
+  for (std::uint64_t seed : {13u, 29u}) {
+    Rng topo_rng(seed);
+    Topology topology = make_waxman_topology(8, topo_rng);
+    FaultPlanOptions plan_options;
+    plan_options.link_flaps = 2;
+    plan_options.router_crashes = 1;
+    plan_options.capture_outages = 2;
+    plan_options.seed = seed;
+    FaultPlan plan = FaultPlan::random(topology, plan_options);
+
+    auto digest = [&](SimTime grace, bool rebuild_every_scan) {
+      GuardedRunOptions options;
+      options.faulty = true;
+      options.seed = seed;
+      options.customize = [&](GuardOptions& guard) {
+        guard.snapshot.lost_send_grace_us = grace;
+        if (rebuild_every_scan) {
+          guard.inference = std::make_shared<RuleMatchingInference>(guard.matcher);
+        }
+      };
+      return run_guarded(plan, options).report.digest();
+    };
+    std::string patient = digest(60'000'000, false);
+    EXPECT_NE(patient, digest(10'000, false)) << "seed=" << seed;
+    EXPECT_EQ(patient, digest(60'000'000, true)) << "seed=" << seed;
+  }
+}
+
 TEST(FaultInjection, DegradedRunsAreDeterministicAcrossThreadCounts) {
   Rng topo_rng(13);
   Topology topology = make_waxman_topology(8, topo_rng);

@@ -64,7 +64,7 @@ TEST(Guard, RevertModeWithGroundTruthHbg) {
   auto scenario = PaperScenario::make();
   scenario.converge_initial();
   GuardOptions options;
-  options.use_ground_truth_hbg = true;
+  options.inference = std::make_shared<GroundTruthInference>();
   Guard guard(*scenario.network, paper_policies(scenario), options);
   ConfigVersion bad = scenario.misconfigure_r2_lp10();
   auto report = guard.run();

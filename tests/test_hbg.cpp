@@ -155,7 +155,7 @@ TEST_F(Fig4Fixture, RootCauseIsTheConfigChange) {
 }
 
 TEST_F(Fig4Fixture, GroundTruthAgrees) {
-  auto truth = HbgBuilder::build_ground_truth(scenario_.network->capture().records());
+  auto truth = HbgBuilder::build(scenario_.network->capture().records(), GroundTruthInference());
   auto roots = truth.root_causes(fault_);
   EXPECT_NE(std::find(roots.begin(), roots.end(), cause_), roots.end());
 }

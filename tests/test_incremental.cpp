@@ -4,7 +4,6 @@
 #include <set>
 
 #include "hbguard/core/guard.hpp"
-#include "hbguard/hbg/builder.hpp"
 #include "hbguard/hbg/incremental.hpp"
 #include "hbguard/hbr/rule_matcher.hpp"
 #include "hbguard/sim/scenario.hpp"
@@ -33,26 +32,6 @@ std::vector<IoRecord> churn_trace(std::uint64_t seed) {
   return generated.network->capture().records();
 }
 
-TEST(Incremental, MatchesBatchOnPerfectLogs) {
-  auto records = churn_trace(123);
-  auto batch = HbgBuilder::build(records, RuleMatchingInference());
-
-  IncrementalHbgBuilder incremental;
-  incremental.append(records);
-
-  EXPECT_EQ(incremental.graph().vertex_count(), batch.vertex_count());
-  auto batch_edges = edge_set(batch);
-  auto incremental_edges = edge_set(incremental.graph());
-  // With monotone per-router logs (no slack) the edge sets must be equal.
-  std::vector<std::pair<IoId, IoId>> missing, extra;
-  std::set_difference(batch_edges.begin(), batch_edges.end(), incremental_edges.begin(),
-                      incremental_edges.end(), std::back_inserter(missing));
-  std::set_difference(incremental_edges.begin(), incremental_edges.end(), batch_edges.begin(),
-                      batch_edges.end(), std::back_inserter(extra));
-  EXPECT_TRUE(missing.empty()) << missing.size() << " edges missing from incremental";
-  EXPECT_TRUE(extra.empty()) << extra.size() << " extra edges in incremental";
-}
-
 TEST(Incremental, ChunkedAppendsEqualOneShot) {
   auto records = churn_trace(321);
   IncrementalHbgBuilder one_shot;
@@ -69,16 +48,6 @@ TEST(Incremental, ChunkedAppendsEqualOneShot) {
   }
   EXPECT_EQ(edge_set(one_shot.graph()), edge_set(chunked.graph()));
   EXPECT_EQ(chunked.records_ingested(), records.size());
-}
-
-TEST(Incremental, AccuracyMatchesBatchUnderGroundTruthScoring) {
-  auto records = churn_trace(777);
-  IncrementalRuleInference incremental;
-  RuleMatchingInference batch;
-  auto batch_score = score_inference(records, batch.infer(records));
-  auto incremental_score = score_inference(records, incremental.infer(records));
-  EXPECT_NEAR(incremental_score.precision(), batch_score.precision(), 0.02);
-  EXPECT_NEAR(incremental_score.recall(), batch_score.recall(), 0.02);
 }
 
 TEST(Incremental, LateCauseUnderClockNoiseStillLinked) {
@@ -113,6 +82,8 @@ TEST(Incremental, LateCauseUnderClockNoiseStillLinked) {
 }
 
 TEST(Incremental, GuardIncrementalAndScratchAgree) {
+  // Reference: the same rules, but the HBG rebuilt from the full history on
+  // every scan.
   auto run = [](bool incremental) {
     auto scenario = PaperScenario::make();
     scenario.converge_initial();
@@ -122,12 +93,12 @@ TEST(Incremental, GuardIncrementalAndScratchAgree) {
         scenario.prefix_p, scenario.r2, PaperScenario::kUplink2, scenario.r1,
         PaperScenario::kUplink1));
     GuardOptions options;
-    options.incremental_hbg = incremental;
+    if (!incremental) options.inference = std::make_shared<RuleMatchingInference>(options.matcher);
     Guard guard(*scenario.network, policies, options);
     scenario.misconfigure_r2_lp10();
     auto report = guard.run();
     return std::make_tuple(report.incidents.size(), report.reverts,
-                           scenario.fib_exits_via(scenario.r3, scenario.r2));
+                           scenario.fib_exits_via(scenario.r3, scenario.r2), report.digest());
   };
   EXPECT_EQ(run(true), run(false));
 }

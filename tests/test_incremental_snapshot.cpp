@@ -3,11 +3,15 @@
 // The contract under test: IncrementalSnapshotter fed per-scan record and
 // HBG-edge deltas produces a snapshot byte-identical to
 // ConsistentSnapshotter::build over the full capture history with empty
-// horizons — at EVERY scan, not just at convergence — and a Guard running
-// the incremental pipeline emits a GuardReport byte-identical to the
-// scratch pipeline's, for every repair mode and thread count.
+// horizons — at EVERY scan, not just at convergence, and under the same
+// lost-send presumption for known-lossy streams — and a default Guard emits
+// a GuardReport byte-identical to one that rebuilds its HBG from the full
+// history every scan (and so re-derives each snapshot from record 0), for
+// every repair mode and thread count.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <sstream>
 
 #include "hbguard/core/guard.hpp"
@@ -50,17 +54,20 @@ PolicyList churn_policies(std::size_t prefix_count) {
 
 /// Step `network` in scan-sized slices, maintaining one shared incremental
 /// HBG; at every step assert the incremental snapshot equals a scratch
-/// rebuild over the full history. Returns the incremental stats.
+/// rebuild over the full history, both built with `consistency` and the
+/// `lossy` stream set. Returns the incremental stats; `digests_out`, when
+/// set, receives every scan's snapshot digest.
 void expect_snapshot_parity(Network& network, std::size_t steps, SimTime interval,
                             IncrementalSnapshotter::Stats* stats_out,
-                            MatcherOptions matcher = {}) {
+                            MatcherOptions matcher = {}, ConsistencyOptions consistency = {},
+                            const std::set<RouterId>* lossy = nullptr,
+                            std::string* digests_out = nullptr) {
   IncrementalHbgBuilder builder(matcher);
   std::size_t hbg_cursor = 0;
-  ConsistentSnapshotter scratch;
-  IncrementalSnapshotter incremental;
+  ConsistentSnapshotter scratch({consistency, 1});
+  IncrementalSnapshotter incremental(consistency);
   std::size_t cursor = 0;
   std::vector<HbgEdge> edge_delta;
-  std::size_t rewound_scans = 0;
 
   for (std::size_t step = 0; step < steps; ++step) {
     network.run_for(interval);
@@ -71,18 +78,20 @@ void expect_snapshot_parity(Network& network, std::size_t steps, SimTime interva
     const HappensBeforeGraph& hbg = builder.graph();
 
     ConsistencyReport scratch_report;
-    DataPlaneSnapshot scratch_snapshot = scratch.build(records, hbg, {}, &scratch_report);
+    DataPlaneSnapshot scratch_snapshot =
+        scratch.build(records, hbg, {}, &scratch_report, lossy);
     ConsistencyReport incremental_report;
-    const DataPlaneSnapshot& incremental_snapshot =
+    const DataPlaneSnapshot& maintained =
         incremental.ingest(network.capture().records_since(cursor), hbg, edge_delta, nullptr,
-                           &incremental_report);
+                           &incremental_report, lossy);
     cursor = records.size();
 
-    ASSERT_EQ(snapshot_digest(scratch_snapshot), snapshot_digest(incremental_snapshot))
+    std::string digest = snapshot_digest(maintained);
+    ASSERT_EQ(snapshot_digest(scratch_snapshot), digest)
         << "snapshot diverged at scan " << step << " (" << records.size() << " records)";
     ASSERT_EQ(scratch_report.rewound, incremental_report.rewound) << "scan " << step;
     ASSERT_EQ(scratch_report.in_flux, incremental_report.in_flux) << "scan " << step;
-    if (incremental_report.total_rewound() > 0) ++rewound_scans;
+    if (digests_out != nullptr) *digests_out += digest;
   }
   EXPECT_EQ(incremental.stats().scans, steps);
   if (stats_out != nullptr) *stats_out = incremental.stats();
@@ -133,6 +142,45 @@ TEST(IncrementalSnapshot, ParityUnderClockSkewAndLoss) {
   IncrementalSnapshotter::Stats stats;
   expect_snapshot_parity(*generated.network, 30, 100'000, &stats, matcher);
   EXPECT_GT(stats.records_ingested, 0u);
+}
+
+TEST(IncrementalSnapshot, ParityWithLossyStreamsAtEveryGrace) {
+  // The two snapshotters implement the lost-send presumption separately: a
+  // receive whose send is missing is kept when the sender's stream is
+  // known-lossy and its log already runs `lost_send_grace_us` past the
+  // receive. Drive both over a jittered trace with capture loss, with every
+  // stream declared lossy, at a grace that presumes almost every missing
+  // send lost (0), the default (10 ms) and one that presumes almost none
+  // (60 s).
+  std::map<SimTime, std::string> digests;
+  for (SimTime grace : {SimTime{0}, SimTime{10'000}, SimTime{60'000'000}}) {
+    Rng topo_rng(61);
+    NetworkOptions options;
+    options.seed = 61;
+    options.capture.timestamp_jitter_us = 1'000;
+    options.capture.loss_probability = 0.05;
+    auto generated = make_ibgp_network(make_waxman_topology(8, topo_rng), 2, options);
+    generated.network->run_to_convergence();
+    ChurnOptions churn_options;
+    churn_options.prefix_count = 4;
+    churn_options.event_count = 30;
+    churn_options.seed = 62;
+    ChurnWorkload churn(generated, churn_options);
+
+    std::set<RouterId> lossy;
+    for (RouterId r = 0; r < generated.network->router_count(); ++r) lossy.insert(r);
+    MatcherOptions matcher;
+    matcher.local_slack_us = 5'000;
+    ConsistencyOptions consistency;
+    consistency.lost_send_grace_us = grace;
+    IncrementalSnapshotter::Stats stats;
+    expect_snapshot_parity(*generated.network, 30, 100'000, &stats, matcher, consistency,
+                           &lossy, &digests[grace]);
+    EXPECT_GT(stats.records_ingested, 0u) << "grace=" << grace;
+  }
+  // Premise: on this trace each grace keeps a different set of receives.
+  EXPECT_NE(digests[0], digests[10'000]);
+  EXPECT_NE(digests[10'000], digests[60'000'000]);
 }
 
 TEST(IncrementalSnapshot, LateEdgeIntoStableRegionForcesClosureRerun) {
@@ -261,9 +309,9 @@ TEST(IncrementalSnapshot, DeltaDrivenVerifyMatchesFullVerify) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end guard parity: scratch vs incremental snapshots, across repair
-// modes and thread counts, on both a violation-and-repair scenario and a
-// churn workload.
+// End-to-end guard parity: the default incremental pipeline vs one that
+// rebuilds every scan, across repair modes and thread counts, on both a
+// violation-and-repair scenario and a churn workload.
 
 PolicyList scenario_policies(const PaperScenario& scenario) {
   PolicyList policies;
@@ -275,13 +323,19 @@ PolicyList scenario_policies(const PaperScenario& scenario) {
   return policies;
 }
 
+/// The reference pipeline: the same rules, but every scan rebuilds the HBG
+/// from the full history and re-derives the snapshot from record 0.
+void rebuild_every_scan(GuardOptions& options) {
+  options.inference = std::make_shared<RuleMatchingInference>(options.matcher);
+}
+
 std::string run_guard_on_scenario(RepairMode mode, unsigned threads, bool incremental) {
   auto scenario = PaperScenario::make();
   scenario.converge_initial();
   GuardOptions options;
   options.repair = mode;
   options.num_threads = threads;
-  options.incremental_snapshot = incremental;
+  if (!incremental) rebuild_every_scan(options);
   Guard guard(*scenario.network, scenario_policies(scenario), options);
   scenario.misconfigure_r2_lp10();
   return guard.run().digest();
@@ -304,7 +358,7 @@ std::string run_guard_on_churn(RepairMode mode, unsigned threads, bool increment
   GuardOptions guard_options;
   guard_options.repair = mode;
   guard_options.num_threads = threads;
-  guard_options.incremental_snapshot = incremental;
+  if (!incremental) rebuild_every_scan(guard_options);
   Guard guard(*generated.network, churn_policies(churn_options.prefix_count), guard_options);
   return guard.run().digest();
 }
@@ -319,7 +373,7 @@ TEST(IncrementalSnapshot, GuardReportParityAllModesAndThreads) {
           << "mode=" << to_string(mode) << " threads=" << threads;
     }
     EXPECT_EQ(baseline, run_guard_on_scenario(mode, 8, /*incremental=*/false))
-        << "mode=" << to_string(mode) << " scratch threads=8";
+        << "mode=" << to_string(mode) << " rebuild threads=8";
   }
 }
 
@@ -350,8 +404,8 @@ std::string run_guard_on_lossy_churn(unsigned threads, bool incremental, std::ui
 
   GuardOptions guard_options;
   guard_options.num_threads = threads;
-  guard_options.incremental_snapshot = incremental;
   guard_options.matcher.local_slack_us = 5'000;
+  if (!incremental) rebuild_every_scan(guard_options);
   Guard guard(*generated.network, churn_policies(churn_options.prefix_count), guard_options);
   return guard.run().digest();
 }
@@ -359,15 +413,15 @@ std::string run_guard_on_lossy_churn(unsigned threads, bool incremental, std::ui
 TEST(IncrementalSnapshot, GuardReportParityUnderCaptureLoss) {
   // Hub-level record loss (loss_probability > 0) punches seq gaps into the
   // store itself. Whatever the guard concludes from that imperfect history,
-  // it must conclude identically at every thread count, scratch or
-  // incremental — loss is in the data, not in the pipeline.
+  // it must conclude identically at every thread count, rebuilt every scan
+  // or incremental — loss is in the data, not in the pipeline.
   std::string baseline = run_guard_on_lossy_churn(1, /*incremental=*/false, 53);
   ASSERT_FALSE(baseline.empty());
   for (unsigned threads : {1u, 2u, 8u}) {
     EXPECT_EQ(baseline, run_guard_on_lossy_churn(threads, /*incremental=*/true, 53))
         << "threads=" << threads;
     EXPECT_EQ(baseline, run_guard_on_lossy_churn(threads, /*incremental=*/false, 53))
-        << "scratch threads=" << threads;
+        << "rebuild threads=" << threads;
   }
 }
 

@@ -147,7 +147,7 @@ TEST(ConsistentSnapshotter, ParallelReplayMatchesSerial) {
   scenario.network->run_for(2'000'000);
 
   std::span<const IoRecord> records = scenario.network->capture().records();
-  HappensBeforeGraph hbg = HbgBuilder::build_ground_truth(records);
+  HappensBeforeGraph hbg = HbgBuilder::build(records, GroundTruthInference());
 
   ConsistentSnapshotter::Options serial_options;
   ConsistentSnapshotter serial(serial_options);

@@ -93,7 +93,7 @@ TEST_F(ProvenanceFixture, RenderMentionsTheChange) {
 }
 
 TEST_F(ProvenanceFixture, GroundTruthOracleAgrees) {
-  auto truth = HbgBuilder::build_ground_truth(scenario_.network->capture().records());
+  auto truth = HbgBuilder::build(scenario_.network->capture().records(), GroundTruthInference());
   RootCauseAnalyzer analyzer;
   auto result = analyzer.analyze(truth, fault_);
   const RootCause* revertible = result.revertible();

@@ -114,7 +114,7 @@ TEST_F(ConsistentFixture, GroundTruthHbgAlsoReplaysCleanly) {
   scenario_.converge_initial();
   scenario_.misconfigure_r2_lp10();
   scenario_.network->run_to_convergence();
-  auto hbg = HbgBuilder::build_ground_truth(scenario_.network->capture().records());
+  auto hbg = HbgBuilder::build(scenario_.network->capture().records(), GroundTruthInference());
   auto snapshot = snapshotter_.build(scenario_.network->capture().records(), hbg, {});
   auto truth = take_instant_snapshot(*scenario_.network);
   for (const auto& [router, view] : truth.routers) {

@@ -6,8 +6,8 @@
 // every churn cut point — the verifier memo cache and the early-block
 // model key on the signature strings, so a single divergent byte changes
 // guard behaviour. Every test here drives churn through
-// Snapshot::apply_fib_update + SnapshotDelta exactly as Guard::scan() does,
-// then compares the full materialization (signatures, interval lists,
+// Snapshot::apply_fib_update + SnapshotDelta, the shape a scan stream
+// delivers changes in, then compares the full materialization (signatures, interval lists,
 // representatives, sizes, class order) against a scratch batch build, at
 // serial and parallel pool sizes.
 #include <gtest/gtest.h>
@@ -280,38 +280,6 @@ TEST_P(StreamingEqclassDifferential, ChurnConservesTrafficWeightExactly) {
 
 INSTANTIATE_TEST_SUITE_P(PoolSizes, StreamingEqclassDifferential,
                          ::testing::Values(1u, 2u, 8u));
-
-// ---- Guard integration ----------------------------------------------------
-
-TEST(StreamingEqclassGuard, ReportDigestIdenticalWithFlagOnAndOff) {
-  auto run = [](bool streaming) {
-    auto scenario = PaperScenario::make();
-    scenario.converge_initial();
-    GuardOptions options;
-    options.streaming_eqclass = streaming;
-    Guard guard(*scenario.network, paper_policies(scenario), options);
-    scenario.misconfigure_r2_lp10();
-    GuardReport report = guard.run();
-    return report.digest();
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
-TEST(StreamingEqclassGuard, MaintainedStateIsReadyAndBatchIdentical) {
-  auto scenario = PaperScenario::make();
-  scenario.converge_initial();
-  GuardOptions options;
-  options.streaming_eqclass = true;
-  Guard guard(*scenario.network, paper_policies(scenario), options);
-  scenario.misconfigure_r2_lp10();
-  guard.run();
-  ASSERT_TRUE(guard.streaming_classes().ready());
-  EquivalenceClasses classes = guard.streaming_classes().classes();
-  EXPECT_GT(classes.classes.size(), 0u);
-  // The guard ran incremental scans: the state must have been maintained
-  // by deltas, not rebuilt every scan.
-  EXPECT_GT(guard.streaming_classes().stats().incremental_updates, 0u);
-}
 
 }  // namespace
 }  // namespace hbguard

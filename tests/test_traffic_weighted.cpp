@@ -308,22 +308,22 @@ FaultPlan control_fault_plan(std::uint64_t seed) {
 TEST(TrafficGuardParity, UniformFullBudgetDigestByteIdentical) {
   // The tentpole's safety gate: scheduling enabled with uniform weights and
   // a full budget must be invisible — byte-identical GuardReport digests at
-  // every thread count, with incremental state on and off.
+  // every thread count, on the default incremental pipeline and on one that
+  // rebuilds its HBG (and snapshot) from the full history every scan.
   FaultPlan plan = control_fault_plan(13);
+  std::string baseline;
   for (bool incremental : {true, false}) {
-    std::string baseline;
     for (unsigned threads : {1u, 2u, 8u}) {
+      auto pipeline = [incremental](GuardOptions& guard) {
+        if (!incremental) guard.inference = std::make_shared<RuleMatchingInference>(guard.matcher);
+      };
       GuardedRunOptions options;
       options.threads = threads;
-      options.customize = [&](GuardOptions& guard) {
-        guard.incremental_hbg = incremental;
-        guard.incremental_snapshot = incremental;
-      };
+      options.customize = pipeline;
       std::string off = run_guarded(plan, options).report.digest();
 
       options.customize = [&](GuardOptions& guard) {
-        guard.incremental_hbg = incremental;
-        guard.incremental_snapshot = incremental;
+        pipeline(guard);
         guard.traffic.enabled = true;  // defaults: full coverage, no weights
       };
       std::string on = run_guarded(plan, options).report.digest();
