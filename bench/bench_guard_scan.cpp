@@ -33,8 +33,9 @@ namespace {
 constexpr std::uint64_t kSeed = 71;
 /// Pinned worker count for the main comparison: num_threads = 0 resolves
 /// to the host's core count, and on a single-core host that is the serial
-/// legacy path, which bypasses memoization and delta-driven verification
-/// entirely. Pinning keeps both pipelines on the sharded path everywhere.
+/// path, which traces on the fly without the forwarding-graph memo (verdict
+/// reuse under a delta runs at every setting). Pinning keeps both pipelines
+/// on the sharded path, so numbers compare across hosts.
 constexpr unsigned kThreads = 4;
 
 struct WorkloadSpec {

@@ -285,8 +285,8 @@ std::vector<Violation> Guard::scan() {
 
   // Snapshot + verify. The snapshotter folds in only the records (and HBG
   // edges) since the last ingest, then hands the verifier the
-  // changed-prefix set so untouched destinations skip re-keying.
-  // Scan watchdog: a health flip (gap opened/healed, quarantine entered or
+  // changed-prefix set, so policies on untouched destinations keep their
+  // verdicts. Scan watchdog: a health flip (gap opened/healed, quarantine entered or
   // left) means frontiers may have rewound or a router's replayed view was
   // wholesale reset — drop incremental trust for this scan and re-verify
   // everything from the rebuilt snapshot.

@@ -79,7 +79,7 @@ struct GuardOptions {
   /// Worker threads for the pipeline's parallel stages (sharded
   /// verification, per-router snapshot replay, EC computation). One pool is
   /// created per Guard and reused by every scan. 0 = one worker per
-  /// hardware thread; 1 = the exact serial legacy behaviour. Reports are
+  /// hardware thread; 1 = no pool, every stage on the scanning thread. Reports are
   /// byte-identical for every setting (see tests/test_parallel_verify.cpp).
   unsigned num_threads = 0;
   /// Minimum HBG edge confidence used for snapshots and provenance.
@@ -250,7 +250,7 @@ class Guard {
 
   Network& network_;
   /// Shared across the verifier, snapshotter and EC computation; null when
-  /// `num_threads == 1` (serial legacy mode).
+  /// `num_threads == 1`.
   std::shared_ptr<ThreadPool> pool_;
   Verifier verifier_;
   GuardOptions options_;

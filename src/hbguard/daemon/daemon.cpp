@@ -412,6 +412,12 @@ std::string GuardDaemon::status_json() const {
       << ",\"finished\":" << (session_->finished() ? "true" : "false")
       << ",\"mode\":\"" << to_string(session_->guard().repair_mode()) << "\""
       << ",\"durable\":" << (wal_ ? "true" : "false");
+  // Whether scans stay incremental: reused verdicts should dominate, while
+  // full deltas and closure fallbacks re-verify everything.
+  const IncrementalSnapshotter::Stats& snapshot_stats = session_->guard().snapshot_stats();
+  out << ",\"verify_reused_policies\":" << session_->guard().verifier_stats().reused_policies
+      << ",\"snapshot_full_deltas\":" << snapshot_stats.full_deltas
+      << ",\"snapshot_closure_fallbacks\":" << snapshot_stats.closure_fallbacks;
   if (wal_) {
     out << ",\"wal_lsn\":" << wal_->lsn() << ",\"wal_synced_lsn\":" << wal_->synced_lsn()
         << ",\"wal_generation\":" << wal_->generation()

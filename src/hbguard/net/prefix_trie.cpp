@@ -23,12 +23,16 @@ void FlatPrefixIndex::build(std::span<const Prefix> prefixes) {
   }
   // (start asc, length asc) puts ancestors before descendants; `value` as
   // the final key makes the later duplicate sort last, so the dedup below
-  // keeps it (install-overwrite semantics).
-  std::sort(slots_.begin(), slots_.end(), [](const Slot& a, const Slot& b) {
+  // keeps it (install-overwrite semantics). Input already in Prefix order
+  // (FIB views, SnapshotDelta's set) skips the sort.
+  auto slot_less = [](const Slot& a, const Slot& b) {
     if (a.start != b.start) return a.start < b.start;
     if (a.length != b.length) return a.length < b.length;
     return a.value < b.value;
-  });
+  };
+  if (!std::is_sorted(slots_.begin(), slots_.end(), slot_less)) {
+    std::sort(slots_.begin(), slots_.end(), slot_less);
+  }
   std::size_t out = 0;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     if (out > 0 && slots_[out - 1].start == slots_[i].start &&

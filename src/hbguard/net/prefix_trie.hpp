@@ -156,8 +156,9 @@ class PrefixTrie {
 ///     candidate, and all other covering prefixes are its ancestors: LPM is
 ///     a binary search plus a parent-chain walk.
 ///
-/// build() is O(n log n); lookup is O(log n + chain) where the chain is
-/// bounded by nesting depth (<= 32, in practice ~1-3).
+/// build() is O(n log n), or O(n) when the prefixes arrive in Prefix order;
+/// lookup is O(log n + chain) where the chain is bounded by nesting depth
+/// (<= 32, in practice ~1-3).
 class FlatPrefixIndex {
  public:
   static constexpr std::uint32_t kNotFound = 0xffffffffu;

@@ -15,16 +15,13 @@ bool VerifyingBlocker::inspect(RouterId router, const Prefix& prefix, const FibE
   // Hypothetical data plane: the current data-plane FIBs with the proposed
   // update applied.
   DataPlaneSnapshot hypothetical = take_instant_snapshot(network_);
-  RouterFibView& view = hypothetical.routers[router];
-  Fib fib;
-  for (const FibEntry& e : view.entries) fib.install(e);
+  ViewFold fold(hypothetical.routers[router]);
   if (entry != nullptr) {
-    fib.install(*entry);
+    fold.install(*entry);
   } else {
-    fib.remove(prefix);
+    fold.withdraw(prefix);
   }
-  view.entries = fib.entries();
-  hypothetical.invalidate_lookup_cache();
+  fold.commit();
 
   bool clean = verifier_.verify(hypothetical).clean();
   if (clean) {

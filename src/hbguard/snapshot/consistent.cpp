@@ -130,44 +130,9 @@ DataPlaneSnapshot ConsistentSnapshotter::build(std::span<const IoRecord> records
   std::vector<RouterFibView> views(replay_order.size());
   auto replay_router = [&](std::size_t index) {
     const auto& [router, log] = replay_order[index];
-    RouterFibView view;
-    Fib fib;
-    for (std::size_t i = 0; i < frontier[router]; ++i) {
-      const IoRecord& r = *(*log)[i];
-      view.as_of = std::max(view.as_of, r.logged_time);
-      if (r.fib_reset) {
-        // Checkpoint marker (cold boot / capture resync): void everything
-        // replayed so far; subsequent records rebuild the view.
-        fib.clear();
-        view.failed_uplinks.clear();
-        view.uplink_routes.clear();
-      }
-      if (r.kind == IoKind::kFibUpdate && !r.fib_blocked) {
-        if (r.withdraw) {
-          if (r.prefix) fib.remove(*r.prefix);
-        } else if (r.fib_entry.has_value()) {
-          fib.install(*r.fib_entry);
-        }
-      } else if (r.kind == IoKind::kHardwareStatus && !r.session.empty()) {
-        if (r.link_up) {
-          view.failed_uplinks.erase(r.session);
-        } else {
-          view.failed_uplinks.insert(r.session);
-          // An uplink failure resets the eBGP session: its offers are gone.
-          view.uplink_routes.erase(r.session);
-        }
-      } else if (r.kind == IoKind::kRecvAdvert && r.peer == kExternalRouter &&
-                 r.prefix.has_value()) {
-        // Track what each external uplink currently offers.
-        if (r.withdraw) {
-          view.uplink_routes[r.session].erase(*r.prefix);
-        } else {
-          view.uplink_routes[r.session].insert(*r.prefix);
-        }
-      }
-    }
-    view.entries = fib.entries();
-    views[index] = std::move(view);
+    ViewFold fold(views[index]);
+    for (std::size_t i = 0; i < frontier[router]; ++i) fold.add(*(*log)[i]);
+    fold.commit();
   };
 
   ThreadPool* pool = replay_pool();

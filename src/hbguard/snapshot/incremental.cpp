@@ -137,84 +137,32 @@ const DataPlaneSnapshot& IncrementalSnapshotter::ingest(std::span<const IoRecord
     }
   }
 
-  // 4. Commit: fold [stable, frontier) into each router's persistent FIB
-  // replay state. A frontier below the replayed prefix (possible only on
-  // fallback scans) rebuilds that router from scratch.
-  if (delta != nullptr) {
-    delta->full = false;
-    delta->changed_prefixes.clear();
-  }
+  // 4. Commit: fold [stable, frontier) into each router's view, which is
+  // itself the persistent replay state. A frontier below the replayed
+  // prefix (possible only on fallback scans) rebuilds that router from an
+  // empty view. Only a fold that moved entries drops the router's index.
+  SnapshotDelta scan_delta;
+  scan_delta.full = delta_full;
   for (auto& [router, state] : routers_) {
     std::size_t cut = frontier[router];
     RouterFibView& view = snapshot_.routers[router];
-    bool fib_changed = false;
     if (cut < state.stable) {
-      state.fib.clear();
       view = RouterFibView{};
+      snapshot_.invalidate_lookup_cache(router);
       state.stable = 0;
-      fib_changed = true;
-      delta_full = true;
+      scan_delta.full = true;
       ++stats_.rebuilt_routers;
     }
-    for (std::size_t i = state.stable; i < cut; ++i) {
-      const IoRecord& r = state.log[i];
-      view.as_of = std::max(view.as_of, r.logged_time);
-      if (r.fib_reset) {
-        // Checkpoint marker (cold boot / capture resync): everything
-        // replayed so far for this router is void. The records that follow
-        // rebuild the view; cached per-prefix deltas cannot describe a
-        // wholesale wipe, so degrade to a full delta.
-        state.fib.clear();
-        view.failed_uplinks.clear();
-        view.uplink_routes.clear();
-        fib_changed = true;
-        delta_full = true;
-      }
-      if (r.kind == IoKind::kFibUpdate && !r.fib_blocked) {
-        if (r.withdraw) {
-          if (r.prefix) {
-            state.fib.remove(*r.prefix);
-            fib_changed = true;
-            if (delta != nullptr) delta->changed_prefixes.insert(*r.prefix);
-          }
-        } else if (r.fib_entry.has_value()) {
-          state.fib.install(*r.fib_entry);
-          fib_changed = true;
-          if (delta != nullptr) delta->changed_prefixes.insert(r.fib_entry->prefix);
-        }
-      } else if (r.kind == IoKind::kHardwareStatus && !r.session.empty()) {
-        if (r.link_up) {
-          view.failed_uplinks.erase(r.session);
-        } else {
-          view.failed_uplinks.insert(r.session);
-          view.uplink_routes.erase(r.session);
-        }
-        // Uplink up/down state feeds forwarding signatures; there is no
-        // per-prefix story for it, so the whole delta degrades to full.
-        delta_full = true;
-      } else if (r.kind == IoKind::kRecvAdvert && r.peer == kExternalRouter &&
-                 r.prefix.has_value()) {
-        // Offered-route state is read directly off the snapshot by
-        // conditional policies each scan; it does not enter forwarding
-        // signatures, so no delta entry is needed.
-        if (r.withdraw) {
-          view.uplink_routes[r.session].erase(*r.prefix);
-        } else {
-          view.uplink_routes[r.session].insert(*r.prefix);
-        }
-      }
-    }
+    ViewFold fold(view);
+    for (std::size_t i = state.stable; i < cut; ++i) fold.add(state.log[i], &scan_delta);
+    if (fold.commit()) snapshot_.invalidate_lookup_cache(router);
     state.stable = cut;
-    if (fib_changed) {
-      view.entries = state.fib.entries();
-      snapshot_.invalidate_lookup_cache(router);
-    }
   }
-  if (delta_full) ++stats_.full_deltas;
-  if (delta != nullptr && delta_full) {
-    delta->full = true;
-    delta->changed_prefixes.clear();
+  if (scan_delta.full) {
+    ++stats_.full_deltas;
+    scan_delta.changed_prefixes.clear();
   }
+  if (delta != nullptr) *delta = std::move(scan_delta);
 
   if (report != nullptr) {
     report->unmatched_recvs = unmatched_recvs;

@@ -3,8 +3,9 @@
 // ConsistentSnapshotter rebuilds every router's FIB from the full capture
 // history on each call, so a guarded run costs O(trace²). This snapshotter
 // maintains the same snapshot *across* scans: it ingests only the records
-// captured since the previous scan, folds them into persistent per-router
-// FIB replay state, and re-runs the happens-before closure only over the
+// captured since the previous scan, folds them into the persistent
+// per-router views in place (ViewFold: one merge per changed router per
+// scan), and re-runs the happens-before closure only over the
 // log ranges whose verdict could have changed — each router's pending
 // suffix (records past its validated frontier) plus any record that gained
 // an incoming HBG edge since the last scan.
@@ -20,9 +21,10 @@
 // re-checked; if any re-check (or cascade) rewinds a router *below* its
 // stable frontier, condition (b) is void for everyone and the snapshotter
 // falls back to a full scratch-equivalent closure for that scan (counted
-// in Stats::closure_fallbacks), rebuilding replay state where the frontier
-// regressed. The result is byte-identical to ConsistentSnapshotter::build
-// over the full history with empty horizons, every scan.
+// in Stats::closure_fallbacks), rebuilding a view from empty where the
+// frontier regressed. The result is byte-identical to
+// ConsistentSnapshotter::build over the full history with empty horizons,
+// every scan.
 #pragma once
 
 #include <map>
@@ -82,12 +84,11 @@ class IncrementalSnapshotter {
   struct RouterState {
     std::vector<IoRecord> log;  // owned copies, router_seq (= capture) order
     /// Validated frontier after the last ingest: records below it passed
-    /// closure and are folded into `fib`/the snapshot view.
+    /// closure and are folded into the router's snapshot view.
     std::size_t stable = 0;
     /// Latest logged_time in `log` (monotone; drives the lost-send
     /// presumption exactly like the scratch builder's per-log maximum).
     SimTime latest_logged = 0;
-    Fib fib;
   };
 
   Options options_;

@@ -1,5 +1,7 @@
 #include "hbguard/snapshot/naive.hpp"
 
+#include <algorithm>
+
 namespace hbguard {
 
 DataPlaneSnapshot::RouterLookupState& DataPlaneSnapshot::state_of(
@@ -73,6 +75,129 @@ bool DataPlaneSnapshot::apply_fib_update(RouterId router, const FibEntry& entry,
   entries.push_back(entry);
   state.index.clear();
   state.index_built = false;
+  return true;
+}
+
+void ViewFold::add(const IoRecord& r, SnapshotDelta* delta) {
+  auto touch = [&](const Prefix& prefix) {
+    if (delta != nullptr && !delta->full) delta->changed_prefixes.insert(prefix);
+  };
+  view_.as_of = std::max(view_.as_of, r.logged_time);
+  if (r.fib_reset) {
+    // Checkpoint marker (cold boot / capture resync): everything replayed
+    // so far for this router is void; the records that follow rebuild the
+    // view. Per-prefix deltas cannot describe a wholesale wipe.
+    ops_.clear();
+    reset_ = true;
+    view_.failed_uplinks.clear();
+    view_.uplink_routes.clear();
+    if (delta != nullptr) delta->full = true;
+  }
+  if (r.kind == IoKind::kFibUpdate && !r.fib_blocked) {
+    if (r.withdraw) {
+      if (r.prefix) {
+        withdraw(*r.prefix);
+        touch(*r.prefix);
+      }
+    } else if (r.fib_entry.has_value()) {
+      install(*r.fib_entry);
+      touch(r.fib_entry->prefix);
+    }
+  } else if (r.kind == IoKind::kHardwareStatus && !r.session.empty()) {
+    if (r.link_up) {
+      view_.failed_uplinks.erase(r.session);
+    } else {
+      view_.failed_uplinks.insert(r.session);
+      // An uplink failure resets the eBGP session: its offers are gone.
+      view_.uplink_routes.erase(r.session);
+    }
+    // Uplink state feeds every trace that exits there: no per-prefix story.
+    if (delta != nullptr) delta->full = true;
+  } else if (r.kind == IoKind::kRecvAdvert && r.peer == kExternalRouter &&
+             r.prefix.has_value()) {
+    // What each external uplink currently offers. Conditional policies
+    // (preferred exit) read it straight off the view, so an offer change
+    // enters the delta even though no FIB entry moved.
+    if (r.withdraw) {
+      view_.uplink_routes[r.session].erase(*r.prefix);
+    } else {
+      view_.uplink_routes[r.session].insert(*r.prefix);
+    }
+    touch(*r.prefix);
+  }
+}
+
+bool ViewFold::commit() {
+  std::vector<FibEntry>& entries = view_.entries;
+  bool moved = false;
+  if (reset_) {
+    reset_ = false;
+    moved = !entries.empty();
+    entries.clear();
+  }
+  if (ops_.empty()) return moved;
+
+  // The last operation per prefix wins.
+  std::stable_sort(ops_.begin(), ops_.end(),
+                   [](const Op& a, const Op& b) { return a.prefix < b.prefix; });
+  std::size_t kept = 0;
+  for (const Op& op : ops_) {
+    if (kept > 0 && ops_[kept - 1].prefix == op.prefix) {
+      ops_[kept - 1] = op;
+    } else {
+      ops_[kept++] = op;
+    }
+  }
+  ops_.resize(kept);
+
+  // Replacements patch in place; inserts and erases stay queued.
+  auto before = [](const FibEntry& entry, const Prefix& prefix) { return entry.prefix < prefix; };
+  std::size_t structural = 0;
+  std::size_t inserts = 0;
+  std::size_t first_erase = entries.size();
+  for (const Op& op : ops_) {
+    auto it = std::lower_bound(entries.begin(), entries.end(), op.prefix, before);
+    bool present = it != entries.end() && it->prefix == op.prefix;
+    if (present && op.entry != nullptr) {
+      *it = *op.entry;
+    } else if (present || op.entry != nullptr) {
+      if (op.entry != nullptr) {
+        ++inserts;
+      } else if (structural == inserts) {
+        first_erase = static_cast<std::size_t>(it - entries.begin());
+      }
+      ops_[structural++] = op;
+    }
+  }
+  ops_.resize(structural);
+  if (ops_.empty()) return moved;
+
+  // One in-place merge, no scratch buffer: erases compact forward from the
+  // first erased entry, then inserts merge backward from the end, so
+  // entries before the first change never move.
+  if (inserts < ops_.size()) {
+    // Visits entries in order. Of the queued ops, only erases name a
+    // prefix the entries hold.
+    auto next = ops_.begin();
+    auto erased = [&](const FibEntry& entry) {
+      while (next != ops_.end() && next->prefix < entry.prefix) ++next;
+      return next != ops_.end() && next->prefix == entry.prefix;
+    };
+    entries.erase(std::remove_if(entries.begin() + static_cast<std::ptrdiff_t>(first_erase),
+                                 entries.end(), erased),
+                  entries.end());
+  }
+  std::size_t read = entries.size();
+  entries.resize(entries.size() + inserts);
+  std::size_t write = entries.size();
+  for (auto op = ops_.rbegin(); op != ops_.rend() && write > read; ++op) {
+    if (op->entry == nullptr) continue;
+    while (read > 0 && op->prefix < entries[read - 1].prefix) {
+      entries[--write] = std::move(entries[--read]);
+    }
+    entries[--write] = *op->entry;
+  }
+  ops_.clear();
   return true;
 }
 

@@ -1,4 +1,5 @@
-// Data-plane snapshot types shared by the naive and consistent snapshotters.
+// Data-plane snapshot types shared by every snapshotter, and the one fold
+// that replays captured records into a view.
 #pragma once
 
 #include <map>
@@ -8,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "hbguard/capture/io_record.hpp"
 #include "hbguard/event/simulator.hpp"
 #include "hbguard/net/prefix_trie.hpp"
 #include "hbguard/net/topology.hpp"
@@ -61,7 +63,8 @@ struct DataPlaneSnapshot {
   /// views mutate in O(1) amortized instead of a linear entry scan. An
   /// in-place replacement keeps the LPM index warm; a prefix-set change
   /// drops it (rebuilt lazily on next lookup). Returns true if the view
-  /// changed.
+  /// changed. Appends and swap-removes, so `entries` leave prefix order:
+  /// views that ViewFold patches must not go through here.
   bool apply_fib_update(RouterId router, const FibEntry& entry, bool withdraw);
 
   /// Lookups build per-router indices lazily; after mutating `routers`
@@ -87,28 +90,59 @@ struct DataPlaneSnapshot {
 };
 
 /// What changed between one snapshot and its predecessor in a scan stream.
-/// Produced by the incremental snapshotter; consumed by the verifier to
-/// invalidate only the affected per-destination memo entries instead of
-/// re-keying every destination. A `full` delta (the default) claims
-/// nothing, so consumers must treat every destination as changed — correct
-/// for the first snapshot and for any fallback rebuild.
+/// Produced by the incremental snapshotter; consumed by the verifier, which
+/// indexes `changed_prefixes` once per verify() call and re-evaluates only
+/// the policies with a destination inside a changed prefix (the others
+/// keep their previous verdicts). A `full` delta (the default) claims nothing,
+/// so consumers must treat every destination as changed — correct for the
+/// first snapshot, uplink up/down flips, router-set changes, FIB resets and
+/// any fallback rebuild.
 struct SnapshotDelta {
   bool full = true;
-  /// Prefixes whose FIB entries were installed/removed on some router
-  /// since the previous snapshot (a superset of actual changes is fine).
+  /// Prefixes whose FIB entries were installed/removed on some router, or
+  /// whose external offers changed, since the previous snapshot (a
+  /// superset of actual changes is fine). A destination's lookups, traces
+  /// and covering offers can only move when one of these contains it.
   std::set<Prefix> changed_prefixes;
+};
 
-  /// Could `destination`'s forwarding behaviour have changed? A
-  /// destination's per-router action can only move when a FIB entry for a
-  /// prefix containing it changed (longest-prefix match), or on a `full`
-  /// delta (uplink up/down flips, router-set changes, rebuilds).
-  bool affects(IpAddress destination) const {
-    if (full) return true;
-    for (const Prefix& prefix : changed_prefixes) {
-      if (prefix.contains(destination)) return true;
-    }
-    return false;
-  }
+/// Replays one router's captured records into its RouterFibView: the one
+/// fold every snapshot path shares (the consistent and incremental
+/// snapshotters, and the blocker's hypothetical update). Uplink and offer
+/// state change as each record is added; FIB operations are buffered and
+/// applied by commit() in one pass, keeping `view.entries` sorted by prefix
+/// — the order Fib::entries() yields. The last operation per prefix wins,
+/// a reset voids the operations (and entries) before it, replacements
+/// patch entries in place, and inserts and erases are merged in place, so
+/// entries before the first of them never move.
+class ViewFold {
+ public:
+  /// `view.entries` must be sorted by prefix with no duplicates.
+  explicit ViewFold(RouterFibView& view) : view_(view) {}
+
+  /// Fold one record (capture order). With `delta`, the prefixes the record
+  /// touches (FIB operations, external offers) enter changed_prefixes, and a
+  /// reset or an uplink flip marks the delta full.
+  void add(const IoRecord& record, SnapshotDelta* delta = nullptr);
+
+  /// Buffer an install or replacement; `entry` must outlive commit().
+  void install(const FibEntry& entry) { ops_.push_back({entry.prefix, &entry}); }
+  void withdraw(const Prefix& prefix) { ops_.push_back({prefix, nullptr}); }
+
+  /// Apply the buffered FIB operations to the view's entries. Returns true
+  /// when entries moved (an insert, erase or reset), which invalidates a
+  /// positional index over the view; replacements keep every position.
+  bool commit();
+
+ private:
+  struct Op {
+    Prefix prefix;
+    const FibEntry* entry = nullptr;  // null: withdraw
+  };
+
+  RouterFibView& view_;
+  std::vector<Op> ops_;
+  bool reset_ = false;
 };
 
 }  // namespace hbguard

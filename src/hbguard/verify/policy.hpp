@@ -25,6 +25,16 @@ struct Violation {
   std::string describe() const;
 };
 
+/// A verdict may depend only on:
+///   * the snapshot's router set;
+///   * lookups and traces toward the policy's destinations (the
+///     representatives of prefixes());
+///   * uplink up/down state;
+///   * the external offers covering the policy's prefixes.
+/// The verifier relies on this to reuse a verdict across scans: router-set
+/// changes and uplink flips make a SnapshotDelta full, and any other change
+/// to these inputs puts a prefix containing one of the destinations into
+/// the delta's changed_prefixes.
 class Policy {
  public:
   virtual ~Policy() = default;

@@ -1,8 +1,35 @@
 #include "hbguard/verify/verifier.hpp"
 
-#include <set>
+#include <span>
 
 namespace hbguard {
+
+Verifier::Verifier(PolicyList policies, VerifierOptions options, std::shared_ptr<ThreadPool> pool)
+    : policies_(std::move(policies)),
+      options_(options),
+      pool_(std::move(pool)),
+      verdicts_(policies_.size()),
+      verdict_runs_(policies_.size(), 0) {}
+
+void Verifier::index_destinations() const {
+  std::vector<std::uint32_t> bits;
+  policy_begin_.reserve(policies_.size() + 1);
+  policy_begin_.push_back(0);
+  for (const auto& policy : policies_) {
+    for (const Prefix& prefix : policy->prefixes()) bits.push_back(representative(prefix).bits());
+    policy_begin_.push_back(bits.size());
+  }
+  std::vector<std::uint32_t> distinct = bits;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
+  destinations_.reserve(distinct.size());
+  for (std::uint32_t b : distinct) destinations_.emplace_back(b);
+  policy_destinations_.reserve(bits.size());
+  for (std::uint32_t b : bits) {
+    policy_destinations_.push_back(static_cast<std::size_t>(
+        std::lower_bound(distinct.begin(), distinct.end(), b) - distinct.begin()));
+  }
+}
 
 VerifyResult Verifier::verify(const DataPlaneSnapshot& snapshot) const {
   return verify(snapshot, nullptr, nullptr);
@@ -15,95 +42,127 @@ VerifyResult Verifier::verify(const DataPlaneSnapshot& snapshot,
 
 VerifyResult Verifier::verify(const DataPlaneSnapshot& snapshot, const SnapshotDelta* delta,
                               const VerifyPlan* plan) const {
-  if (resolve_num_threads(options_.num_threads) == 1) return verify_serial(snapshot, plan);
-  return verify_sharded(snapshot, delta, plan);
-}
-
-bool Verifier::plan_covers(const VerifyPlan* plan, const Policy& policy) {
-  if (plan == nullptr) return true;
-  for (const Prefix& prefix : policy.prefixes()) {
-    if (!plan->covers(representative(prefix).bits())) return false;
+  // One index over the changed prefixes answers "could this destination's
+  // lookups, traces or covering offers have moved?" with one lookup.
+  const bool incremental = delta != nullptr && !delta->full;
+  FlatPrefixIndex changed;
+  if (incremental) {
+    std::vector<Prefix> prefixes(delta->changed_prefixes.begin(), delta->changed_prefixes.end());
+    changed.build(prefixes);
   }
-  return true;
-}
 
-VerifyResult Verifier::verify_serial(const DataPlaneSnapshot& snapshot,
-                                     const VerifyPlan* plan) const {
+  // Decide per policy: deferred by the plan, reused (its stored verdict is
+  // from the previous call and the delta touches none of its
+  // destinations), or evaluated now. Deferred policies keep their stale
+  // stamp, so a later call cannot reuse across the deltas they missed.
   VerifyResult result;
-  for (const auto& policy : policies_) {
-    if (!plan_covers(plan, *policy)) {
-      ++result.deferred_policies;
-      continue;
+  std::vector<std::size_t> todo;
+  std::vector<char> covered(policies_.size(), 0);
+  std::vector<char> needed;
+  std::size_t run = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (policy_begin_.empty()) index_destinations();
+    std::vector<char> in_plan(destinations_.size(), 1);
+    std::vector<char> affected(destinations_.size(), 1);
+    for (std::size_t d = 0; d < destinations_.size(); ++d) {
+      if (plan != nullptr) in_plan[d] = plan->covers(destinations_[d].bits());
+      if (incremental && in_plan[d]) {
+        affected[d] = changed.lookup(destinations_[d]) != FlatPrefixIndex::kNotFound;
+      }
     }
-    ++result.evaluated_policies;
-    policy->check(snapshot, result.violations);
+    std::vector<char> used(destinations_.size(), 0);
+    needed.assign(destinations_.size(), 0);
+    run = ++stats_.runs;
+    for (std::size_t i = 0; i < policies_.size(); ++i) {
+      std::span<const std::size_t> dests(policy_destinations_.data() + policy_begin_[i],
+                                         policy_begin_[i + 1] - policy_begin_[i]);
+      if (!std::all_of(dests.begin(), dests.end(), [&](std::size_t d) { return in_plan[d]; })) {
+        ++result.deferred_policies;
+        continue;
+      }
+      ++result.evaluated_policies;
+      covered[i] = 1;
+      for (std::size_t d : dests) used[d] = 1;
+      bool reuse = incremental && verdict_runs_[i] != 0 && verdict_runs_[i] + 1 == run &&
+                   std::none_of(dests.begin(), dests.end(),
+                                [&](std::size_t d) { return affected[d]; });
+      if (reuse) {
+        verdict_runs_[i] = run;
+        ++stats_.reused_policies;
+      } else {
+        todo.push_back(i);
+        for (std::size_t d : dests) needed[d] = 1;
+      }
+    }
+    for (std::size_t d = 0; d < destinations_.size(); ++d) {
+      if (!used[d]) continue;
+      ++stats_.destinations;
+      if (!needed[d]) ++stats_.delta_skips;
+    }
+  }
+
+  std::vector<std::vector<Violation>> fresh(todo.size());
+  if (!todo.empty()) {
+    if (resolve_num_threads(options_.num_threads) == 1) {
+      verify_serial(snapshot, todo, fresh);
+    } else {
+      verify_sharded(snapshot, todo, needed, fresh);
+    }
+  }
+
+  // Merge in policy order: byte-identical whichever policies were reused
+  // and whichever path evaluated the rest.
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (std::size_t k = 0; k < todo.size(); ++k) {
+    verdicts_[todo[k]] = std::move(fresh[k]);
+    verdict_runs_[todo[k]] = run;
+  }
+  for (std::size_t i = 0; i < policies_.size(); ++i) {
+    if (!covered[i]) continue;
+    result.violations.insert(result.violations.end(), verdicts_[i].begin(), verdicts_[i].end());
   }
   return result;
 }
 
-VerifyResult Verifier::verify_sharded(const DataPlaneSnapshot& snapshot,
-                                      const SnapshotDelta* delta,
-                                      const VerifyPlan* plan) const {
+void Verifier::verify_serial(const DataPlaneSnapshot& snapshot,
+                             const std::vector<std::size_t>& todo,
+                             std::vector<std::vector<Violation>>& out) const {
+  for (std::size_t k = 0; k < todo.size(); ++k) policies_[todo[k]]->check(snapshot, out[k]);
+}
+
+void Verifier::verify_sharded(const DataPlaneSnapshot& snapshot,
+                              const std::vector<std::size_t>& todo,
+                              const std::vector<char>& needed,
+                              std::vector<std::vector<Violation>>& out) const {
   std::shared_ptr<ThreadPool> pool = thread_pool();
 
-  // The destinations the policy set reasons about, in first-appearance
-  // order (stable across runs). Destinations the plan defers are dropped
-  // here — no signature, no trace, no cache traffic for them this run.
-  std::vector<IpAddress> destinations;
-  std::set<std::uint32_t> seen;
-  for (const auto& policy : policies_) {
-    for (const Prefix& prefix : policy->prefixes()) {
-      IpAddress destination = representative(prefix);
-      if (plan != nullptr && !plan->covers(destination.bits())) continue;
-      if (seen.insert(destination.bits()).second) destinations.push_back(destination);
-    }
-  }
-
-  // lookup() builds per-router tries lazily and is not safe for concurrent
-  // first calls; build them all before fanning out.
+  // lookup() builds per-router indices lazily and is not safe for
+  // concurrent first calls; build them all before fanning out.
   snapshot.warm_lookup_cache();
 
-  // Phase 1 — classify each destination by its behaviour signature and
-  // serve unchanged classes from the memo cache (serially: the signature is
-  // one lookup per router, ~a path-length factor cheaper than tracing).
-  // With a caller-supplied delta, destinations it proves untouched skip
-  // even the signature: their graph from the previous verify() is still
-  // exact (the signature is a function of per-router lookups and uplink
-  // state, both covered by SnapshotDelta::affects).
+  // Phase 1 — classify each needed destination by its behaviour signature
+  // and serve unchanged classes from the memo cache (serially: the
+  // signature is one lookup per router, ~a path-length factor cheaper than
+  // tracing).
   VerifyContext::TraceTable table;
   std::vector<std::size_t> miss_indices;
   std::vector<std::string> miss_signatures;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.runs;
-    stats_.destinations += destinations.size();
-    for (std::size_t i = 0; i < destinations.size(); ++i) {
-      std::uint32_t bits = destinations[i].bits();
-      if (delta != nullptr && !delta->full && options_.memoize) {
-        auto last = last_graphs_.find(bits);
-        // The delta only describes changes since the *previous* run; an
-        // entry a plan deferred across runs missed deltas this one doesn't
-        // cover, so only run-(N-1) graphs are delta-skippable.
-        if (last != last_graphs_.end() && last->second.second == stats_.runs - 1 &&
-            !delta->affects(destinations[i])) {
-          ++stats_.delta_skips;
-          table[bits] = last->second.first;
-          last->second.second = stats_.runs;  // still exact for the next run
-          continue;
-        }
-      }
-      std::string signature = forwarding_signature(snapshot, destinations[i]);
+    for (std::size_t d = 0; d < destinations_.size(); ++d) {
+      if (!needed[d]) continue;
+      std::string signature = forwarding_signature(snapshot, destinations_[d]);
       if (options_.memoize) {
         auto it = cache_.find(signature);
         if (it != cache_.end()) {
           ++stats_.cache_hits;
-          table[bits] = it->second;
-          last_graphs_[bits] = {it->second, stats_.runs};
+          table[destinations_[d].bits()] = it->second;
           continue;
         }
       }
       ++stats_.cache_misses;
-      miss_indices.push_back(i);
+      miss_indices.push_back(d);
       miss_signatures.push_back(std::move(signature));
     }
   }
@@ -114,7 +173,7 @@ VerifyResult Verifier::verify_sharded(const DataPlaneSnapshot& snapshot,
   std::vector<DestinationForwardingRef> built(miss_indices.size());
   pool->parallel_for(miss_indices.size(), [&](std::size_t i) {
     built[i] = std::make_shared<DestinationForwarding>(
-        compute_destination_forwarding(snapshot, destinations[miss_indices[i]]));
+        compute_destination_forwarding(snapshot, destinations_[miss_indices[i]]));
   });
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -122,39 +181,16 @@ VerifyResult Verifier::verify_sharded(const DataPlaneSnapshot& snapshot,
       cache_.clear();
     }
     for (std::size_t i = 0; i < miss_indices.size(); ++i) {
-      std::uint32_t bits = destinations[miss_indices[i]].bits();
-      table[bits] = built[i];
-      last_graphs_[bits] = {built[i], stats_.runs};
+      table[destinations_[miss_indices[i]].bits()] = built[i];
       if (options_.memoize) cache_[miss_signatures[i]] = built[i];
     }
   }
 
-  // Phase 3 — evaluate the covered policies concurrently over the shared
-  // graphs, then merge in policy order: byte-identical to the serial
-  // report. Deferred policies keep their (empty) slot so the merge order
-  // never depends on the plan.
+  // Phase 3 — evaluate the policies concurrently over the shared graphs,
+  // each into its own slot.
   VerifyContext ctx(snapshot, &table);
-  VerifyResult result;
-  std::vector<std::vector<Violation>> per_policy(policies_.size());
-  std::vector<bool> covered_policy(policies_.size(), true);
-  for (std::size_t i = 0; i < policies_.size(); ++i) {
-    covered_policy[i] = plan_covers(plan, *policies_[i]);
-    if (covered_policy[i]) {
-      ++result.evaluated_policies;
-    } else {
-      ++result.deferred_policies;
-    }
-  }
-  pool->parallel_for(policies_.size(), [&](std::size_t i) {
-    if (covered_policy[i]) policies_[i]->evaluate(ctx, per_policy[i]);
-  });
-
-  for (std::vector<Violation>& violations : per_policy) {
-    result.violations.insert(result.violations.end(),
-                             std::make_move_iterator(violations.begin()),
-                             std::make_move_iterator(violations.end()));
-  }
-  return result;
+  pool->parallel_for(todo.size(),
+                     [&](std::size_t k) { policies_[todo[k]]->evaluate(ctx, out[k]); });
 }
 
 std::shared_ptr<ThreadPool> Verifier::thread_pool() const {
@@ -173,7 +209,8 @@ VerifyStats Verifier::stats() const {
 void Verifier::clear_cache() const {
   std::lock_guard<std::mutex> lock(mutex_);
   cache_.clear();
-  last_graphs_.clear();
+  for (std::vector<Violation>& violations : verdicts_) violations.clear();
+  std::fill(verdict_runs_.begin(), verdict_runs_.end(), 0);
 }
 
 VerdictComparison compare_verdicts(const Verifier& verifier, const DataPlaneSnapshot& observed,

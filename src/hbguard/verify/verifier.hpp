@@ -5,15 +5,18 @@
 // the false-positive/false-negative accounting behind the paper's claim
 // that naive distributed snapshots mislead verifiers (§2, §5).
 //
-// Verification is sharded across a reusable thread pool: the destinations
-// the policy set reasons about are partitioned into per-thread batches,
-// each batch builds its destinations' forwarding graphs concurrently, and
-// the policies are then evaluated concurrently (one task per policy) over
-// the shared graphs. Verdicts are merged in policy order, so parallel and
-// serial runs produce byte-identical reports. Forwarding graphs are
-// memoized across verify() calls keyed on the destination's equivalence-
-// class behaviour signature — under churn, destinations whose class is
-// untouched by a routing event skip re-tracing entirely.
+// Under a scan stream, verification follows the change rather than the
+// table: given the SnapshotDelta since the previous verify() call, a policy
+// none of whose destinations the delta touches keeps its previous
+// violations, and only the remaining policies are evaluated. That reuse
+// runs at every thread count. With one thread the remaining policies trace
+// on the fly; with more, their destinations are partitioned into
+// per-thread batches, each batch builds its destinations' forwarding
+// graphs concurrently, and the policies are then evaluated concurrently
+// (one task per policy) over the shared graphs. Forwarding graphs are
+// memoized across calls keyed on the destination's equivalence-class
+// behaviour signature. Verdicts are merged in policy order, so every path
+// produces byte-identical reports.
 #pragma once
 
 #include <algorithm>
@@ -49,8 +52,9 @@ struct VerifyResult {
 
 struct VerifierOptions {
   /// Worker threads for sharded verification. 0 = one per hardware thread;
-  /// 1 = the exact serial legacy path (no pool, no sharing, no
-  /// memoization); N = N workers.
+  /// 1 = evaluate on the calling thread, tracing on the fly (no pool, no
+  /// forwarding-graph memo; verdict reuse under a delta still applies);
+  /// N = N workers.
   unsigned num_threads = 0;
   /// Memoize per-EC forwarding graphs across verify() calls (skips
   /// re-tracing destinations whose behaviour signature is unchanged across
@@ -61,16 +65,21 @@ struct VerifierOptions {
   std::size_t max_cached_classes = 4096;
 };
 
-/// Counters for the sharded path (zero when running serially).
+/// Cumulative counters. The memo-cache pair counts on the sharded path
+/// only; the others count at every thread count.
 struct VerifyStats {
   std::size_t runs = 0;          // verify() calls
-  std::size_t destinations = 0;  // destination evaluations, cumulative
+  /// Destinations of the policies each call covered (its plan did not
+  /// defer them), summed over calls.
+  std::size_t destinations = 0;
   std::size_t cache_hits = 0;    // forwarding graphs served from the cache
   std::size_t cache_misses = 0;  // forwarding graphs built
-  /// Destinations whose graph was reused straight from the previous
-  /// verify() because the caller's SnapshotDelta proved them untouched —
-  /// these skip even the signature computation the memo cache needs.
+  /// Of `destinations`, those no policy had to re-check because the
+  /// caller's SnapshotDelta proved them untouched: neither traced nor
+  /// keyed.
   std::size_t delta_skips = 0;
+  /// Covered policies whose violations were reused from the previous call.
+  std::size_t reused_policies = 0;
 
   double hit_rate() const {
     std::size_t total = cache_hits + cache_misses;
@@ -84,26 +93,25 @@ class Verifier {
   /// when null and the options call for parallelism, a pool is created
   /// lazily on first use.
   explicit Verifier(PolicyList policies, VerifierOptions options = {},
-                    std::shared_ptr<ThreadPool> pool = nullptr)
-      : policies_(std::move(policies)), options_(options), pool_(std::move(pool)) {}
+                    std::shared_ptr<ThreadPool> pool = nullptr);
 
   VerifyResult verify(const DataPlaneSnapshot& snapshot) const;
 
   /// Delta-driven verification: `delta` describes what changed in
   /// `snapshot` since the snapshot passed to the *previous* verify() call
-  /// on this verifier (the guard's scan stream satisfies this). Unaffected
-  /// destinations reuse the previous call's forwarding graph without even
-  /// re-computing their behaviour signature. Results are byte-identical to
-  /// verify(snapshot); a null (or full) delta degrades to it exactly. The
-  /// serial path (num_threads == 1) ignores the delta.
+  /// on this verifier (the guard's scan stream satisfies this). A policy
+  /// whose violations that previous call produced or confirmed keeps them
+  /// without being evaluated when no changed prefix contains any of its
+  /// destinations (see Policy for what a verdict may depend on). Results
+  /// are byte-identical to verify(snapshot) at every thread count; a null
+  /// (or full) delta degrades to it exactly.
   VerifyResult verify(const DataPlaneSnapshot& snapshot, const SnapshotDelta* delta) const;
 
-  /// As above, restricted to `plan`'s covered destinations: uncovered
-  /// destinations are neither traced nor signature-keyed, and policies
-  /// depending on them are deferred. A null plan (or one covering every
-  /// policy destination) is byte-identical to the unplanned overloads.
-  /// Works on the serial path too (the budget, unlike the delta, is not a
-  /// parallel-only optimization).
+  /// As above, restricted to `plan`'s covered destinations: policies
+  /// depending on an uncovered destination are deferred (and their stored
+  /// violations go stale, so the next call re-evaluates them). A null plan
+  /// (or one covering every policy destination) is byte-identical to the
+  /// unplanned overloads.
   VerifyResult verify(const DataPlaneSnapshot& snapshot, const SnapshotDelta* delta,
                       const VerifyPlan* plan) const;
 
@@ -111,6 +119,8 @@ class Verifier {
   const VerifierOptions& options() const { return options_; }
 
   VerifyStats stats() const;
+  /// Drop the forwarding-graph memo and every stored verdict: the next
+  /// call evaluates each covered policy whatever its delta says.
   void clear_cache() const;
 
   /// The pool backing the sharded path (created on demand; null while the
@@ -118,29 +128,41 @@ class Verifier {
   std::shared_ptr<ThreadPool> thread_pool() const;
 
  private:
-  VerifyResult verify_serial(const DataPlaneSnapshot& snapshot, const VerifyPlan* plan) const;
-  VerifyResult verify_sharded(const DataPlaneSnapshot& snapshot, const SnapshotDelta* delta,
-                              const VerifyPlan* plan) const;
-  /// True when every destination `policy` reasons about is in `plan` (or
-  /// the plan is null).
-  static bool plan_covers(const VerifyPlan* plan, const Policy& policy);
+  /// Evaluate policy `todo[k]` into `out[k]`, for every k.
+  void verify_serial(const DataPlaneSnapshot& snapshot, const std::vector<std::size_t>& todo,
+                     std::vector<std::vector<Violation>>& out) const;
+  /// As verify_serial, over forwarding graphs built (or served from the
+  /// memo) for the destinations flagged in `needed`.
+  void verify_sharded(const DataPlaneSnapshot& snapshot, const std::vector<std::size_t>& todo,
+                      const std::vector<char>& needed,
+                      std::vector<std::vector<Violation>>& out) const;
+
+  /// Fill the destination tables below (under mutex_, on the first call).
+  void index_destinations() const;
 
   PolicyList policies_;
   VerifierOptions options_;
 
-  mutable std::mutex mutex_;  // guards pool_ creation, cache_, stats_
+  /// Guards everything below. The destination tables are written once,
+  /// under it, and only read after that.
+  mutable std::mutex mutex_;
+  /// The distinct destinations the policy set reasons about (ascending),
+  /// and each policy's destinations as indices into them: policy i owns
+  /// policy_destinations_[policy_begin_[i], policy_begin_[i + 1]). Built by
+  /// the first verify() rather than the constructor, which keeps a daemon
+  /// with thousands of policies quick to start.
+  mutable std::vector<IpAddress> destinations_;
+  mutable std::vector<std::size_t> policy_begin_;
+  mutable std::vector<std::size_t> policy_destinations_;
   mutable std::shared_ptr<ThreadPool> pool_;
   mutable std::map<std::string, DestinationForwardingRef> cache_;  // by signature
-  /// Each destination's graph from a previous verify(), stamped with the
-  /// run that refreshed it — a SnapshotDelta only proves the *immediately
-  /// preceding* run's graph still valid, so delta skips require
-  /// `run == stats_.runs - 1`. (Before plans existed every run refreshed
-  /// every entry and the stamp was implicit; a deferred destination's entry
-  /// can now be arbitrarily stale while deltas it never saw accumulate.)
-  /// Keyed by destination bits; bounded by the policy set's destination
-  /// count.
-  mutable std::map<std::uint32_t, std::pair<DestinationForwardingRef, std::size_t>>
-      last_graphs_;
+  /// Each policy's violations from the last call that evaluated or reused
+  /// them, stamped with that call's run number (0: none stored). A delta
+  /// only vouches for the immediately preceding call, so reuse needs
+  /// `verdict_runs_[i] == stats_.runs - 1`; a policy a plan deferred keeps
+  /// an older stamp and is re-evaluated.
+  mutable std::vector<std::vector<Violation>> verdicts_;
+  mutable std::vector<std::size_t> verdict_runs_;
   mutable VerifyStats stats_;
 };
 

@@ -205,6 +205,11 @@ TEST(Daemon, ControlSurfaceDrivesProposalsOverRpc) {
   EXPECT_GE(status_field(status, "incidents"), 1u);  // preferred-exit violated
   EXPECT_EQ(status_field(status, "proposals_pending"), 1u);
   EXPECT_NE(status.find("\"finished\":true"), std::string::npos) << status;
+  // Whether scans stay incremental: the first scan's delta is always full.
+  EXPECT_GE(status_field(status, "snapshot_full_deltas"), 1u) << status;
+  EXPECT_LE(status_field(status, "snapshot_full_deltas"), status_field(status, "scans"));
+  EXPECT_NE(status_field(status, "snapshot_closure_fallbacks"), ~0ULL) << status;
+  EXPECT_NE(status_field(status, "verify_reused_policies"), ~0ULL) << status;
 
   std::string list = rpc(control, "repairs list");
   EXPECT_NE(list.find("#1 pending"), std::string::npos) << list;
@@ -236,6 +241,12 @@ TEST(Daemon, ControlSurfaceDrivesProposalsOverRpc) {
   EXPECT_EQ(bye.rfind("ok", 0), 0u) << bye;
   ::close(control);
   server.join();
+  const Guard& guard = daemon.session().guard();
+  EXPECT_EQ(status_field(status, "verify_reused_policies"),
+            guard.verifier_stats().reused_policies);
+  EXPECT_EQ(status_field(status, "snapshot_full_deltas"), guard.snapshot_stats().full_deltas);
+  EXPECT_EQ(status_field(status, "snapshot_closure_fallbacks"),
+            guard.snapshot_stats().closure_fallbacks);
 }
 
 TEST(Daemon, ControlIdsParseOnlyWholeDecimalTokens) {

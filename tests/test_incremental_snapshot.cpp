@@ -10,11 +10,14 @@
 // every repair mode and thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 
 #include "hbguard/core/guard.hpp"
+#include "hbguard/daemon/replay_session.hpp"
 #include "hbguard/hbg/incremental.hpp"
 #include "hbguard/sim/scenario.hpp"
 #include "hbguard/sim/workload.hpp"
@@ -262,9 +265,16 @@ TEST(IncrementalSnapshot, LateEdgeIntoStableRegionForcesClosureRerun) {
   EXPECT_TRUE(delta.full) << "a rebuild must void the delta";
 }
 
+std::string violations_digest(const VerifyResult& result) {
+  std::string out;
+  for (const Violation& v : result.violations) out += v.describe() + "\n";
+  return out;
+}
+
 TEST(IncrementalSnapshot, DeltaDrivenVerifyMatchesFullVerify) {
-  // A delta that names the one changed prefix must let the verifier skip
-  // re-keying the others while returning identical violations.
+  // A delta that names the one changed prefix must let the verifier reuse
+  // the other policies' verdicts, skipping their destinations, while
+  // returning identical violations — on the serial path and the sharded one.
   Rng topo_rng(31);
   NetworkOptions options;
   options.seed = 31;
@@ -286,26 +296,167 @@ TEST(IncrementalSnapshot, DeltaDrivenVerifyMatchesFullVerify) {
   net.run_to_convergence();
   DataPlaneSnapshot after = take_instant_snapshot(net);
 
-  VerifierOptions verifier_options;
-  verifier_options.num_threads = 2;
-  Verifier with_delta(churn_policies(4), verifier_options);
-  Verifier without_delta(churn_policies(4), verifier_options);
+  for (unsigned threads : {1u, 2u}) {
+    VerifierOptions verifier_options;
+    verifier_options.num_threads = threads;
+    Verifier with_delta(churn_policies(4), verifier_options);
+    Verifier without_delta(churn_policies(4), verifier_options);
 
-  auto digest = [](const VerifyResult& result) {
-    std::string out;
-    for (const Violation& v : result.violations) out += v.describe() + "\n";
-    return out;
+    ASSERT_EQ(violations_digest(with_delta.verify(before)),
+              violations_digest(without_delta.verify(before)));
+    SnapshotDelta delta;
+    delta.full = false;
+    delta.changed_prefixes.insert(churn_prefix(0));
+    VerifyResult delta_result = with_delta.verify(after, &delta);
+    VerifyResult full_result = without_delta.verify(after);
+    EXPECT_EQ(violations_digest(delta_result), violations_digest(full_result))
+        << "threads=" << threads;
+    EXPECT_GT(with_delta.stats().delta_skips, 0u)
+        << "unaffected destinations must skip re-keying, threads=" << threads;
+    EXPECT_EQ(with_delta.stats().reused_policies, 9u)
+        << "the three untouched prefixes' policies keep their verdicts, threads=" << threads;
+    EXPECT_EQ(without_delta.stats().reused_policies, 0u);
+  }
+}
+
+TEST(IncrementalSnapshot, PolicyDeferredAcrossADeltaIsReevaluated) {
+  // Call 2's plan defers the policy on P while P's only route is
+  // withdrawn; call 3 covers it again under a delta naming only Q. Its
+  // stored PASS predates a delta it never saw, so it must be re-evaluated
+  // (FAIL), not reused.
+  const Prefix p = churn_prefix(0);
+  const Prefix q = churn_prefix(1);
+  PolicyList policies;
+  policies.push_back(std::make_shared<ReachabilityPolicy>(0, p));
+  policies.push_back(std::make_shared<ReachabilityPolicy>(0, q));
+  auto exit_via = [](const Prefix& prefix, const char* session) {
+    return FibEntry{prefix, FibEntry::Action::kExternal, kInvalidRouter, session,
+                    Protocol::kEbgp};
   };
 
-  ASSERT_EQ(digest(with_delta.verify(before)), digest(without_delta.verify(before)));
-  SnapshotDelta delta;
-  delta.full = false;
-  delta.changed_prefixes.insert(churn_prefix(0));
-  VerifyResult delta_result = with_delta.verify(after, &delta);
-  VerifyResult full_result = without_delta.verify(after);
-  EXPECT_EQ(digest(delta_result), digest(full_result));
-  EXPECT_GT(with_delta.stats().delta_skips, 0u)
-      << "unaffected destinations must skip re-keying";
+  for (unsigned threads : {1u, 2u}) {
+    DataPlaneSnapshot snapshot;
+    snapshot.routers[0].entries = {exit_via(p, "up0"), exit_via(q, "up0")};
+    Verifier stream(policies, VerifierOptions{threads});
+    ASSERT_TRUE(stream.verify(snapshot).clean());
+
+    SnapshotDelta withdraw_p;
+    withdraw_p.full = false;
+    withdraw_p.changed_prefixes = {p};
+    snapshot.apply_fib_update(0, exit_via(p, "up0"), /*withdraw=*/true);
+    VerifyPlan only_q;
+    only_q.covered = {representative(q).bits()};
+    VerifyResult deferred = stream.verify(snapshot, &withdraw_p, &only_q);
+    EXPECT_EQ(deferred.deferred_policies, 1u);
+    EXPECT_TRUE(deferred.clean());
+
+    SnapshotDelta touch_q;
+    touch_q.full = false;
+    touch_q.changed_prefixes = {q};
+    snapshot.apply_fib_update(0, exit_via(q, "up1"), /*withdraw=*/false);
+    VerifyResult resumed = stream.verify(snapshot, &touch_q);
+    VerifyResult fresh = Verifier(policies, VerifierOptions{threads}).verify(snapshot);
+    EXPECT_FALSE(fresh.clean());
+    EXPECT_EQ(violations_digest(resumed), violations_digest(fresh)) << "threads=" << threads;
+  }
+}
+
+IoRecord hand_record(RouterId router, IoKind kind, const Prefix& prefix) {
+  IoRecord record;
+  record.router = router;
+  record.kind = kind;
+  record.protocol = Protocol::kEbgp;
+  record.prefix = prefix;
+  return record;
+}
+
+/// Stamp `record` as the next captured record (id, per-router sequence,
+/// time) and append it to both `scan` and `all`.
+void append_record(std::vector<IoRecord>& scan, IoRecord record, std::vector<IoRecord>& all) {
+  record.id = all.size() + 1;
+  record.router_seq = static_cast<std::uint64_t>(std::count_if(
+      all.begin(), all.end(), [&](const IoRecord& r) { return r.router == record.router; }));
+  record.logged_time = record.true_time = static_cast<SimTime>(1'000 * (all.size() + 1));
+  all.push_back(record);
+  scan.push_back(record);
+}
+
+TEST(IncrementalSnapshot, OfferOnlyChangeFlipsReusedVerdict) {
+  // Preferred exit R0/up0, backup R1/up1; both routers forward P out of
+  // R1. The scan that only adds (then withdraws) an external offer of P on
+  // up0 carries no FIB record, yet it flips the preferred-exit verdict:
+  // the offer must enter the delta, or the verifier would reuse the stale
+  // PASS. A loop-freedom policy on an untouched prefix is reused.
+  const Prefix p = *Prefix::parse("203.0.113.0/24");
+  const Prefix q = *Prefix::parse("198.51.100.0/24");
+  PolicyList policies;
+  policies.push_back(std::make_shared<PreferredExitPolicy>(p, 0, "up0", 1, "up1"));
+  policies.push_back(std::make_shared<LoopFreedomPolicy>(q));
+
+  auto fib = [](RouterId router, const Prefix& prefix, FibEntry entry) {
+    IoRecord record = hand_record(router, IoKind::kFibUpdate, prefix);
+    entry.prefix = prefix;
+    entry.source = Protocol::kEbgp;
+    record.fib_entry = entry;
+    return record;
+  };
+  auto offer = [](RouterId router, const std::string& session, const Prefix& prefix,
+                  bool withdraw) {
+    IoRecord record = hand_record(router, IoKind::kRecvAdvert, prefix);
+    record.peer = kExternalRouter;
+    record.session = session;
+    record.withdraw = withdraw;
+    return record;
+  };
+  FibEntry to_r1{Prefix{}, FibEntry::Action::kForward, 1, "", Protocol::kEbgp};
+  FibEntry out_up1{Prefix{}, FibEntry::Action::kExternal, kInvalidRouter, "up1",
+                   Protocol::kEbgp};
+
+  std::vector<IoRecord> all;
+  std::vector<std::vector<IoRecord>> scans(3);
+  append_record(scans[0], offer(1, "up1", p, false), all);
+  for (const Prefix& prefix : {p, q}) {
+    append_record(scans[0], fib(0, prefix, to_r1), all);
+    append_record(scans[0], fib(1, prefix, out_up1), all);
+  }
+  append_record(scans[1], offer(0, "up0", p, false), all);
+  append_record(scans[2], offer(0, "up0", p, true), all);
+
+  IncrementalHbgBuilder builder;
+  IncrementalSnapshotter snapshotter;
+  std::vector<std::unique_ptr<Verifier>> streams;
+  for (unsigned threads : {1u, 2u}) {
+    streams.push_back(std::make_unique<Verifier>(policies, VerifierOptions{threads}));
+  }
+  std::vector<bool> clean;
+  for (std::size_t scan = 0; scan < scans.size(); ++scan) {
+    std::vector<HbgEdge> edges;
+    builder.append(scans[scan], &edges);
+    SnapshotDelta delta;
+    const DataPlaneSnapshot& snapshot =
+        snapshotter.ingest(scans[scan], builder.graph(), edges, &delta);
+    if (scan > 0) {
+      ASSERT_FALSE(delta.full) << "scan " << scan;
+      EXPECT_EQ(delta.changed_prefixes, std::set<Prefix>{p}) << "scan " << scan;
+    }
+    std::string expected;
+    for (std::size_t t = 0; t < streams.size(); ++t) {
+      VerifyResult reused = streams[t]->verify(snapshot, &delta);
+      VerifyResult fresh = Verifier(policies, VerifierOptions{t == 0 ? 1u : 2u}).verify(snapshot);
+      EXPECT_EQ(violations_digest(reused), violations_digest(fresh))
+          << "scan " << scan << " thread setting " << t;
+      if (t == 0) {
+        expected = violations_digest(fresh);
+        clean.push_back(fresh.clean());
+      }
+      EXPECT_EQ(violations_digest(fresh), expected) << "scan " << scan;
+    }
+  }
+  EXPECT_EQ(clean, (std::vector<bool>{true, false, true}))
+      << "the offer alone must flip the verdict and flip it back";
+  for (const auto& stream : streams) {
+    EXPECT_EQ(stream->stats().reused_policies, 2u) << "the loop policy on Q is reused twice";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -422,6 +573,70 @@ TEST(IncrementalSnapshot, GuardReportParityUnderCaptureLoss) {
         << "threads=" << threads;
     EXPECT_EQ(baseline, run_guard_on_lossy_churn(threads, /*incremental=*/false, 53))
         << "rebuild threads=" << threads;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Table-scale parity: full-table FIB churn replayed through the daemon's
+// session. Reachability from R0 fails whenever churn leaves R0 without a
+// covering route and passes again once one returns, so verdicts flip from
+// scan to scan and a wrongly reused one would move the digest.
+
+constexpr std::size_t kTableHotPrefixes = 16;
+constexpr std::size_t kTableReachPrefixes = 2;
+
+std::vector<IoRecord> table_churn_trace() {
+  FullTableChurnOptions options;
+  options.prefix_count = 1u << 12;
+  options.churn_records = 3'000;
+  options.router_count = 16;
+  options.seed = 1;  // R0's hot routes come and go several times
+  std::vector<IoRecord> records;
+  generate_full_table_churn(options, [&](const IoRecord& r) { records.push_back(r); });
+  return records;
+}
+
+GuardReport run_table_guard(const std::vector<IoRecord>& records, unsigned threads,
+                            bool incremental, std::size_t max_items) {
+  ReplaySessionOptions options;
+  options.guard.repair = RepairMode::kProposeOnly;
+  options.guard.num_threads = threads;
+  if (max_items > 0) {
+    options.guard.traffic.enabled = true;
+    options.guard.traffic.max_items = max_items;
+  }
+  if (!incremental) rebuild_every_scan(options.guard);
+  options.scan_every_us = 10'000;
+  for (std::size_t i = 0; i < kTableHotPrefixes; ++i) {
+    Prefix p = full_table_prefix(i);
+    options.policies.push_back(std::make_shared<LoopFreedomPolicy>(p));
+    options.policies.push_back(std::make_shared<BlackholeFreedomPolicy>(p));
+    if (i < kTableReachPrefixes) {
+      options.policies.push_back(std::make_shared<ReachabilityPolicy>(0, p));
+    }
+  }
+  return ReplayGuardSession::run_offline(records, options);
+}
+
+TEST(IncrementalSnapshot, TableScaleGuardParityWithFlippingVerdicts) {
+  std::vector<IoRecord> records = table_churn_trace();
+  // Unbudgeted, then with a scan budget that defers most destinations, so
+  // deferred policies come back with stale verdict stamps.
+  for (std::size_t max_items : {std::size_t{0}, std::size_t{6}}) {
+    GuardReport baseline = run_table_guard(records, 1, /*incremental=*/false, max_items);
+    const std::vector<ScanVerdict>& verdicts = baseline.scan_verdicts;
+    auto count = [&](ScanVerdict v) { return std::count(verdicts.begin(), verdicts.end(), v); };
+    EXPECT_GT(count(ScanVerdict::kFail), 0) << "max_items=" << max_items;
+    EXPECT_GT(count(max_items > 0 ? ScanVerdict::kDeferred : ScanVerdict::kPass), 0)
+        << "max_items=" << max_items;
+    for (unsigned threads : {1u, 2u, 8u}) {
+      EXPECT_EQ(baseline.digest(),
+                run_table_guard(records, threads, /*incremental=*/true, max_items).digest())
+          << "max_items=" << max_items << " threads=" << threads;
+    }
+    EXPECT_EQ(baseline.digest(),
+              run_table_guard(records, 8, /*incremental=*/false, max_items).digest())
+        << "max_items=" << max_items << " rebuild threads=8";
   }
 }
 

@@ -137,7 +137,11 @@ TEST(ParallelVerify, SerialVerifierCreatesNoPool) {
   Verifier verifier(mixed_policies(), VerifierOptions{.num_threads = 1});
   verifier.verify(mixed_snapshot());
   EXPECT_EQ(verifier.thread_pool(), nullptr);
-  EXPECT_EQ(verifier.stats().runs, 0u);  // serial path bypasses the counters
+  // The serial path keeps the path-independent counters, not the memo's.
+  VerifyStats stats = verifier.stats();
+  EXPECT_EQ(stats.runs, 1u);
+  EXPECT_EQ(stats.destinations, 8u);
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0u);
 }
 
 TEST(ConsistentSnapshotter, ParallelReplayMatchesSerial) {
