@@ -63,13 +63,18 @@ Guard::Guard(Network& network, PolicyList policies, GuardOptions options)
 Guard::~Guard() = default;
 
 HappensBeforeGraph Guard::current_hbg() const {
-  if (options_.inference == nullptr && incremental_builder_.records_ingested() > 0) {
-    return incremental_builder_.graph();  // copy of the live graph
-  }
+  if (const HappensBeforeGraph* live = live_hbg()) return *live;  // copy
   const std::vector<IoRecord>& store = network_.capture().records();
   RuleMatchingInference rules(options_.matcher);
   const HbrInferencer& inference = options_.inference != nullptr ? *options_.inference : rules;
   return HbgBuilder::build(store, inference, &store);
+}
+
+const HappensBeforeGraph* Guard::live_hbg() const {
+  if (options_.inference != nullptr || incremental_builder_.records_ingested() == 0) {
+    return nullptr;
+  }
+  return &incremental_builder_.graph();
 }
 
 const HappensBeforeGraph& Guard::update_hbg() {

@@ -210,6 +210,10 @@ class Guard {
   /// Build the current HBG (for rendering/inspection; copies in
   /// incremental mode).
   HappensBeforeGraph current_hbg() const;
+  /// The incremental builder's graph as of the last scan, borrowed — what
+  /// current_hbg() copies. nullptr under a custom `inference` or before any
+  /// record was ingested, where only current_hbg() can build the graph.
+  const HappensBeforeGraph* live_hbg() const;
 
   /// Traffic-weighted scheduling state (options.traffic). Weighted
   /// coverage, deferral counts and the detection-latency histogram are

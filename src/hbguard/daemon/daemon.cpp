@@ -10,7 +10,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "hbguard/capture/trace_io.hpp"
 #include "hbguard/core/guard_state.hpp"
@@ -53,7 +55,7 @@ GuardDaemon::GuardDaemon(DaemonOptions options) : options_(std::move(options)) {
 }
 
 GuardDaemon::~GuardDaemon() {
-  pool_.reset();  // joins the scan lane before the session dies
+  pool_.reset();  // joins the parse lane before the connections die
   for (auto& conn : connections_) {
     if (conn->fd >= 0) ::close(conn->fd);
   }
@@ -194,16 +196,19 @@ void GuardDaemon::accept_ready(int listen_fd, bool control) {
     conn->fd = fd;
     conn->control = control;
     connections_.push_back(std::move(conn));
+    // Read at once: bytes a peer sent before its next control line (a
+    // stream it has already closed) must be buffered before that line runs.
+    read_connection(*connections_.back());
   }
 }
 
 void GuardDaemon::read_connection(Connection& conn) {
   char buffer[kReadChunk];
   for (;;) {
-    if (!conn.control && conn.inbox.size() >= options_.inbox_soft_limit) {
+    if (!conn.control && conn.inbox.size() + conn.in_lane >= options_.inbox_soft_limit) {
       // Soft limit: stop reading (lossless — the kernel buffer fills and
-      // the sender blocks). The chunk already read still parses below, and
-      // only overshoot past the hard cap is dropped.
+      // the sender blocks). Lines already in the lane still land, and only
+      // overshoot past the hard cap is dropped.
       conn.paused = true;
       break;
     }
@@ -221,6 +226,10 @@ void GuardDaemon::read_connection(Connection& conn) {
       break;
     }
     conn.partial.append(buffer, static_cast<std::size_t>(n));
+    // This read's complete ingest lines, parsed as one block by the lane.
+    std::string block;
+    std::size_t block_lines = 0;
+    if (!conn.control) block.reserve(conn.partial.size());
     // Bytes before `scanned` held no newline on earlier reads.
     std::size_t start = 0;
     std::size_t newline;
@@ -232,10 +241,17 @@ void GuardDaemon::read_connection(Connection& conn) {
         conn.discarding = false;  // the oversize line's tail, rejected already
       } else if (line.size() > kMaxLineBytes) {
         reject_oversize_line(conn);
-      } else if (!line.empty()) {
-        take_line(conn, line);
+      } else if (line.empty()) {
+        // A blank line carries nothing.
+      } else if (conn.control) {
+        conn.lines.emplace_back(line);
+      } else {
+        block.append(line);
+        block += '\n';
+        ++block_lines;
       }
     }
+    if (block_lines > 0) submit_block(conn, std::move(block), block_lines);
     conn.partial.erase(0, start);
     if (!conn.discarding && conn.partial.size() > kMaxLineBytes) {
       reject_oversize_line(conn);
@@ -256,34 +272,81 @@ void GuardDaemon::reject_oversize_line(Connection& conn) {
                        << " bytes rejected";
 }
 
-void GuardDaemon::take_line(Connection& conn, std::string_view line) {
-  if (conn.control) {
-    conn.lines.emplace_back(line);
-    return;
+void GuardDaemon::submit_block(Connection& conn, std::string block, std::size_t lines) {
+  conn.in_lane += lines;
+  pool_->submit([this, target = &conn, lines, block = std::move(block)] {
+    ParsedBatch batch;
+    batch.conn = target;
+    batch.lines = lines;
+    try {
+      batch.records.reserve(lines);
+      std::string parse_error;
+      for (std::size_t start = 0; start < block.size();) {
+        std::size_t end = std::min(block.find('\n', start), block.size());
+        std::string_view line(block.data() + start, end - start);
+        start = end + 1;
+        IoRecord record;
+        TraceLineStatus status = parse_trace_line(line, record, parse_error);
+        if (status == TraceLineStatus::kRecord) {
+          batch.records.push_back(std::move(record));
+        } else if (status == TraceLineStatus::kError) {
+          ++batch.rejected;
+          HBG_WARN_EVERY_N(64) << "hbguardd: ingest parse error: " << parse_error;
+        }
+      }
+    } catch (...) {
+      // The batch lands regardless: its lines must leave the lane, or the
+      // connection could never drain.
+      HBG_WARN << "hbguardd: ingest block of " << lines << " line(s) failed to parse";
+      batch.records.clear();
+      batch.rejected = lines;
+    }
+    {
+      std::lock_guard<std::mutex> lock(landed_mutex_);
+      landed_.push_back(std::move(batch));
+    }
+    char byte = 'p';
+    [[maybe_unused]] ssize_t n = ::write(wake_write_, &byte, 1);
+  });
+}
+
+void GuardDaemon::land_batches() {
+  std::vector<ParsedBatch> landing;
+  {
+    std::lock_guard<std::mutex> lock(landed_mutex_);
+    landing.swap(landed_);
   }
-  // Single-line parse straight out of the receive buffer — no
-  // istringstream, no per-line result vectors.
-  IoRecord record;
-  std::string parse_error;
-  TraceLineStatus status = parse_trace_line(line, record, parse_error);
-  if (status == TraceLineStatus::kBlank) return;
-  if (status == TraceLineStatus::kError) {
-    ++rejected_;
-    HBG_WARN_EVERY_N(64) << "hbguardd: ingest parse error: " << parse_error;
-    return;
+  // One worker, so batches land in submission order: FIFO per connection.
+  for (ParsedBatch& batch : landing) {
+    Connection& conn = *batch.conn;
+    conn.in_lane -= batch.lines;
+    rejected_ += batch.rejected;
+    for (IoRecord& record : batch.records) {
+      if (conn.inbox.size() >= options_.inbox_soft_limit * 2) {
+        // Hard cap: a single read burst overshot the paused threshold.
+        ++conn.dropped;
+        ++dropped_;
+        continue;
+      }
+      conn.inbox.push_back(std::move(record));
+    }
+    // Rejected lines shrink what is buffered without any delivery.
+    maybe_resume(conn);
   }
-  if (conn.inbox.size() >= options_.inbox_soft_limit * 2) {
-    // Hard cap: a single read burst overshot the paused threshold.
-    ++conn.dropped;
-    ++dropped_;
-    return;
-  }
-  conn.inbox.push_back(std::move(record));
+}
+
+void GuardDaemon::maybe_resume(Connection& conn) {
+  if (!conn.paused || conn.inbox.size() + conn.in_lane > options_.inbox_soft_limit / 2) return;
+  conn.paused = false;
+  // Re-read immediately: bytes (or the EOF) that piled up in the kernel
+  // buffer while paused must show as buffered before any quiescence check
+  // this pass, or a deferred digest could run early.
+  read_connection(conn);
 }
 
 bool GuardDaemon::inboxes_empty() const {
   for (const auto& conn : connections_) {
-    if (!conn->control && !conn->inbox.empty()) return false;
+    if (!conn->control && (!conn->inbox.empty() || conn->in_lane > 0)) return false;
   }
   return true;
 }
@@ -294,17 +357,7 @@ bool GuardDaemon::ingest_quiescent() const {
   for (const auto& conn : connections_) {
     if (!conn->control && conn->paused) return false;
   }
-  return inboxes_empty() && !scan_inflight_ && !session_->scan_due_now();
-}
-
-void GuardDaemon::start_scan() {
-  scan_inflight_ = true;
-  pool_->submit([this] {
-    session_->run_one_due_scan();
-    scan_done_.store(true, std::memory_order_release);
-    char byte = 'c';
-    [[maybe_unused]] ssize_t n = ::write(wake_write_, &byte, 1);
-  });
+  return inboxes_empty() && !session_->scan_due_now();
 }
 
 void GuardDaemon::reply(Connection& conn, const std::string& body) {
@@ -328,9 +381,9 @@ void GuardDaemon::reply(Connection& conn, const std::string& body) {
   if (!io::write_full(conn.fd, framed.data(), framed.size())) conn.closed = true;
 }
 
-void GuardDaemon::deliver_record(const IoRecord& record) {
+void GuardDaemon::deliver_record(IoRecord record) {
   if (wal_) wal_->append_record(record);
-  session_->deliver(record);
+  session_->deliver(std::move(record));
   if (wal_) wal_->maybe_sync();
 }
 
@@ -369,7 +422,7 @@ bool GuardDaemon::take_checkpoint(std::string& message) {
 }
 
 void GuardDaemon::maybe_checkpoint() {
-  if (!wal_ || scan_inflight_ || !running_) return;
+  if (!wal_ || !running_) return;
   bool due = checkpoint_requested_.load(std::memory_order_acquire) ||
              (options_.checkpoint_every > 0 &&
               wal_->lsn() - last_checkpoint_lsn_ >= options_.checkpoint_every);
@@ -395,7 +448,7 @@ std::string GuardDaemon::status_json() const {
       ++control_conns;
     } else {
       ++ingest_conns;
-      buffered += conn->inbox.size();
+      buffered += conn->inbox.size() + conn->in_lane;
     }
   }
   std::ostringstream out;
@@ -489,7 +542,11 @@ bool GuardDaemon::execute_command(Connection&, const std::string& line,
       response = "err bad id: " + words[1];
       return true;
     }
-    HappensBeforeGraph hbg = session_->guard().current_hbg();
+    // Borrow the live graph: a copy per call would stall ingest on the loop.
+    std::optional<HappensBeforeGraph> rebuilt;
+    const HappensBeforeGraph* live = session_->guard().live_hbg();
+    if (live == nullptr) live = &rebuilt.emplace(session_->guard().current_hbg());
+    const HappensBeforeGraph& hbg = *live;
     if (hbg.record(*io) == nullptr) {
       response = "err no record #" + words[1] + " in the capture";
       return true;
@@ -569,7 +626,7 @@ bool GuardDaemon::execute_command(Connection&, const std::string& line,
 
 bool GuardDaemon::process_control(Connection& conn) {
   bool progressed = false;
-  while (!conn.lines.empty() && !scan_inflight_ && running_) {
+  while (!conn.lines.empty() && running_) {
     std::string response;
     if (!execute_command(conn, conn.lines.front(), response)) break;  // deferred
     conn.lines.pop_front();
@@ -582,51 +639,53 @@ bool GuardDaemon::process_control(Connection& conn) {
   return progressed;
 }
 
-void GuardDaemon::drain() {
+bool GuardDaemon::drain() {
+  bool scanned = false;
   bool progress = true;
-  while (progress && !scan_inflight_ && running_) {
+  while (progress && running_) {
     progress = false;
     for (auto& conn : connections_) {
       if (conn->control) progress |= process_control(*conn);
     }
-    if (scan_inflight_ || !running_ || delivery_paused_) break;
+    if (!running_ || delivery_paused_) break;
     if (session_->scan_due_now()) {
       // Operator-requested scans are WALed *here* — at execution, not at
       // the RPC — so replay runs them at the same point in the delivered
       // sequence even when a pause held them back. Delta-threshold scans
       // are never logged: the canonical loop reproduces them.
       if (wal_ && session_->scan_requested()) wal_->append_control("scan");
-      start_scan();
+      session_->run_one_due_scan();
+      scanned = true;
       break;
     }
+    // The oldest connection holding records delivers first, even while its
+    // next records are still in the lane: a later connection's batch must
+    // not overtake them.
     Connection* next = nullptr;
     for (auto& conn : connections_) {
-      if (!conn->control && !conn->inbox.empty()) {
+      if (!conn->control && (!conn->inbox.empty() || conn->in_lane > 0)) {
         next = conn.get();
         break;
       }
     }
-    if (next == nullptr) continue;  // one more control pass may have unblocked a command
+    // Nothing landed to deliver; one more control pass may have unblocked
+    // a command.
+    if (next == nullptr || next->inbox.empty()) continue;
     if (session_->scan_due_before(next->inbox.front())) {
-      start_scan();
+      session_->run_one_due_scan();
+      scanned = true;
       break;
     }
-    deliver_record(next->inbox.front());
+    deliver_record(std::move(next->inbox.front()));
     next->inbox.pop_front();
-    if (next->paused && next->inbox.size() <= options_.inbox_soft_limit / 2) {
-      next->paused = false;
-      // Re-read immediately: bytes (or the EOF) that piled up in the kernel
-      // buffer while paused must show in the inbox before any quiescence
-      // check this pass, or a deferred digest could run early.
-      read_connection(*next);
-    }
+    maybe_resume(*next);
     progress = true;
   }
 
   // Destroy connections that reached EOF and have nothing left to drain.
   for (auto it = connections_.begin(); it != connections_.end();) {
     Connection& conn = **it;
-    if (conn.closed && conn.inbox.empty() && conn.lines.empty()) {
+    if (conn.closed && conn.inbox.empty() && conn.in_lane == 0 && conn.lines.empty()) {
       if (conn.dropped > 0) {
         HBG_WARN << "hbguardd: ingest connection closed with " << conn.dropped
                  << " record(s) dropped at the backpressure hard cap";
@@ -637,6 +696,7 @@ void GuardDaemon::drain() {
       ++it;
     }
   }
+  return scanned;
 }
 
 int GuardDaemon::run() {
@@ -646,6 +706,7 @@ int GuardDaemon::run() {
            << control_socket_path();
 
   std::vector<pollfd> fds;
+  bool scanned = false;  // the last drain stopped at a scan boundary
   while (running_) {
     fds.clear();
     fds.push_back({wake_read_, POLLIN, 0});
@@ -658,7 +719,9 @@ int GuardDaemon::run() {
       fds.push_back({conn->fd, events, 0});
     }
 
-    int ready = io::poll_retry(fds.data(), fds.size(), -1);
+    // After a scan, only look for new events: the drain it cut short
+    // resumes at once.
+    int ready = io::poll_retry(fds.data(), fds.size(), scanned ? 0 : -1);
     if (ready < 0) {
       HBG_ERROR << "hbguardd: poll(): " << std::strerror(errno);
       break;
@@ -668,7 +731,9 @@ int GuardDaemon::run() {
       char sink[64];
       while (::read(wake_read_, sink, sizeof(sink)) > 0) {
       }
-      if (scan_done_.exchange(false, std::memory_order_acquire)) scan_inflight_ = false;
+      // Emptied the pipe first: a batch pushed after this swap writes it
+      // again, so none is left unlanded.
+      land_batches();
       if (stop_requested_.load(std::memory_order_acquire)) running_ = false;
     }
     if (fds[1].revents & POLLIN) accept_ready(ingest_listen_, /*control=*/false);
@@ -683,20 +748,19 @@ int GuardDaemon::run() {
       }
     }
 
-    drain();
+    scanned = drain();
     maybe_checkpoint();
   }
 
-  // Let an in-flight scan complete (the pool destructor drains its queue),
-  // then flush rate-limited warning tallies — the shutdown path that
-  // motivated Logger::flush_suppressed().
+  // Let the lane finish its queued blocks (their batches are never
+  // delivered, like records still in an inbox), then flush rate-limited
+  // warning tallies — the shutdown path that motivated
+  // Logger::flush_suppressed().
   pool_.reset();
-  if (scan_done_.exchange(false)) scan_inflight_ = false;
   if (wal_) {
     // Final checkpoint + sync: SIGTERM/SIGINT (via stop()) and `shutdown`
     // leave a state dir the next start recovers from in one import.
     std::string message;
-    scan_inflight_ = false;
     if (take_checkpoint(message)) {
       HBG_INFO << "hbguardd: shutdown " << message;
     } else {

@@ -8,23 +8,28 @@
 //   <dir>/control.sock  operators (hbgctl live) speak a line-oriented RPC
 //
 // Ownership rule (see DESIGN.md): the event loop thread owns every mutable
-// structure — connections, inboxes, the ReplayGuardSession (capture hub,
-// guard, graph). Scans are offloaded to a one-worker ThreadPool so a long
-// verify never blocks ingestion reads, but while a scan is in flight the
-// loop neither delivers records nor executes control commands that touch
-// guard state: ingest bytes pile into per-connection inboxes (bounded), and
-// control lines queue. Scan completion is signalled back over a self-pipe.
-// At most one thread therefore ever touches the session, without locks.
+// structure — connections, inboxes, counters, the WAL and the
+// ReplayGuardSession (capture hub, guard, graph) — and runs every delivery
+// and every scan itself, so the session never changes threads. A
+// one-worker ThreadPool is the parse lane: the loop frames each read's
+// complete ingest lines into one block, the worker parses the block into a
+// batch of IoRecords and hands it back through a mutex-guarded completion
+// queue plus the self-pipe, and the loop moves landed batches into the
+// connection's inbox. The worker touches only its block and its batch, so
+// parsing the next read overlaps delivering and scanning the last one.
+// After each scan the loop returns to poll(), so accepts, control lines and
+// socket reads are serviced at every scan boundary.
 //
-// Backpressure, per ingest connection:
-//   - inbox >= soft limit: stop reading the socket (POLLIN off). Lossless —
-//     the kernel buffer fills and the sender blocks. Reading resumes once
-//     the inbox drains below half the soft limit.
-//   - a single read() burst can still overshoot; records past the hard cap
-//     (2x soft) are dropped and counted. Dropped records leave router_seq
-//     gaps, which the session's StreamHealthTracker accounts as telemetry
-//     degradation (the guard degrades scans rather than trusting a stream
-//     with holes).
+// Backpressure, per ingest connection (counting inbox records plus lines
+// still in the parse lane):
+//   - buffered >= soft limit: stop reading the socket (POLLIN off).
+//     Lossless — the kernel buffer fills and the sender blocks. Reading
+//     resumes once buffered drains to half the soft limit.
+//   - a single read() burst can still overshoot; records landing past the
+//     hard cap (2x soft inbox) are dropped and counted. Dropped records
+//     leave router_seq gaps, which the session's StreamHealthTracker
+//     accounts as telemetry degradation (the guard degrades scans rather
+//     than trusting a stream with holes).
 //
 // Line framing: a line longer than the daemon's 1 MiB cap is discarded
 // through its newline — counted in records_rejected on ingest, answered
@@ -36,8 +41,8 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "hbguard/capture/wal.hpp"
@@ -113,42 +118,52 @@ class GuardDaemon {
     std::size_t scanned = 0;    // bytes of `partial` already searched for '\n'
     bool discarding = false;    // inside an oversize line: drop through its '\n'
     std::deque<IoRecord> inbox;     // parsed, undelivered records (ingest)
+    std::size_t in_lane = 0;        // lines submitted to the parse lane, not landed
     std::deque<std::string> lines;  // queued RPC lines (control)
     std::uint64_t dropped = 0;      // records past the hard cap
+  };
+
+  /// One read's ingest lines after the parse lane: built by the worker,
+  /// moved into `conn`'s inbox by the loop.
+  struct ParsedBatch {
+    Connection* conn = nullptr;  // outlives the batch: teardown waits on in_lane
+    std::size_t lines = 0;       // lines the block held; leave the lane on landing
+    std::vector<IoRecord> records;
+    std::uint64_t rejected = 0;  // lines that failed to parse
   };
 
   bool setup_socket(int& fd, const std::string& path);
   void accept_ready(int listen_fd, bool control);
   void read_connection(Connection& conn);
-  void take_line(Connection& conn, std::string_view line);  // one complete line
   void reject_oversize_line(Connection& conn);
+  void submit_block(Connection& conn, std::string block, std::size_t lines);
+  void land_batches();            // move parsed batches into their inboxes
+  void maybe_resume(Connection& conn);  // lift backpressure at half the soft limit
   bool init_durability();         // recovery + WAL open (bind() runs it first)
-  void deliver_record(const IoRecord& record);  // WAL append + deliver
-  bool take_checkpoint(std::string& message);   // sync, write, rotate, GC
+  void deliver_record(IoRecord record);        // WAL append + deliver
+  bool take_checkpoint(std::string& message);  // sync, write, rotate, GC
   void maybe_checkpoint();        // cadence / requested checkpoint
-  void drain();                   // the canonical deliver/scan loop
-  bool inboxes_empty() const;
+  bool drain();                   // the canonical deliver/scan loop; true after a scan
+  bool inboxes_empty() const;     // no undelivered record, none in the lane
   bool ingest_quiescent() const;  // inboxes empty, no due scan pending
-  void start_scan();              // offload one due scan to the pool
   bool process_control(Connection& conn);
   bool execute_command(Connection& conn, const std::string& line, std::string& response);
   std::string status_json() const;
   void reply(Connection& conn, const std::string& body);
-  void close_connection(Connection& conn);
 
   DaemonOptions options_;
   std::unique_ptr<ReplayGuardSession> session_;
-  std::unique_ptr<ThreadPool> pool_;  // exactly one worker: the scan lane
+  std::mutex landed_mutex_;           // guards landed_ (the lane pushes, the loop takes)
+  std::vector<ParsedBatch> landed_;
+  std::unique_ptr<ThreadPool> pool_;  // exactly one worker: the parse lane
 
   int ingest_listen_ = -1;
   int control_listen_ = -1;
-  int wake_read_ = -1;   // self-pipe: scan completion + stop() wakeups
+  int wake_read_ = -1;   // self-pipe: landed batches + stop()/checkpoint wakeups
   int wake_write_ = -1;
   bool bound_ = false;
   bool running_ = false;
-  bool scan_inflight_ = false;
   bool delivery_paused_ = false;  // `pause` RPC: hold records in inboxes
-  std::atomic<bool> scan_done_{false};      // set by the scan worker
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> checkpoint_requested_{false};
   std::uint64_t dropped_ = 0;

@@ -25,7 +25,7 @@ bool ReplayGuardSession::scan_due_now() const {
   return options_.scan_delta_threshold > 0 && since_scan_ >= options_.scan_delta_threshold;
 }
 
-void ReplayGuardSession::deliver(const IoRecord& record) {
+void ReplayGuardSession::deliver(IoRecord record) {
   if (!cadence_primed_) {
     cadence_primed_ = true;
     next_scan_at_ = record.logged_time + options_.scan_every_us;
@@ -33,7 +33,7 @@ void ReplayGuardSession::deliver(const IoRecord& record) {
   watermark_ = std::max(watermark_, record.logged_time);
   // The watermark only moves forward, so delivery time is monotone even
   // when per-router clock skew interleaves stamps.
-  network_->capture().deliver(record, std::max(watermark_, network_->sim().now()));
+  network_->capture().deliver(std::move(record), std::max(watermark_, network_->sim().now()));
   ++delivered_;
   ++since_scan_;
   crash_point("post-deliver");

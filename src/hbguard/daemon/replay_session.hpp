@@ -63,13 +63,13 @@ class ReplayGuardSession {
   /// for a scan over what has already been delivered.
   bool scan_due_now() const;
 
-  /// Feed one pre-stamped record into the capture store. Must not be called
+  /// Feed one pre-stamped record into the capture store, which takes it
+  /// over (a caller done with the record moves it in). Must not be called
   /// while scan_due_before(record) holds (the canonical loop above).
-  void deliver(const IoRecord& record);
+  void deliver(IoRecord record);
 
   /// Run the earliest pending scan (one cadence boundary, or the delta /
-  /// requested scan at the watermark). Advances virtual time; callable from
-  /// a worker thread as long as nothing else touches the session meanwhile.
+  /// requested scan at the watermark). Advances virtual time.
   void run_one_due_scan();
 
   /// Ask for a scan at the current watermark (the control plane's `scan`

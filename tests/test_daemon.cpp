@@ -2,14 +2,19 @@
 // Fig. 2 trace through a live daemon and asserts that the GuardReport digest
 // matches the synchronous library path (ReplayGuardSession::run_offline) on
 // the same input — the transport must be invisible to verification. Also
-// exercises the control RPC surface (status/scan/repairs), ingest
-// backpressure with a slow (paused) consumer, and clean shutdown.
+// exercises the control RPC surface (status/scan/repairs/why), ingest
+// backpressure with a slow (paused) consumer, fragmented ingest through the
+// parse lane, stream order across successive connections, and clean
+// shutdown.
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <optional>
@@ -23,6 +28,7 @@
 #include "hbguard/capture/trace_io.hpp"
 #include "hbguard/daemon/daemon.hpp"
 #include "hbguard/daemon/recovery.hpp"
+#include "hbguard/provenance/root_cause.hpp"
 #include "hbguard/sim/scenario.hpp"
 #include "hbguard/util/strings.hpp"
 
@@ -108,6 +114,40 @@ std::uint64_t status_field(const std::string& status, const std::string& key) {
   if (pos == std::string::npos) return ~0ULL;
   return std::strtoull(status.c_str() + pos + needle.size(), nullptr, 10);
 }
+
+/// Poll `status` until `key` reads `want` (2 ms apart, 4 s bound); no
+/// sample may read more than `want`. Returns the last status seen.
+std::string poll_status_until(int control, const std::string& key, std::uint64_t want) {
+  std::string status;
+  for (int i = 0; i < 2000; ++i) {
+    status = rpc(control, "status");
+    std::uint64_t value = status_field(status, key);
+    EXPECT_LE(value, want) << status;
+    if (value == want) break;
+    ::usleep(2'000);
+  }
+  return status;
+}
+
+/// A flat scratch directory (a WAL state dir), emptied and removed on exit.
+struct ScratchDir {
+  std::string path;
+  explicit ScratchDir(std::string dir) : path(std::move(dir)) {
+    wipe();
+    ::mkdir(path.c_str(), 0700);
+  }
+  ~ScratchDir() { wipe(); }
+  void wipe() {
+    if (DIR* dir = ::opendir(path.c_str())) {
+      while (dirent* entry = ::readdir(dir)) {
+        std::string file = entry->d_name;
+        if (file != "." && file != "..") ::unlink((path + "/" + file).c_str());
+      }
+      ::closedir(dir);
+    }
+    ::rmdir(path.c_str());
+  }
+};
 
 struct Fig2Trace {
   std::vector<IoRecord> records;
@@ -249,6 +289,39 @@ TEST(Daemon, ControlSurfaceDrivesProposalsOverRpc) {
             guard.snapshot_stats().closure_fallbacks);
 }
 
+TEST(Daemon, WhyOverRpcRendersTheSessionGraph) {
+  Fig2Trace trace = make_fig2_trace();
+  DaemonOptions options = make_options(trace, "why");
+  auto fib = std::find_if(trace.records.rbegin(), trace.records.rend(),
+                          [](const IoRecord& r) { return r.kind == IoKind::kFibUpdate; });
+  ASSERT_NE(fib, trace.records.rend());
+
+  GuardDaemon daemon(options);
+  ASSERT_TRUE(daemon.bind());
+  std::thread server([&daemon] { daemon.run(); });
+  int ingest = connect_unix(daemon.ingest_socket_path());
+  ASSERT_GE(ingest, 0);
+  ASSERT_TRUE(send_all(ingest, to_jsonl(trace.records)));
+  ::close(ingest);
+  int control = connect_unix(daemon.control_socket_path());
+  ASSERT_GE(control, 0);
+  EXPECT_FALSE(chomp(rpc(control, "digest")).empty());  // every record is in the graph
+  std::string why = rpc(control, "why " + std::to_string(fib->id));
+  EXPECT_EQ(rpc(control, "shutdown").rfind("ok", 0), 0u);
+  ::close(control);
+  server.join();
+
+  // The answer borrowed the live graph; rendering a copy of it must agree
+  // byte for byte.
+  const Guard& guard = daemon.session().guard();
+  ASSERT_NE(guard.live_hbg(), nullptr);
+  HappensBeforeGraph hbg = guard.current_hbg();
+  ASSERT_NE(hbg.record(fib->id), nullptr);
+  RootCauseAnalyzer analyzer;
+  EXPECT_EQ(chomp(why), chomp(RootCauseAnalyzer::render(hbg, analyzer.analyze(hbg, fib->id))));
+  EXPECT_NE(why.rfind("err", 0), 0u) << why;
+}
+
 TEST(Daemon, ControlIdsParseOnlyWholeDecimalTokens) {
   EXPECT_EQ(parse_control_id("0"), 0u);
   EXPECT_EQ(parse_control_id("007"), 7u);
@@ -325,6 +398,132 @@ TEST(Daemon, BackpressureSlowConsumerDropsAtHardCapThenRecovers) {
 
   EXPECT_EQ(daemon.records_dropped(), final_dropped);
   EXPECT_EQ(daemon.session().records_delivered(), sent - final_dropped);
+}
+
+TEST(Daemon, FragmentedIngestThroughTheParseLane) {
+  // Writes of 1 B to 8 KB split records mid-line, so the lane's blocks
+  // start and end anywhere in the stream; two successive connections must
+  // still deliver in stream order, with the WAL off and on.
+  Fig2Trace trace = make_fig2_trace();
+  const std::size_t sent = trace.records.size();
+  const std::size_t half = sent / 2;
+  for (bool durable : {false, true}) {
+    SCOPED_TRACE(durable ? "WAL on" : "WAL off");
+    DaemonOptions options = make_options(trace, durable ? "fragmented-wal" : "fragmented");
+    ScratchDir state(options.socket_dir + "-state");
+    if (durable) options.state_dir = state.path;
+    GuardReport offline = ReplayGuardSession::run_offline(trace.records, options.session);
+
+    GuardDaemon daemon(options);
+    ASSERT_TRUE(daemon.bind());
+    std::thread server([&daemon] { daemon.run(); });
+    int control = connect_unix(daemon.control_socket_path());
+    ASSERT_GE(control, 0);
+    // A missing reply fails the read instead of hanging the test.
+    timeval timeout{10, 0};
+    ASSERT_EQ(::setsockopt(control, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+    ASSERT_EQ(rpc(control, "pause").rfind("ok", 0), 0u);
+
+    // Log-uniform sizes: tiny writes split single records, large ones
+    // carry many lines per read.
+    std::mt19937 rng(durable ? 19 : 17);
+    auto write_size = [&rng] { return 1 + rng() % (std::size_t{1} << (rng() % 14)); };
+    for (auto [begin, end] : {std::pair{std::size_t{0}, half}, std::pair{half, sent}}) {
+      std::string jsonl = to_jsonl({trace.records.begin() + static_cast<std::ptrdiff_t>(begin),
+                                    trace.records.begin() + static_cast<std::ptrdiff_t>(end)});
+      int ingest = connect_unix(daemon.ingest_socket_path());
+      ASSERT_GE(ingest, 0);
+      for (std::string_view rest = jsonl; !rest.empty();) {
+        std::size_t n = std::min(write_size(), rest.size());
+        ASSERT_TRUE(send_all(ingest, rest.substr(0, n)));
+        rest.remove_prefix(n);
+      }
+      ::close(ingest);
+    }
+
+    // Paused: every line ends up buffered (inbox or lane), none delivered.
+    std::string status = poll_status_until(control, "records_buffered", sent);
+    EXPECT_EQ(status_field(status, "records_buffered"), sent) << status;
+    EXPECT_EQ(status_field(status, "records_delivered"), 0u) << status;
+    ASSERT_EQ(rpc(control, "resume").rfind("ok", 0), 0u);
+    status = poll_status_until(control, "records_delivered", sent);
+    EXPECT_EQ(status_field(status, "records_delivered"), sent) << status;
+    EXPECT_EQ(status_field(status, "records_dropped"), 0u) << status;
+    EXPECT_EQ(status_field(status, "records_rejected"), 0u) << status;
+
+    EXPECT_EQ(chomp(rpc(control, "digest")), chomp(offline.digest()));
+    EXPECT_EQ(rpc(control, "shutdown").rfind("ok", 0), 0u);
+    ::close(control);
+    server.join();
+    EXPECT_EQ(daemon.records_dropped(), 0u);
+    EXPECT_EQ(daemon.session().records_delivered(), sent);
+  }
+}
+
+TEST(Daemon, LaterConnectionWaitsForAnEarlierOnesLaneUnderBackpressure) {
+  // The first connection pauses at the soft limit with the rest of its
+  // stream unread; the second arrives whole. After resume, the first
+  // one's tail is read into the lane when its inbox falls to half the
+  // soft limit, and its inbox then empties before that block lands (no
+  // scans, so delivery never returns to poll). The second connection's
+  // records must still wait for it.
+  Fig2Trace trace = make_fig2_trace();
+  std::vector<IoRecord> records;
+  while (records.size() < 1200) {
+    for (IoRecord record : trace.records) {
+      record.id = records.size() + 1;  // ids give the stream order
+      records.push_back(std::move(record));
+    }
+  }
+  records.resize(1200);
+  std::vector<IoRecord> first(records.begin(), records.begin() + 800);
+  std::vector<IoRecord> second(records.begin() + 800, records.end());
+
+  DaemonOptions options = make_options(trace, "order");
+  options.inbox_soft_limit = 512;      // ~2 reads of 64 KiB; hard cap 1024
+  options.session.scan_every_us = 0;   // no scan interrupts a delivery pass
+  options.session.stream_health = false;  // the store keeps delivery order
+  GuardDaemon daemon(options);
+  ASSERT_TRUE(daemon.bind());
+  std::thread server([&daemon] { daemon.run(); });
+  int control = connect_unix(daemon.control_socket_path());
+  ASSERT_GE(control, 0);
+  timeval timeout{10, 0};
+  ASSERT_EQ(::setsockopt(control, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+  ASSERT_EQ(rpc(control, "pause").rfind("ok", 0), 0u);
+
+  // ~175 KB: the daemon buffers 512+ lines and leaves the rest (well under
+  // a socket buffer) unread, so the write completes while paused.
+  int ingest = connect_unix(daemon.ingest_socket_path());
+  ASSERT_GE(ingest, 0);
+  ASSERT_TRUE(send_all(ingest, to_jsonl(first)));
+  std::uint64_t held = 0;
+  for (int i = 0; i < 2000 && held < options.inbox_soft_limit; ++i) {
+    held = status_field(rpc(control, "status"), "records_buffered");
+    if (held < options.inbox_soft_limit) ::usleep(2'000);
+  }
+  ASSERT_GE(held, options.inbox_soft_limit);
+  ASSERT_LT(held, first.size());  // part of the first stream is still unread
+  ::close(ingest);
+
+  ingest = connect_unix(daemon.ingest_socket_path());
+  ASSERT_GE(ingest, 0);
+  ASSERT_TRUE(send_all(ingest, to_jsonl(second)));
+  ::close(ingest);
+  poll_status_until(control, "records_buffered", held + second.size());
+
+  ASSERT_EQ(rpc(control, "resume").rfind("ok", 0), 0u);
+  std::string status = poll_status_until(control, "records_delivered", records.size());
+  EXPECT_EQ(status_field(status, "records_dropped"), 0u) << status;
+  EXPECT_EQ(rpc(control, "shutdown").rfind("ok", 0), 0u);
+  ::close(control);
+  server.join();
+
+  const std::vector<IoRecord>& stored = daemon.session().network().capture().records();
+  ASSERT_EQ(stored.size(), records.size());
+  for (std::size_t i = 0; i < stored.size(); ++i) {
+    ASSERT_EQ(stored[i].id, i + 1) << "record " << i << " out of stream order";
+  }
 }
 
 TEST(Daemon, RejectsHostileLinesAndKeepsIngesting) {
