@@ -32,10 +32,8 @@ namespace {
 
 constexpr std::uint64_t kSeed = 71;
 /// Pinned worker count for the main comparison: num_threads = 0 resolves
-/// to the host's core count, and on a single-core host that is the serial
-/// path, which traces on the fly without the forwarding-graph memo (verdict
-/// reuse under a delta runs at every setting). Pinning keeps both pipelines
-/// on the sharded path, so numbers compare across hosts.
+/// to the host's core count, so pinning keeps both pipelines at the same
+/// parallelism and numbers compare across hosts.
 constexpr unsigned kThreads = 4;
 
 struct WorkloadSpec {
@@ -209,7 +207,8 @@ bool bench_workload(const WorkloadSpec& spec, JsonWriter& json) {
               "records per scan too)\n",
               fmt(rebuild_shape.per_scan_growth, 1).c_str(),
               fmt(incremental_shape.per_scan_growth, 1).c_str());
-  std::printf("delta skips  : %zu EC re-keys avoided; closure fallbacks: %zu; full deltas: %zu/%zu\n",
+  std::printf("delta skips  : %zu destinations not re-checked; closure fallbacks: %zu; "
+              "full deltas: %zu/%zu\n",
               incremental.delta_skips, incremental.snapshot_stats.closure_fallbacks,
               incremental.snapshot_stats.full_deltas, incremental.snapshot_stats.scans);
   std::printf("parity       : %s\n\n", parity ? "byte-identical reports" : "DIVERGED");

@@ -1,14 +1,10 @@
-// A9 — sharded data-plane verification: speedup vs thread count and the
-// per-EC forwarding-graph memo cache under churn.
+// A9 — data-plane verification at 1, 2, 4 and 8 threads, and the parity
+// gate over them.
 //
-// The serial verifier re-traces a destination once per policy that reasons
-// about it; the sharded verifier builds each destination's forwarding graph
-// exactly once per snapshot and shares it across policies, memoizing graphs
-// across churn steps keyed on the destination's behaviour signature. Both
-// effects show up here: the t=1 column is the legacy per-policy path, t>=2
-// shares and memoizes (and fans out across workers where the host has
-// them). The digest column asserts parallel reports are byte-identical to
-// serial ones.
+// Every thread count runs the one verifier path: each policy traces its
+// destinations on the fly, and a pool only splits the list of policies to
+// check across its workers. The digest column compares every thread
+// count's reports with t=1's; the bench exits non-zero if any differs.
 #include "bench_util.hpp"
 
 #include "hbguard/sim/workload.hpp"
@@ -51,11 +47,9 @@ Workload make_workload(std::string name, Topology topology, std::uint64_t seed) 
   }
   net.run_to_convergence();
 
-  // Five policies per prefix — realistic intent density, and what graph
-  // sharing exploits: the serial path re-traces the destination once per
-  // policy, the sharded path once total. The mix is mostly-clean (like
-  // production verification), so timing measures tracing, not
-  // violation-report formatting.
+  // Five policies per prefix — realistic intent density. The mix is
+  // mostly-clean (like production verification), so timing measures
+  // tracing, not violation-report formatting.
   for (std::size_t i = 0; i < kPrefixes; ++i) {
     Prefix p = churn_prefix(i);
     workload.policies.push_back(std::make_shared<LoopFreedomPolicy>(p));
@@ -90,8 +84,8 @@ Workload make_workload(std::string name, Topology topology, std::uint64_t seed) 
     workload.snapshots.push_back(take_instant_snapshot(net));
   }
 
-  // Warm every snapshot's lookup tries so timing compares verification
-  // strategies, not lazy trie construction order.
+  // Warm every snapshot's lookup tries so timing compares thread counts,
+  // not lazy trie construction order.
   for (const DataPlaneSnapshot& snapshot : workload.snapshots) snapshot.warm_lookup_cache();
   return workload;
 }
@@ -108,18 +102,16 @@ std::string digest(const std::vector<VerifyResult>& results) {
   return out;
 }
 
-void run_workload(const Workload& workload, Table& table) {
+/// Returns false if any thread count's reports differ from t=1's.
+bool run_workload(const Workload& workload, Table& table) {
   double serial_ms = 0.0;
   std::string serial_digest;
+  bool all_identical = true;
 
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
-    VerifierOptions options;
-    options.num_threads = threads;
-    Verifier verifier(workload.policies, options);
+    Verifier verifier(workload.policies, VerifierOptions{threads});
 
-    // One untimed pass to populate the memo cache (steady-state behaviour:
-    // the guard verifies every scan, churn only perturbs a few ECs), then
-    // timed rounds over the whole churn sequence.
+    // One untimed pass, then timed rounds over the whole churn sequence.
     std::vector<VerifyResult> results(workload.snapshots.size());
     for (std::size_t s = 0; s < workload.snapshots.size(); ++s) {
       results[s] = verifier.verify(workload.snapshots[s]);
@@ -139,37 +131,38 @@ void run_workload(const Workload& workload, Table& table) {
       serial_digest = first_digest;
     }
     bool identical = first_digest == serial_digest && digest(results) == serial_digest;
-    VerifyStats stats = verifier.stats();
+    all_identical = all_identical && identical;
 
     table.row({workload.name, std::to_string(threads), fmt(ms, 2),
-               threads == 1 ? "1.00x" : fmt(serial_ms / ms, 2) + "x",
-               threads == 1 ? "n/a (legacy path)" : fmt_pct(stats.hit_rate()),
-               identical ? "yes" : "NO"});
+               threads == 1 ? "1.00x" : fmt(serial_ms / ms, 2) + "x", identical ? "yes" : "NO"});
   }
+  return all_identical;
 }
 
 }  // namespace
 
 int main() {
-  header("bench_parallel_verify",
-         "A9 — sharded verification speedup and EC memo-cache hit rate",
-         "t>=2 beats t=1 via graph sharing + EC memoization (and threads, on "
-         "multi-core hosts); reports stay byte-identical to serial",
+  header("bench_parallel_verify", "A9 — verification time and report parity across thread counts",
+         "reports at 2, 4 and 8 threads are byte-identical to t=1's (exit non-zero "
+         "otherwise); time per sweep is reported, not gated",
          kSeed);
 
-  Table table({"workload", "threads", "ms/sweep", "speedup", "cache hit rate", "== serial"});
+  Table table({"workload", "threads", "ms/sweep", "speedup", "== t=1"});
 
   Rng waxman_rng(kSeed);
-  run_workload(make_workload("fat-tree k=4", make_fattree_topology(4), kSeed), table);
-  run_workload(make_workload("waxman n=24", make_waxman_topology(24, waxman_rng), kSeed + 1),
-               table);
+  bool fat_tree_identical =
+      run_workload(make_workload("fat-tree k=4", make_fattree_topology(4), kSeed), table);
+  bool waxman_identical = run_workload(
+      make_workload("waxman n=24", make_waxman_topology(24, waxman_rng), kSeed + 1), table);
   table.print();
 
   std::printf("note: one sweep = verifying all %zu churn-step snapshots (%zu prefixes x 5\n"
-              "policies). t=1 is the legacy serial path: every policy re-traces its\n"
-              "destination from scratch. t>=2 builds each destination graph once per\n"
-              "snapshot, shares it across policies, and memoizes graphs across snapshots\n"
-              "keyed on EC behaviour signatures — so it wins even on a single core.\n\n",
+              "policies). Each verify() is a full check: no delta, so no verdict reuse.\n"
+              "Every thread count runs the same path; a pool splits the policy list.\n\n",
               kChurnSteps, kPrefixes);
+  if (!fat_tree_identical || !waxman_identical) {
+    std::printf("GATE FAILED: a thread count's reports differ from t=1's\n");
+    return 1;
+  }
   return 0;
 }

@@ -48,13 +48,6 @@ Guard::Guard(Network& network, PolicyList policies, GuardOptions options)
   // records (the hub outlives the guard and its store only grows).
   incremental_builder_.attach_store(&network.capture().records());
   incremental_builder_.set_compact_budget(options_.compact_budget);
-  if (distributed_active()) {
-    DistributedHbgStore::Options store_options;
-    store_options.num_shards = options_.distributed_shards;
-    store_options.matcher = options_.matcher;
-    distributed_store_ = std::make_unique<DistributedHbgStore>(store_options);
-    distributed_store_->attach_store(&network.capture().records());
-  }
   if (options_.repair == RepairMode::kBlock) {
     blocker_ = std::make_unique<VerifyingBlocker>(network, std::move(policies));
   }
@@ -96,10 +89,6 @@ const HappensBeforeGraph& Guard::update_hbg() {
     ingested_ = store.size();
   }
   return incremental_builder_.graph();
-}
-
-bool Guard::distributed_active() const {
-  return options_.distributed_shards > 0 && options_.inference == nullptr;
 }
 
 GuardReport Guard::run() {
@@ -158,7 +147,7 @@ std::vector<IoId> Guard::violating_fib_updates(const std::vector<Violation>& vio
 std::optional<ScheduledScan> Guard::plan_traffic_scan() {
   if (!options_.traffic.enabled) return std::nullopt;
   // The destination universe is the policies' representative addresses —
-  // exactly the keys the sharded verifier builds forwarding graphs for.
+  // exactly the keys the verifier's plan covers.
   // Weights come from the attached demand, summed per destination (distinct
   // prefixes can share a representative); without demand every destination
   // weighs 1 and the scheduler degenerates to deterministic round-robin
@@ -262,16 +251,6 @@ std::vector<Violation> Guard::scan() {
 
   const HappensBeforeGraph& hbg = update_hbg();
 
-  // Mirror the capture delta into the sharded store: per-shard rule
-  // matching over each shard's own stream, cross-router HBRs exchanged as
-  // ShardMessages (§5). Incident provenance below is answered through its
-  // distributed queries.
-  if (distributed_store_ != nullptr) {
-    std::span<const IoRecord> all = capture.records();
-    distributed_store_->append(all.subspan(distributed_cursor_));
-    distributed_cursor_ = all.size();
-  }
-
   // Skip predictive blocking while degraded: it learns and predicts from
   // replayed state that is known-stale right now.
   if (options_.repair == RepairMode::kEarlyBlock && !repair_in_flight_ && !degraded) {
@@ -362,15 +341,8 @@ std::vector<Violation> Guard::scan() {
   incident.detected_at = network_.sim().now();
   incident.violations = result.violations;
 
-  std::vector<IoId> fib_ios = violating_fib_updates(result.violations);
-  // Distributed mode answers provenance through the sharded store's
-  // shard-local walks (paying messages per cross-shard edge); the result is
-  // byte-identical to the global-graph analysis, so the incident — and the
-  // report digest — does not depend on the deployment shape.
   ProvenanceResult provenance =
-      distributed_store_ != nullptr
-          ? analyzer_.analyze_all(*distributed_store_, fib_ios, &distributed_query_stats_)
-          : analyzer_.analyze_all(hbg, fib_ios);
+      analyzer_.analyze_all(hbg, violating_fib_updates(result.violations));
   // With demand attached, rank causes by affected traffic so the repair
   // path below reverts the heaviest-traffic root cause first. Uniform runs
   // (no weights) keep the analyzer's order — and their digests — untouched.

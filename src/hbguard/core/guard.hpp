@@ -76,8 +76,8 @@ std::string_view to_string(RepairProposal::Status status);
 
 struct GuardOptions {
   RepairMode repair = RepairMode::kRevert;
-  /// Worker threads for the pipeline's parallel stages (sharded
-  /// verification, per-router snapshot replay, EC computation). One pool is
+  /// Worker threads for the pipeline's parallel stages (the verifier's
+  /// policy checks, per-router snapshot replay, EC computation). One pool is
   /// created per Guard and reused by every scan. 0 = one worker per
   /// hardware thread; 1 = no pool, every stage on the scanning thread. Reports are
   /// byte-identical for every setting (see tests/test_parallel_verify.cpp).
@@ -94,17 +94,6 @@ struct GuardOptions {
   /// rebuild-per-scan pipeline the parity tests compare the default against
   /// (pass RuleMatchingInference(matcher) for the same rules rebuilt).
   std::shared_ptr<HbrInferencer> inference;
-  /// > 0: maintain a sharded DistributedHbgStore (§5) alongside the live
-  /// HBG — per-shard rule matching over each shard's own tap stream,
-  /// cross-router HBRs exchanged as ShardMessages — and answer incident
-  /// provenance through its distributed queries. Reports stay
-  /// byte-identical to the single-graph pipeline at any shard count (see
-  /// tests/test_distributed_hbg.cpp); construction/query communication
-  /// costs are exposed via distributed_store() and
-  /// distributed_query_stats(), outside the report digest. Requires the
-  /// rules-based incremental HBG path (scans with a custom `inference`
-  /// ignore this knob).
-  std::size_t distributed_shards = 0;
   /// > 0: amortize the incremental HBG's CSR re-pack under this per-append
   /// half-edge budget instead of re-packing eagerly inside one add_edge
   /// (stop-the-world O(E)). Reports are byte-identical either way — the
@@ -194,18 +183,12 @@ class Guard {
   /// `inference`) takes each scan, which the parity tests pin to the
   /// default guard's digests.
   void import_state(GuardPersistentState state);
-  /// Sharded-verification counters (EC memo cache hits/misses per scan).
+  /// Verifier counters: runs, covered destinations, delta skips and
+  /// reused policies.
   VerifyStats verifier_stats() const { return verifier_.stats(); }
   /// Snapshotter counters (with a custom `inference`, each scan starts a
   /// fresh snapshotter, so they cover the latest scan only).
   const IncrementalSnapshotter::Stats& snapshot_stats() const { return snapshotter_.stats(); }
-  /// The sharded store maintained when distributed_shards > 0 (nullptr
-  /// otherwise) — storage/communication accounting lives here.
-  const DistributedHbgStore* distributed_store() const { return distributed_store_.get(); }
-  /// Communication cost of every distributed provenance query so far.
-  const DistributedQueryStats& distributed_query_stats() const {
-    return distributed_query_stats_;
-  }
 
   /// Build the current HBG (for rendering/inspection; copies in
   /// incremental mode).
@@ -228,10 +211,6 @@ class Guard {
   /// custom inference — a rebuild over the full history, which also
   /// restarts the snapshotter from record 0.
   const HappensBeforeGraph& update_hbg();
-  /// True when scans maintain (and query) the sharded distributed store —
-  /// requires the same rules-based incremental path the store's engines
-  /// mirror, so its answers provably match the live HBG's.
-  bool distributed_active() const;
   /// Map each violation to the most recent FIB-update I/O that produced
   /// the offending entry (served from the per-prefix index maintained by
   /// scan()).
@@ -270,11 +249,6 @@ class Guard {
   std::size_t ingested_ = 0;        // records fed to the incremental builder
   HappensBeforeGraph rebuilt_hbg_;  // this scan's graph under a custom inference
 
-  /// Sharded §5 store (distributed_shards > 0 on the incremental path).
-  std::unique_ptr<DistributedHbgStore> distributed_store_;
-  std::size_t distributed_cursor_ = 0;  // records fed to the sharded store
-  DistributedQueryStats distributed_query_stats_;
-
   IncrementalSnapshotter snapshotter_;
   /// HBG edges added by the incremental builder since the last snapshot
   /// ingest (the closure-invalidation delta).
@@ -288,7 +262,7 @@ class Guard {
   std::map<std::pair<RouterId, Prefix>, IoId> latest_fib_update_by_router_;
 
   /// Stream-health transition count at the last scan; a change trips the
-  /// scan watchdog (full re-verify, EC cache cleared).
+  /// scan watchdog (full re-verify, stored verdicts dropped).
   std::uint64_t last_health_transitions_ = 0;
   /// A degraded scan skipped verification after ingesting its snapshot
   /// delta; the next verifying scan must not trust its stale delta.

@@ -706,6 +706,7 @@ int GuardDaemon::run() {
            << control_socket_path();
 
   std::vector<pollfd> fds;
+  std::vector<Connection*> polled;  // the connection behind each fds[first_conn + i]
   bool scanned = false;  // the last drain stopped at a scan boundary
   while (running_) {
     fds.clear();
@@ -713,10 +714,14 @@ int GuardDaemon::run() {
     fds.push_back({ingest_listen_, POLLIN, 0});
     fds.push_back({control_listen_, POLLIN, 0});
     std::size_t first_conn = fds.size();
+    // Poll only connections that want reads: a closed or paused peer still
+    // raises POLLHUP, which would wake a loop with nothing to do at once,
+    // forever.
+    polled.clear();
     for (const auto& conn : connections_) {
-      short events = 0;
-      if (!conn->closed && (conn->control || !conn->paused)) events = POLLIN;
-      fds.push_back({conn->fd, events, 0});
+      if (conn->closed || (!conn->control && conn->paused)) continue;
+      fds.push_back({conn->fd, POLLIN, 0});
+      polled.push_back(conn.get());
     }
 
     // After a scan, only look for new events: the drain it cut short
@@ -738,14 +743,10 @@ int GuardDaemon::run() {
     }
     if (fds[1].revents & POLLIN) accept_ready(ingest_listen_, /*control=*/false);
     if (fds[2].revents & POLLIN) accept_ready(control_listen_, /*control=*/true);
-    // connections_ may have grown via accept; only the polled prefix has
-    // revents to consume.
-    std::size_t polled = fds.size() - first_conn;
-    for (std::size_t i = 0; i < polled && i < connections_.size(); ++i) {
-      if (fds[first_conn + i].fd != connections_[i]->fd) break;  // erased mid-cycle
-      if (fds[first_conn + i].revents & (POLLIN | POLLHUP | POLLERR)) {
-        read_connection(*connections_[i]);
-      }
+    // Connections are only destroyed by drain(), so every polled one is
+    // still alive here.
+    for (std::size_t i = 0; i < polled.size(); ++i) {
+      if (fds[first_conn + i].revents & (POLLIN | POLLHUP | POLLERR)) read_connection(*polled[i]);
     }
 
     scanned = drain();

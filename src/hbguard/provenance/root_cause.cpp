@@ -88,41 +88,6 @@ ProvenanceResult RootCauseAnalyzer::analyze_all(const HappensBeforeGraph& hbg,
   return result;
 }
 
-ProvenanceResult RootCauseAnalyzer::analyze_all(const DistributedHbgStore& store,
-                                                const std::vector<IoId>& violating,
-                                                DistributedQueryStats* stats) const {
-  ProvenanceResult result;
-  result.faults = violating;
-  std::set<IoId> seen;
-  DistributedQueryStats query_stats;
-  for (IoId fault : violating) {
-    if (store.record(fault) == nullptr) continue;
-    std::vector<IoId> roots = store.root_causes(fault, options_.min_confidence,
-                                                stats != nullptr ? &query_stats : nullptr);
-    if (stats != nullptr) *stats += query_stats;
-    for (IoId root : roots) {
-      if (!seen.insert(root).second) continue;
-      const IoRecord* record = store.record(root);
-      if (record == nullptr) continue;
-      RootCause cause;
-      cause.io = root;
-      cause.record = *record;
-      cause.kind = classify_cause(*record);
-      cause.chain = store.path_from(root, fault, options_.min_confidence,
-                                    stats != nullptr ? &query_stats : nullptr);
-      if (stats != nullptr) *stats += query_stats;
-      result.causes.push_back(std::move(cause));
-    }
-  }
-  std::sort(result.causes.begin(), result.causes.end(),
-            [](const RootCause& a, const RootCause& b) {
-              int ra = rank_of(a.kind), rb = rank_of(b.kind);
-              if (ra != rb) return ra < rb;
-              return a.record.true_time > b.record.true_time;  // newest first
-            });
-  return result;
-}
-
 std::string RootCauseAnalyzer::render(const HappensBeforeGraph& hbg,
                                       const ProvenanceResult& result) {
   std::ostringstream out;

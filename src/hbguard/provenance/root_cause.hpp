@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "hbguard/hbg/graph.hpp"
-#include "hbguard/provenance/distributed_hbg.hpp"
 
 namespace hbguard {
 
@@ -60,14 +59,6 @@ class RootCauseAnalyzer {
   /// Analyze several violating I/Os and merge the causes (deduplicated).
   ProvenanceResult analyze_all(const HappensBeforeGraph& hbg,
                                const std::vector<IoId>& violating) const;
-
-  /// The same analysis answered by a sharded store's distributed queries —
-  /// byte-identical causes and chains (the store's root_causes/path_from
-  /// match the global graph's), plus the communication cost the distributed
-  /// deployment paid, accumulated into `stats` when non-null.
-  ProvenanceResult analyze_all(const DistributedHbgStore& store,
-                               const std::vector<IoId>& violating,
-                               DistributedQueryStats* stats = nullptr) const;
 
   /// Render the fault chains as a human-readable report.
   static std::string render(const HappensBeforeGraph& hbg, const ProvenanceResult& result);

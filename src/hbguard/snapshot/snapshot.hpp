@@ -46,7 +46,7 @@ struct DataPlaneSnapshot {
 
   /// Build every router's lookup index now. Concurrent lookup() calls are
   /// only safe after warming (or mutual exclusion): the lazy index build
-  /// mutates the cache. The sharded verifier warms before fanning out.
+  /// mutates the cache. The verifier warms before fanning out.
   void warm_lookup_cache() const;
 
   /// All prefixes appearing in any router's view.

@@ -13,12 +13,12 @@
 //
 // Internally behaviours are interned *semantic tokens* (one u32 per router
 // per interval) rather than signature strings, so million-prefix tables
-// cost megabytes, not gigabytes; the string signatures consumers key on
-// (verifier memo cache, early-block model) are materialized once per class
-// in exactly the legacy format. StreamingEquivalenceClasses maintains the
-// same partition incrementally under SnapshotDelta churn: changed prefixes
-// split/merge only the affected atomic intervals and re-evaluate only the
-// dirty ones, with a full O(intervals) materialization pass guaranteeing
+// cost megabytes, not gigabytes; the string signatures the early-block
+// model keys on are materialized once per class in exactly the legacy
+// format. StreamingEquivalenceClasses maintains the same partition
+// incrementally under SnapshotDelta churn: changed prefixes split/merge
+// only the affected atomic intervals and re-evaluate only the dirty ones,
+// with a full O(intervals) materialization pass guaranteeing
 // the emitted classes are byte-identical to the batch computation.
 #pragma once
 

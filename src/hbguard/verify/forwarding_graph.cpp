@@ -29,58 +29,6 @@ std::string ForwardTrace::describe() const {
   return out.str();
 }
 
-DestinationForwarding compute_destination_forwarding(const DataPlaneSnapshot& snapshot,
-                                                     IpAddress destination) {
-  DestinationForwarding forwarding;
-  for (const auto& [router, view] : snapshot.routers) {
-    forwarding.traces.emplace(router, trace_forwarding(snapshot, router, destination));
-  }
-  return forwarding;
-}
-
-std::string forwarding_signature(const DataPlaneSnapshot& snapshot, IpAddress destination) {
-  // Plain string appends: this runs once per destination per verify() and
-  // stream formatting would dominate the sharded verifier's serial phase.
-  std::string out;
-  out.reserve(snapshot.routers.size() * 8);
-  for (const auto& [router, view] : snapshot.routers) {
-    const FibEntry* entry = snapshot.lookup(router, destination);
-    out += std::to_string(router);
-    out += ':';
-    if (entry == nullptr) {
-      out += "-;";
-      continue;
-    }
-    switch (entry->action) {
-      case FibEntry::Action::kForward:
-        out += 'F';
-        out += std::to_string(entry->next_hop);
-        break;
-      case FibEntry::Action::kExternal:
-        out += 'X';
-        out += entry->external_session;
-        if (!snapshot.uplink_up(router, entry->external_session)) out += '!';
-        break;
-      case FibEntry::Action::kLocal: out += 'L'; break;
-      case FibEntry::Action::kDrop: out += 'D'; break;
-    }
-    out += ';';
-  }
-  return out;
-}
-
-const ForwardTrace& VerifyContext::trace(RouterId source, IpAddress destination) const {
-  if (traces_ != nullptr) {
-    auto it = traces_->find(destination.bits());
-    if (it != traces_->end()) {
-      auto trace_it = it->second->traces.find(source);
-      if (trace_it != it->second->traces.end()) return trace_it->second;
-    }
-  }
-  scratch_ = trace_forwarding(*snapshot_, source, destination);
-  return scratch_;
-}
-
 ForwardTrace trace_forwarding(const DataPlaneSnapshot& snapshot, RouterId source,
                               IpAddress destination) {
   ForwardTrace trace;

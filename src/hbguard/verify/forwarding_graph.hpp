@@ -4,16 +4,8 @@
 // router's longest-prefix-match next hop until the packet is delivered
 // locally, exits the domain via an eBGP uplink, is dropped (null route or
 // no matching entry), or revisits a router (forwarding loop).
-//
-// The all-sources analysis for one destination (`DestinationForwarding`) is
-// the unit the sharded verifier parallelizes and memoizes: every policy
-// that reasons about the destination shares one forwarding graph instead of
-// re-tracing per policy, and destinations whose network-wide behaviour
-// signature is unchanged across churn steps reuse the cached graph.
 #pragma once
 
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,54 +44,5 @@ ForwardTrace trace_forwarding(const DataPlaneSnapshot& snapshot, RouterId source
 inline IpAddress representative(const Prefix& prefix) {
   return prefix.address();
 }
-
-/// The destination's forwarding graph: one trace per source router.
-struct DestinationForwarding {
-  std::map<RouterId, ForwardTrace> traces;
-};
-using DestinationForwardingRef = std::shared_ptr<const DestinationForwarding>;
-
-/// Trace `destination` from every router in the snapshot.
-DestinationForwarding compute_destination_forwarding(const DataPlaneSnapshot& snapshot,
-                                                     IpAddress destination);
-
-/// The destination's network-wide behaviour signature: every router's
-/// immediate forwarding action (next hop / uplink+state / local / drop /
-/// no-route). Two destinations with equal signatures have byte-identical
-/// forwarding graphs, so the signature doubles as the memoization key for
-/// `DestinationForwarding` — the per-EC cache survives churn steps that
-/// leave the class untouched. (Same construction as `verify/eqclass`, plus
-/// uplink up/down state, which traces depend on.)
-std::string forwarding_signature(const DataPlaneSnapshot& snapshot, IpAddress destination);
-
-/// What a policy sees during evaluation: the snapshot plus, on the sharded
-/// path, the pre-computed forwarding graphs for every policy destination.
-/// Without a table, traces are computed on the fly — the serial behaviour.
-class VerifyContext {
- public:
-  using TraceTable = std::map<std::uint32_t, DestinationForwardingRef>;  // by ip bits
-
-  explicit VerifyContext(const DataPlaneSnapshot& snapshot) : snapshot_(&snapshot) {}
-  VerifyContext(const DataPlaneSnapshot& snapshot, const TraceTable* traces)
-      : snapshot_(&snapshot), traces_(traces) {}
-
-  const DataPlaneSnapshot& snapshot() const { return *snapshot_; }
-
-  /// The forwarding trace for `destination` injected at `source`; served
-  /// from the shared table when present, computed otherwise. Identical
-  /// results either way (the table is built by `trace_forwarding`).
-  ///
-  /// Returns a reference so table hits copy nothing (policies call this
-  /// once per router). Misses land in a per-context scratch slot, which
-  /// makes miss-path calls single-threaded only — the sharded verifier
-  /// guarantees hits by tabling every policy destination up front, and the
-  /// serial path uses one context per thread.
-  const ForwardTrace& trace(RouterId source, IpAddress destination) const;
-
- private:
-  const DataPlaneSnapshot* snapshot_;
-  const TraceTable* traces_ = nullptr;
-  mutable ForwardTrace scratch_;  // holds the last miss-path trace
-};
 
 }  // namespace hbguard

@@ -9,24 +9,25 @@ std::string Violation::describe() const {
   return out;
 }
 
-void LoopFreedomPolicy::evaluate(const VerifyContext& ctx, std::vector<Violation>& out) const {
+void LoopFreedomPolicy::check(const DataPlaneSnapshot& snapshot,
+                              std::vector<Violation>& out) const {
   IpAddress destination = representative(prefix_);
-  for (const auto& [router, view] : ctx.snapshot().routers) {
-    const ForwardTrace& trace = ctx.trace(router, destination);
+  for (const auto& [router, view] : snapshot.routers) {
+    ForwardTrace trace = trace_forwarding(snapshot, router, destination);
     if (trace.outcome == ForwardOutcome::kLoop) {
       out.push_back({name(), prefix_, router, trace.describe()});
     }
   }
 }
 
-void BlackholeFreedomPolicy::evaluate(const VerifyContext& ctx,
-                                      std::vector<Violation>& out) const {
+void BlackholeFreedomPolicy::check(const DataPlaneSnapshot& snapshot,
+                                   std::vector<Violation>& out) const {
   IpAddress destination = representative(prefix_);
-  for (const auto& [router, view] : ctx.snapshot().routers) {
-    if (ctx.snapshot().lookup(router, destination) == nullptr) {
+  for (const auto& [router, view] : snapshot.routers) {
+    if (snapshot.lookup(router, destination) == nullptr) {
       continue;  // no route: not a blackhole
     }
-    const ForwardTrace& trace = ctx.trace(router, destination);
+    ForwardTrace trace = trace_forwarding(snapshot, router, destination);
     if (trace.outcome == ForwardOutcome::kBlackhole ||
         trace.outcome == ForwardOutcome::kDropped ||
         trace.outcome == ForwardOutcome::kDeadUplink) {
@@ -35,17 +36,18 @@ void BlackholeFreedomPolicy::evaluate(const VerifyContext& ctx,
   }
 }
 
-void ReachabilityPolicy::evaluate(const VerifyContext& ctx, std::vector<Violation>& out) const {
-  const ForwardTrace& trace = ctx.trace(source_, representative(prefix_));
+void ReachabilityPolicy::check(const DataPlaneSnapshot& snapshot,
+                               std::vector<Violation>& out) const {
+  ForwardTrace trace = trace_forwarding(snapshot, source_, representative(prefix_));
   if (!trace.reaches_exit()) {
     out.push_back({name(), prefix_, source_, trace.describe()});
   }
 }
 
-void WaypointPolicy::evaluate(const VerifyContext& ctx, std::vector<Violation>& out) const {
+void WaypointPolicy::check(const DataPlaneSnapshot& snapshot, std::vector<Violation>& out) const {
   IpAddress destination = representative(prefix_);
-  for (const auto& [router, view] : ctx.snapshot().routers) {
-    const ForwardTrace& trace = ctx.trace(router, destination);
+  for (const auto& [router, view] : snapshot.routers) {
+    ForwardTrace trace = trace_forwarding(snapshot, router, destination);
     if (!trace.reaches_exit()) continue;
     // Traffic originating at the exit itself has no opportunity (or need)
     // to detour through the waypoint.
@@ -60,8 +62,8 @@ void WaypointPolicy::evaluate(const VerifyContext& ctx, std::vector<Violation>& 
   }
 }
 
-void PreferredExitPolicy::evaluate(const VerifyContext& ctx, std::vector<Violation>& out) const {
-  const DataPlaneSnapshot& snapshot = ctx.snapshot();
+void PreferredExitPolicy::check(const DataPlaneSnapshot& snapshot,
+                                std::vector<Violation>& out) const {
   IpAddress destination = representative(prefix_);
 
   // An exit is *available* when its uplink is up and currently offers a
@@ -89,7 +91,7 @@ void PreferredExitPolicy::evaluate(const VerifyContext& ctx, std::vector<Violati
 
   for (const auto& [router, view] : snapshot.routers) {
     if (snapshot.lookup(router, destination) == nullptr) continue;
-    const ForwardTrace& trace = ctx.trace(router, destination);
+    ForwardTrace trace = trace_forwarding(snapshot, router, destination);
     if (trace.outcome != ForwardOutcome::kExternal || trace.exit_router != want_router ||
         trace.exit_session != *want_session) {
       out.push_back({name(), prefix_, router,

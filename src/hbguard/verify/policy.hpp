@@ -39,19 +39,12 @@ class Policy {
  public:
   virtual ~Policy() = default;
   virtual std::string name() const = 0;
-  /// Append violations found in `ctx`'s snapshot to `out`. Policies obtain
-  /// forwarding traces via `ctx.trace()` so the sharded verifier can serve
-  /// them from pre-computed (and memoized) per-destination graphs; results
-  /// are identical to tracing on the fly.
-  virtual void evaluate(const VerifyContext& ctx, std::vector<Violation>& out) const = 0;
-  /// Destination prefixes this policy reasons about (drives the sharded and
-  /// distributed verifiers' work partitioning).
+  /// Append violations found in `snapshot` to `out`, tracing forwarding
+  /// on the fly.
+  virtual void check(const DataPlaneSnapshot& snapshot, std::vector<Violation>& out) const = 0;
+  /// Destination prefixes this policy reasons about (drives verdict reuse
+  /// and the distributed verifier's work partitioning).
   virtual std::vector<Prefix> prefixes() const = 0;
-
-  /// Convenience: evaluate against a bare snapshot (traces on the fly).
-  void check(const DataPlaneSnapshot& snapshot, std::vector<Violation>& out) const {
-    evaluate(VerifyContext(snapshot), out);
-  }
 };
 
 /// No forwarding loop for the prefix, from any source.
@@ -59,7 +52,7 @@ class LoopFreedomPolicy : public Policy {
  public:
   explicit LoopFreedomPolicy(Prefix prefix) : prefix_(prefix) {}
   std::string name() const override { return "loop-freedom(" + prefix_.to_string() + ")"; }
-  void evaluate(const VerifyContext& ctx, std::vector<Violation>& out) const override;
+  void check(const DataPlaneSnapshot& snapshot, std::vector<Violation>& out) const override;
   std::vector<Prefix> prefixes() const override { return {prefix_}; }
 
  private:
@@ -72,7 +65,7 @@ class BlackholeFreedomPolicy : public Policy {
  public:
   explicit BlackholeFreedomPolicy(Prefix prefix) : prefix_(prefix) {}
   std::string name() const override { return "blackhole-freedom(" + prefix_.to_string() + ")"; }
-  void evaluate(const VerifyContext& ctx, std::vector<Violation>& out) const override;
+  void check(const DataPlaneSnapshot& snapshot, std::vector<Violation>& out) const override;
   std::vector<Prefix> prefixes() const override { return {prefix_}; }
 
  private:
@@ -86,7 +79,7 @@ class ReachabilityPolicy : public Policy {
   std::string name() const override {
     return "reachability(R" + std::to_string(source_) + "," + prefix_.to_string() + ")";
   }
-  void evaluate(const VerifyContext& ctx, std::vector<Violation>& out) const override;
+  void check(const DataPlaneSnapshot& snapshot, std::vector<Violation>& out) const override;
   std::vector<Prefix> prefixes() const override { return {prefix_}; }
 
  private:
@@ -101,7 +94,7 @@ class WaypointPolicy : public Policy {
   std::string name() const override {
     return "waypoint(" + prefix_.to_string() + ",R" + std::to_string(waypoint_) + ")";
   }
-  void evaluate(const VerifyContext& ctx, std::vector<Violation>& out) const override;
+  void check(const DataPlaneSnapshot& snapshot, std::vector<Violation>& out) const override;
   std::vector<Prefix> prefixes() const override { return {prefix_}; }
 
  private:
@@ -122,7 +115,7 @@ class PreferredExitPolicy : public Policy {
         backup_router_(backup_router),
         backup_session_(std::move(backup_session)) {}
   std::string name() const override { return "preferred-exit(" + prefix_.to_string() + ")"; }
-  void evaluate(const VerifyContext& ctx, std::vector<Violation>& out) const override;
+  void check(const DataPlaneSnapshot& snapshot, std::vector<Violation>& out) const override;
   std::vector<Prefix> prefixes() const override { return {prefix_}; }
 
  private:

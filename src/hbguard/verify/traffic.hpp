@@ -1,7 +1,7 @@
 // Traffic-weighted verification scheduling (ROADMAP: "serve millions of
 // users by verifying what they use first").
 //
-// The sharded verifier treats every destination as equally urgent; a
+// The verifier treats every destination as equally urgent; a
 // network carrying real traffic does not. TrafficWeights attaches a demand
 // weight (requests/sec, bytes/sec — any additive unit) to each prefix, and
 // TrafficScheduler orders the verifier's per-scan work by the weight of the

@@ -53,12 +53,11 @@ VerifyResult Verifier::verify(const DataPlaneSnapshot& snapshot, const SnapshotD
 
   // Decide per policy: deferred by the plan, reused (its stored verdict is
   // from the previous call and the delta touches none of its
-  // destinations), or evaluated now. Deferred policies keep their stale
+  // destinations), or checked now. Deferred policies keep their stale
   // stamp, so a later call cannot reuse across the deltas they missed.
   VerifyResult result;
   std::vector<std::size_t> todo;
   std::vector<char> covered(policies_.size(), 0);
-  std::vector<char> needed;
   std::size_t run = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -72,7 +71,7 @@ VerifyResult Verifier::verify(const DataPlaneSnapshot& snapshot, const SnapshotD
       }
     }
     std::vector<char> used(destinations_.size(), 0);
-    needed.assign(destinations_.size(), 0);
+    std::vector<char> needed(destinations_.size(), 0);
     run = ++stats_.runs;
     for (std::size_t i = 0; i < policies_.size(); ++i) {
       std::span<const std::size_t> dests(policy_destinations_.data() + policy_begin_[i],
@@ -102,17 +101,21 @@ VerifyResult Verifier::verify(const DataPlaneSnapshot& snapshot, const SnapshotD
     }
   }
 
+  // Check policy todo[k] into fresh[k]; a pool only splits the list.
   std::vector<std::vector<Violation>> fresh(todo.size());
-  if (!todo.empty()) {
-    if (resolve_num_threads(options_.num_threads) == 1) {
-      verify_serial(snapshot, todo, fresh);
-    } else {
-      verify_sharded(snapshot, todo, needed, fresh);
-    }
+  auto check = [&](std::size_t k) { policies_[todo[k]]->check(snapshot, fresh[k]); };
+  std::shared_ptr<ThreadPool> pool = todo.empty() ? nullptr : thread_pool();
+  if (pool == nullptr) {
+    for (std::size_t k = 0; k < todo.size(); ++k) check(k);
+  } else {
+    // lookup() builds per-router indices lazily and is not safe for
+    // concurrent first calls; build them all before fanning out.
+    snapshot.warm_lookup_cache();
+    pool->parallel_for(todo.size(), check);
   }
 
   // Merge in policy order: byte-identical whichever policies were reused
-  // and whichever path evaluated the rest.
+  // and however many threads checked the rest.
   std::lock_guard<std::mutex> lock(mutex_);
   for (std::size_t k = 0; k < todo.size(); ++k) {
     verdicts_[todo[k]] = std::move(fresh[k]);
@@ -123,74 +126,6 @@ VerifyResult Verifier::verify(const DataPlaneSnapshot& snapshot, const SnapshotD
     result.violations.insert(result.violations.end(), verdicts_[i].begin(), verdicts_[i].end());
   }
   return result;
-}
-
-void Verifier::verify_serial(const DataPlaneSnapshot& snapshot,
-                             const std::vector<std::size_t>& todo,
-                             std::vector<std::vector<Violation>>& out) const {
-  for (std::size_t k = 0; k < todo.size(); ++k) policies_[todo[k]]->check(snapshot, out[k]);
-}
-
-void Verifier::verify_sharded(const DataPlaneSnapshot& snapshot,
-                              const std::vector<std::size_t>& todo,
-                              const std::vector<char>& needed,
-                              std::vector<std::vector<Violation>>& out) const {
-  std::shared_ptr<ThreadPool> pool = thread_pool();
-
-  // lookup() builds per-router indices lazily and is not safe for
-  // concurrent first calls; build them all before fanning out.
-  snapshot.warm_lookup_cache();
-
-  // Phase 1 — classify each needed destination by its behaviour signature
-  // and serve unchanged classes from the memo cache (serially: the
-  // signature is one lookup per router, ~a path-length factor cheaper than
-  // tracing).
-  VerifyContext::TraceTable table;
-  std::vector<std::size_t> miss_indices;
-  std::vector<std::string> miss_signatures;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t d = 0; d < destinations_.size(); ++d) {
-      if (!needed[d]) continue;
-      std::string signature = forwarding_signature(snapshot, destinations_[d]);
-      if (options_.memoize) {
-        auto it = cache_.find(signature);
-        if (it != cache_.end()) {
-          ++stats_.cache_hits;
-          table[destinations_[d].bits()] = it->second;
-          continue;
-        }
-      }
-      ++stats_.cache_misses;
-      miss_indices.push_back(d);
-      miss_signatures.push_back(std::move(signature));
-    }
-  }
-
-  // Phase 2 — build the missing forwarding graphs concurrently, one task
-  // per destination (results land in per-index slots: no locks, and the
-  // merge below is order-independent of scheduling).
-  std::vector<DestinationForwardingRef> built(miss_indices.size());
-  pool->parallel_for(miss_indices.size(), [&](std::size_t i) {
-    built[i] = std::make_shared<DestinationForwarding>(
-        compute_destination_forwarding(snapshot, destinations_[miss_indices[i]]));
-  });
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (options_.memoize && cache_.size() + built.size() > options_.max_cached_classes) {
-      cache_.clear();
-    }
-    for (std::size_t i = 0; i < miss_indices.size(); ++i) {
-      table[destinations_[miss_indices[i]].bits()] = built[i];
-      if (options_.memoize) cache_[miss_signatures[i]] = built[i];
-    }
-  }
-
-  // Phase 3 — evaluate the policies concurrently over the shared graphs,
-  // each into its own slot.
-  VerifyContext ctx(snapshot, &table);
-  pool->parallel_for(todo.size(),
-                     [&](std::size_t k) { policies_[todo[k]]->evaluate(ctx, out[k]); });
 }
 
 std::shared_ptr<ThreadPool> Verifier::thread_pool() const {
@@ -208,7 +143,6 @@ VerifyStats Verifier::stats() const {
 
 void Verifier::clear_cache() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  cache_.clear();
   for (std::vector<Violation>& violations : verdicts_) violations.clear();
   std::fill(verdict_runs_.begin(), verdict_runs_.end(), 0);
 }

@@ -8,15 +8,11 @@
 // Under a scan stream, verification follows the change rather than the
 // table: given the SnapshotDelta since the previous verify() call, a policy
 // none of whose destinations the delta touches keeps its previous
-// violations, and only the remaining policies are evaluated. That reuse
-// runs at every thread count. With one thread the remaining policies trace
-// on the fly; with more, their destinations are partitioned into
-// per-thread batches, each batch builds its destinations' forwarding
-// graphs concurrently, and the policies are then evaluated concurrently
-// (one task per policy) over the shared graphs. Forwarding graphs are
-// memoized across calls keyed on the destination's equivalence-class
-// behaviour signature. Verdicts are merged in policy order, so every path
-// produces byte-identical reports.
+// violations, and only the remaining policies are checked, each tracing
+// forwarding on the fly. One path serves every thread count: a pool only
+// splits the list of policies to check across its workers. Verdicts are
+// merged in policy order, so reports are byte-identical at any thread
+// count.
 #pragma once
 
 #include <algorithm>
@@ -51,40 +47,27 @@ struct VerifyResult {
 };
 
 struct VerifierOptions {
-  /// Worker threads for sharded verification. 0 = one per hardware thread;
-  /// 1 = evaluate on the calling thread, tracing on the fly (no pool, no
-  /// forwarding-graph memo; verdict reuse under a delta still applies);
-  /// N = N workers.
+  /// Worker threads that check policies. 0 = one per hardware thread;
+  /// 1 = check on the calling thread (no pool); N = N workers.
   unsigned num_threads = 0;
-  /// Memoize per-EC forwarding graphs across verify() calls (skips
-  /// re-tracing destinations whose behaviour signature is unchanged across
-  /// churn steps). Only applies to the sharded path.
-  bool memoize = true;
-  /// Drop the whole memo cache once it holds this many classes (bounds
-  /// memory under adversarial churn; normal workloads stay far below).
-  std::size_t max_cached_classes = 4096;
 };
 
-/// Cumulative counters. The memo-cache pair counts on the sharded path
-/// only; the others count at every thread count.
+/// Cumulative counters, identical at every thread count.
 struct VerifyStats {
-  std::size_t runs = 0;          // verify() calls
+  std::size_t runs = 0;  // verify() calls
   /// Destinations of the policies each call covered (its plan did not
   /// defer them), summed over calls.
   std::size_t destinations = 0;
-  std::size_t cache_hits = 0;    // forwarding graphs served from the cache
-  std::size_t cache_misses = 0;  // forwarding graphs built
   /// Of `destinations`, those no policy had to re-check because the
-  /// caller's SnapshotDelta proved them untouched: neither traced nor
-  /// keyed.
+  /// caller's SnapshotDelta proved them untouched.
   std::size_t delta_skips = 0;
   /// Covered policies whose violations were reused from the previous call.
   std::size_t reused_policies = 0;
 
-  double hit_rate() const {
-    std::size_t total = cache_hits + cache_misses;
-    return total == 0 ? 0.0 : static_cast<double>(cache_hits) / static_cast<double>(total);
-  }
+  /// Always 0.0: the verifier stores only verdicts. Its one reader is the
+  /// per-layer metric `verify.cache_hit_rate` (perfbench/hbbench.cpp:672);
+  /// the two go together.
+  double hit_rate() const { return 0.0; }
 };
 
 class Verifier {
@@ -119,24 +102,15 @@ class Verifier {
   const VerifierOptions& options() const { return options_; }
 
   VerifyStats stats() const;
-  /// Drop the forwarding-graph memo and every stored verdict: the next
-  /// call evaluates each covered policy whatever its delta says.
+  /// Drop every stored verdict: the next call checks each covered policy
+  /// whatever its delta says.
   void clear_cache() const;
 
-  /// The pool backing the sharded path (created on demand; null while the
-  /// verifier is configured serial).
+  /// The pool that splits the policies to check (created on demand; null
+  /// while the verifier is configured for one thread).
   std::shared_ptr<ThreadPool> thread_pool() const;
 
  private:
-  /// Evaluate policy `todo[k]` into `out[k]`, for every k.
-  void verify_serial(const DataPlaneSnapshot& snapshot, const std::vector<std::size_t>& todo,
-                     std::vector<std::vector<Violation>>& out) const;
-  /// As verify_serial, over forwarding graphs built (or served from the
-  /// memo) for the destinations flagged in `needed`.
-  void verify_sharded(const DataPlaneSnapshot& snapshot, const std::vector<std::size_t>& todo,
-                      const std::vector<char>& needed,
-                      std::vector<std::vector<Violation>>& out) const;
-
   /// Fill the destination tables below (under mutex_, on the first call).
   void index_destinations() const;
 
@@ -155,7 +129,6 @@ class Verifier {
   mutable std::vector<std::size_t> policy_begin_;
   mutable std::vector<std::size_t> policy_destinations_;
   mutable std::shared_ptr<ThreadPool> pool_;
-  mutable std::map<std::string, DestinationForwardingRef> cache_;  // by signature
   /// Each policy's violations from the last call that evaluated or reused
   /// them, stamped with that call's run number (0: none stored). A delta
   /// only vouches for the immediately preceding call, so reuse needs

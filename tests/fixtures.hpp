@@ -2,7 +2,7 @@
 // digests, and the seeded churn-network guarded-run harness.
 //
 // Everything here is deterministic for a given seed — the differential
-// harnesses (test_fault_injection.cpp, test_distributed_hbg.cpp) rely on
+// harnesses (test_fault_injection.cpp, test_traffic_weighted.cpp) rely on
 // replaying the *identical* network, churn and fault plan in every
 // configuration they compare.
 #pragma once
@@ -89,7 +89,6 @@ struct GuardedRunOptions {
   std::uint64_t seed = 13;    ///< topology/churn seed
   std::size_t routers = 8;
   std::size_t churn_events = 40;
-  std::size_t distributed_shards = 0;  ///< GuardOptions::distributed_shards
   /// Last-chance hook over the assembled GuardOptions (traffic scheduling,
   /// incremental toggles, ...) before the Guard is constructed.
   std::function<void(GuardOptions&)> customize;
@@ -132,7 +131,6 @@ inline GuardedRun run_guarded(const FaultPlan& plan, const GuardedRunOptions& ru
   GuardOptions guard_options;
   guard_options.repair = RepairMode::kReport;
   guard_options.num_threads = run_options.threads;
-  guard_options.distributed_shards = run_options.distributed_shards;
   if (run_options.customize) run_options.customize(guard_options);
   Guard guard(net, loopback_policies(net.router_count()), guard_options);
 

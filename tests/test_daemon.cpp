@@ -4,11 +4,12 @@
 // the same input — the transport must be invisible to verification. Also
 // exercises the control RPC surface (status/scan/repairs/why), ingest
 // backpressure with a slow (paused) consumer, fragmented ingest through the
-// parse lane, stream order across successive connections, and clean
-// shutdown.
+// parse lane, an idle loop while paused behind a closed sender, stream order
+// across successive connections, and clean shutdown.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
@@ -17,6 +18,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <ctime>
 #include <optional>
 #include <random>
 #include <sstream>
@@ -451,6 +453,65 @@ TEST(Daemon, FragmentedIngestThroughTheParseLane) {
     EXPECT_EQ(status_field(status, "records_dropped"), 0u) << status;
     EXPECT_EQ(status_field(status, "records_rejected"), 0u) << status;
 
+    EXPECT_EQ(chomp(rpc(control, "digest")), chomp(offline.digest()));
+    EXPECT_EQ(rpc(control, "shutdown").rfind("ok", 0), 0u);
+    ::close(control);
+    server.join();
+    EXPECT_EQ(daemon.records_dropped(), 0u);
+    EXPECT_EQ(daemon.session().records_delivered(), sent);
+  }
+}
+
+TEST(Daemon, PausedDeliveryBehindClosedSenderDoesNotSpin) {
+  // With delivery paused, an ingest connection whose sender has closed
+  // holds its records until resume, and its socket raises POLLHUP. A loop
+  // that kept polling it would wake at once, forever. The connection gets
+  // there two ways: the daemon reads through EOF (default soft limit), or
+  // reads pause at the soft limit before EOF is read (the hard cap, twice
+  // that, stays above the trace's length, so nothing is dropped).
+  Fig2Trace trace = make_fig2_trace();
+  const std::size_t sent = trace.records.size();
+  for (bool at_soft_limit : {false, true}) {
+    SCOPED_TRACE(at_soft_limit ? "paused at the soft limit" : "read through EOF");
+    DaemonOptions options = make_options(trace, at_soft_limit ? "spin-soft" : "spin-eof");
+    if (at_soft_limit) options.inbox_soft_limit = sent - 1;
+    const std::uint64_t held = at_soft_limit ? options.inbox_soft_limit : sent;
+    GuardReport offline = ReplayGuardSession::run_offline(trace.records, options.session);
+
+    GuardDaemon daemon(options);
+    ASSERT_TRUE(daemon.bind());
+    std::thread server([&daemon] { daemon.run(); });
+    int control = connect_unix(daemon.control_socket_path());
+    ASSERT_GE(control, 0);
+    timeval timeout{10, 0};
+    ASSERT_EQ(::setsockopt(control, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+    ASSERT_EQ(rpc(control, "pause").rfind("ok", 0), 0u);
+
+    int ingest = connect_unix(daemon.ingest_socket_path());
+    ASSERT_GE(ingest, 0);
+    ASSERT_TRUE(send_all(ingest, to_jsonl(trace.records)));
+    ::close(ingest);
+    std::uint64_t buffered = 0;
+    for (int i = 0; i < 2000 && buffered < held; ++i) {
+      buffered = status_field(rpc(control, "status"), "records_buffered");
+      if (buffered < held) ::usleep(2'000);
+    }
+    ASSERT_GE(buffered, held);
+    ASSERT_LE(buffered, sent);
+
+    // Nothing can happen until resume, so the loop thread must sleep.
+    clockid_t clock{};
+    ASSERT_EQ(::pthread_getcpuclockid(server.native_handle(), &clock), 0);
+    auto cpu_seconds = [clock] {
+      timespec now{};
+      ::clock_gettime(clock, &now);
+      return static_cast<double>(now.tv_sec) + static_cast<double>(now.tv_nsec) * 1e-9;
+    };
+    const double before = cpu_seconds();
+    ::usleep(1'000'000);
+    EXPECT_LT(cpu_seconds() - before, 0.05) << "CPU seconds used over 1 s while paused";
+
+    ASSERT_EQ(rpc(control, "resume").rfind("ok", 0), 0u);
     EXPECT_EQ(chomp(rpc(control, "digest")), chomp(offline.digest()));
     EXPECT_EQ(rpc(control, "shutdown").rfind("ok", 0), 0u);
     ::close(control);

@@ -186,8 +186,8 @@ TEST(FaultInjection, CrashedRouterReconvergesToItsPreCrashFibs) {
 // ---------------------------------------------------------------------------
 // Guarded runs under a fault plan vs the fault-free-capture oracle.
 
-// loopback_policies, GuardedRun and run_guarded moved to fixtures.hpp so the
-// distributed-HBG differential harness replays the identical runs.
+// loopback_policies, GuardedRun and run_guarded live in fixtures.hpp, shared
+// with the traffic-weighted harness.
 
 std::set<std::string> incident_signatures(const GuardReport& report) {
   std::set<std::string> signatures;

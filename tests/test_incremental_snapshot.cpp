@@ -274,7 +274,7 @@ std::string violations_digest(const VerifyResult& result) {
 TEST(IncrementalSnapshot, DeltaDrivenVerifyMatchesFullVerify) {
   // A delta that names the one changed prefix must let the verifier reuse
   // the other policies' verdicts, skipping their destinations, while
-  // returning identical violations — on the serial path and the sharded one.
+  // returning identical violations — at one thread and at two.
   Rng topo_rng(31);
   NetworkOptions options;
   options.seed = 31;

@@ -1,7 +1,7 @@
-// Determinism and memoization tests for the sharded verifier: parallel runs
-// must produce byte-identical reports to serial ones, and the per-EC
-// forwarding-graph cache must hit on unchanged behaviour and miss after it
-// changes.
+// Determinism tests for the verifier at several thread counts: a pool only
+// splits the policies to check, so every thread count must produce
+// byte-identical reports, and clear_cache() must drop the verdicts a delta
+// would otherwise let it reuse.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -77,71 +77,40 @@ TEST(ParallelVerify, ReportIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelVerify, MemoizationOffMatchesMemoizationOn) {
+TEST(ParallelVerify, ClearCacheDropsStoredVerdicts) {
   DataPlaneSnapshot snapshot = mixed_snapshot();
-  PolicyList policies = mixed_policies();
-  Verifier memo(policies, VerifierOptions{.num_threads = 4, .memoize = true});
-  Verifier no_memo(policies, VerifierOptions{.num_threads = 4, .memoize = false});
-  for (int round = 0; round < 3; ++round) {
-    EXPECT_EQ(render(memo.verify(snapshot)), render(no_memo.verify(snapshot)));
-  }
-  EXPECT_GT(memo.stats().cache_hits, 0u);
-  EXPECT_EQ(no_memo.stats().cache_hits, 0u);
-}
-
-TEST(ParallelVerify, CacheHitsOnUnchangedSnapshot) {
-  DataPlaneSnapshot snapshot = mixed_snapshot();
-  Verifier verifier(mixed_policies(), VerifierOptions{.num_threads = 2});
-
-  verifier.verify(snapshot);
-  VerifyStats first = verifier.stats();
-  EXPECT_EQ(first.cache_hits, 0u);
-  EXPECT_EQ(first.cache_misses, 8u);  // one graph per destination
-
-  verifier.verify(snapshot);
-  VerifyStats second = verifier.stats();
-  EXPECT_EQ(second.cache_misses, 8u);  // nothing new to build
-  EXPECT_EQ(second.cache_hits, 8u);    // every destination served from cache
-}
-
-TEST(ParallelVerify, CacheMissesOnlyForChangedBehaviour) {
-  DataPlaneSnapshot snapshot = mixed_snapshot();
-  Verifier verifier(mixed_policies(), VerifierOptions{.num_threads = 2});
-  verifier.verify(snapshot);
-
-  // Reroute prefix 0: router 1 now exits directly instead of via router 2.
-  snapshot.routers[1].entries[0] = external_entry(churn_prefix(0).to_string().c_str(), "up");
-  snapshot.invalidate_lookup_cache();
-
-  VerifyResult changed = verifier.verify(snapshot);
-  VerifyStats stats = verifier.stats();
-  EXPECT_EQ(stats.cache_misses, 9u);  // only prefix 0 rebuilt
-  EXPECT_EQ(stats.cache_hits, 7u);    // the other seven reused
-
-  // And the rebuilt graph is actually used: verdicts match a fresh verifier.
+  SnapshotDelta unchanged;
+  unchanged.full = false;  // incremental, nothing changed
   Verifier fresh(mixed_policies(), VerifierOptions{.num_threads = 1});
-  EXPECT_EQ(render(changed), render(fresh.verify(snapshot)));
-}
+  const std::string expected = render(fresh.verify(snapshot));
 
-TEST(ParallelVerify, ClearCacheForcesRebuild) {
-  DataPlaneSnapshot snapshot = mixed_snapshot();
-  Verifier verifier(mixed_policies(), VerifierOptions{.num_threads = 2});
-  verifier.verify(snapshot);
-  verifier.clear_cache();
-  verifier.verify(snapshot);
-  EXPECT_EQ(verifier.stats().cache_misses, 16u);
-  EXPECT_EQ(verifier.stats().cache_hits, 0u);
+  for (unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE(testing::Message() << "num_threads=" << threads);
+    Verifier verifier(mixed_policies(), VerifierOptions{.num_threads = threads});
+    const std::size_t policies = verifier.policies().size();
+    EXPECT_EQ(render(verifier.verify(snapshot)), expected);
+    EXPECT_EQ(verifier.stats().reused_policies, 0u);
+
+    // An empty delta vouches for every stored verdict.
+    EXPECT_EQ(render(verifier.verify(snapshot, &unchanged)), expected);
+    EXPECT_EQ(verifier.stats().reused_policies, policies);
+
+    // Once the verdicts are dropped, the same delta can vouch for none.
+    verifier.clear_cache();
+    VerifyResult after = verifier.verify(snapshot, &unchanged);
+    EXPECT_EQ(verifier.stats().reused_policies, policies);
+    EXPECT_EQ(verifier.stats().delta_skips, 8u);  // all from the second call
+    EXPECT_EQ(render(after), expected);
+  }
 }
 
 TEST(ParallelVerify, SerialVerifierCreatesNoPool) {
   Verifier verifier(mixed_policies(), VerifierOptions{.num_threads = 1});
   verifier.verify(mixed_snapshot());
   EXPECT_EQ(verifier.thread_pool(), nullptr);
-  // The serial path keeps the path-independent counters, not the memo's.
   VerifyStats stats = verifier.stats();
   EXPECT_EQ(stats.runs, 1u);
   EXPECT_EQ(stats.destinations, 8u);
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0u);
 }
 
 TEST(ConsistentSnapshotter, ParallelReplayMatchesSerial) {
@@ -186,8 +155,8 @@ std::string guarded_run_summary(unsigned num_threads) {
 }
 
 TEST(ParallelVerify, GuardReportByteIdenticalAcrossThreadCounts) {
-  // The whole pipeline — snapshotter replay, EC computation, sharded
-  // verification — must give the same incidents and the same summary text
+  // The whole pipeline — snapshotter replay, EC computation, policy
+  // checks — must give the same incidents and the same summary text
   // no matter how many workers it uses.
   std::string baseline = guarded_run_summary(1);
   EXPECT_NE(baseline.find("reverted"), std::string::npos);

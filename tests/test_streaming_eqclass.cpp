@@ -3,9 +3,8 @@
 //
 // The streaming maintainer is only allowed to exist because its
 // materialized classes are indistinguishable from the batch computation at
-// every churn cut point — the verifier memo cache and the early-block
-// model key on the signature strings, so a single divergent byte changes
-// guard behaviour. Every test here drives churn through
+// every churn cut point — the early-block model keys on the signature
+// strings, so a single divergent byte changes guard behaviour. Every test here drives churn through
 // Snapshot::apply_fib_update + SnapshotDelta, the shape a scan stream
 // delivers changes in, then compares the full materialization (signatures, interval lists,
 // representatives, sizes, class order) against a scratch batch build, at
