@@ -1,30 +1,25 @@
 // A6 — internet-scale ingestion: full-table BGP churn through the binary
-// trace-archive codec vs JSONL, and streaming equivalence classes vs batch.
+// trace-archive codec vs JSONL, and batch equivalence classes vs table size.
 //
 // The paper's control-plane guard is only deployable at internet scale if
-// (a) trace ingest keeps up with full-table churn (~10^6 prefixes) and
-// (b) the verifier's equivalence classes can be maintained incrementally
-// instead of recomputed per scan. This bench generates a full-table churn
-// trace (Zipf prefix popularity, bursty update trains, session resets),
-// writes it through both codecs, and measures:
+// trace ingest keeps up with full-table churn (~10^6 prefixes). This bench
+// generates a full-table churn trace (Zipf prefix popularity, bursty update
+// trains, session resets), writes it through both codecs, and measures:
 //   * ingest throughput — JSONL stream parse vs mmap'd binary decode vs
-//     binary decode + arena re-homing (what the daemon's bulk path pays);
-//   * scan latency vs table size — batch compute_equivalence_classes
-//     against a single-prefix streaming update at each table size;
-// and enforces three gates (exit 1 on any failure):
+//     binary decode + re-homing every record into an ArenaCaptureStore
+//     (an owned copy with interned strings);
+//   * equivalence-class cost vs table size — compute_equivalence_classes
+//     over one table per size;
+// and enforces two gates (exit 1 on either failure):
 //   * throughput — the binary archive must ingest >= 5x faster than JSONL;
 //   * cross-codec equality — a field digest over every record must match
-//     between the two codecs exactly;
-//   * streaming-EC byte-identity — replaying the churn against a snapshot,
-//     the streaming classes must equal the batch computation (signatures,
-//     intervals, representatives) at every checkpoint.
+//     between the two codecs exactly.
 // Writes BENCH_internet_scale.json. `--smoke` shrinks the trace for CI.
 #include "bench_util.hpp"
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -84,18 +79,6 @@ struct Digest {
   }
 };
 
-bool identical(const EquivalenceClasses& a, const EquivalenceClasses& b) {
-  if (a.atomic_intervals != b.atomic_intervals) return false;
-  if (a.classes.size() != b.classes.size()) return false;
-  for (std::size_t i = 0; i < a.classes.size(); ++i) {
-    if (a.classes[i].signature != b.classes[i].signature) return false;
-    if (a.classes[i].intervals != b.classes[i].intervals) return false;
-    if (a.classes[i].representative.bits() != b.classes[i].representative.bits()) return false;
-    if (a.classes[i].size != b.classes[i].size) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -116,9 +99,9 @@ int main(int argc, char** argv) {
   }
 
   header("bench_internet_scale",
-         "internet-scale ingestion — binary trace archives + streaming eqclasses",
-         "binary ingest >= 5x JSONL; streaming classes byte-identical to batch; "
-         "streaming scan latency flat as the table grows",
+         "internet-scale ingestion — binary trace archives + equivalence classes",
+         "binary ingest >= 5x JSONL; both codecs decode identical records; "
+         "equivalence-class cost as the table grows",
          /*seed=*/churn.seed);
   std::printf("mode: %s (%zu prefixes, %zu churn records, %zu routers)\n\n",
               smoke ? "smoke" : "full", churn.prefix_count, churn.churn_records,
@@ -198,7 +181,7 @@ int main(int argc, char** argv) {
     reader_mapped = reader.mapped();
   }
 
-  // The daemon's bulk path: decode + re-home into the arena store.
+  // Decode + re-home into an owned arena store.
   ArenaCaptureStore store;
   double arena_ms;
   {
@@ -250,77 +233,10 @@ int main(int argc, char** argv) {
     exit_code = 1;
   }
 
-  // ---- streaming-EC byte-identity under replayed churn --------------------
+  // ---- equivalence-class cost vs table size --------------------------------
+  std::printf("--- equivalence-class cost vs table size ---\n");
   ThreadPool pool;
-  DataPlaneSnapshot snapshot;
-  for (std::size_t r = 0; r < churn.router_count; ++r) {
-    snapshot.routers[static_cast<RouterId>(r)];
-  }
-  StreamingEquivalenceClasses streaming;
-  streaming.rebuild(snapshot, &pool);
-
-  const std::size_t checkpoints = smoke ? 4 : 2;
-  const std::size_t chunk = std::max<std::size_t>(1, store.size() / (checkpoints * 16));
-  std::size_t ec_checkpoints = 0;
-  std::size_t ec_divergences = 0;
-  std::size_t applied = 0;
-  double streaming_total_ms = 0;
-  SnapshotDelta delta;
-  delta.full = false;
-  Stopwatch replay_watch;
-  for (std::size_t i = 0; i < store.size(); ++i) {
-    const ArchiveRecord& record = store[i];
-    if (record.kind != IoKind::kFibUpdate || !record.has_fib_entry) continue;
-    snapshot.apply_fib_update(record.router, record.fib_entry.materialize(), record.withdraw);
-    delta.changed_prefixes.insert(record.fib_entry.prefix);
-    ++applied;
-    if (applied % chunk == 0 || i + 1 == store.size()) {
-      Stopwatch update_watch;
-      streaming.update(snapshot, delta, &pool);
-      streaming_total_ms += update_watch.ms();
-      delta.changed_prefixes.clear();
-      // Compare against a scratch batch build at evenly spaced checkpoints.
-      if (applied / chunk % (checkpoints * 16 / checkpoints) == 0 &&
-          ec_checkpoints < checkpoints) {
-        ++ec_checkpoints;
-        if (!identical(streaming.classes(), compute_equivalence_classes(snapshot, &pool))) {
-          ++ec_divergences;
-        }
-      }
-    }
-  }
-  if (!delta.changed_prefixes.empty()) {
-    streaming.update(snapshot, delta, &pool);
-    delta.changed_prefixes.clear();
-  }
-  // Final checkpoint always runs: end state must match batch exactly.
-  ++ec_checkpoints;
-  EquivalenceClasses final_batch = compute_equivalence_classes(snapshot, &pool);
-  if (!identical(streaming.classes(), final_batch)) ++ec_divergences;
-  double replay_ms = replay_watch.ms();
-
-  std::printf("--- streaming equivalence classes under replayed churn ---\n");
-  std::printf("replayed %zu FIB updates in %.0f ms (%.0f ms inside streaming updates);\n"
-              "%zu classes over %zu atomic intervals; %llu incremental updates, "
-              "%llu splits, %llu merges, %llu rebuilds\n",
-              applied, replay_ms, streaming_total_ms, final_batch.classes.size(),
-              final_batch.atomic_intervals,
-              static_cast<unsigned long long>(streaming.stats().incremental_updates),
-              static_cast<unsigned long long>(streaming.stats().splits),
-              static_cast<unsigned long long>(streaming.stats().merges),
-              static_cast<unsigned long long>(streaming.stats().rebuilds));
-  std::printf("byte-identity gate: %zu checkpoints, %zu divergences\n",
-              ec_checkpoints, ec_divergences);
-  if (ec_divergences > 0) {
-    std::printf("GATE FAILED: streaming classes diverged from batch at %zu checkpoint(s)\n",
-                ec_divergences);
-    exit_code = 1;
-  }
-  std::printf("\n");
-
-  // ---- scan latency vs table size -----------------------------------------
-  std::printf("--- scan latency vs table size ---\n");
-  Table latency({"prefixes in table", "batch recompute", "streaming update (1 prefix)",
+  Table latency({"prefixes in table", "compute_equivalence_classes", "classes",
                  "atomic intervals"});
   std::vector<std::size_t> sizes = {1u << 12, 1u << 14, 1u << 16};
   if (!smoke) {
@@ -330,7 +246,7 @@ int main(int argc, char** argv) {
   struct LatencyPoint {
     std::size_t table_size;
     double batch_ms;
-    double streaming_ms;
+    std::size_t classes;
     std::size_t intervals;
   };
   std::vector<LatencyPoint> curve;
@@ -344,37 +260,21 @@ int main(int argc, char** argv) {
       entry.source = Protocol::kEbgp;
       entry.action = FibEntry::Action::kExternal;
       entry.external_session = "peer" + std::to_string(i % churn.session_count);
-      table.apply_fib_update(static_cast<RouterId>(i % routers), entry, false);
+      table.routers[static_cast<RouterId>(i % routers)].entries.push_back(entry);
     }
 
     Stopwatch batch_watch;
     auto batch = compute_equivalence_classes(table, &pool);
     double batch_ms = batch_watch.ms();
 
-    StreamingEquivalenceClasses maintained;
-    maintained.rebuild(table, &pool);
-    // One in-place change — the steady-state churn case.
-    FibEntry change;
-    change.prefix = full_table_prefix(size / 2);
-    change.source = Protocol::kEbgp;
-    change.action = FibEntry::Action::kForward;
-    change.next_hop = 0;
-    table.apply_fib_update(static_cast<RouterId>((size / 2) % routers), change, false);
-    SnapshotDelta one;
-    one.full = false;
-    one.changed_prefixes.insert(change.prefix);
-    Stopwatch update_watch;
-    maintained.update(table, one, &pool);
-    double update_ms = update_watch.ms();
-
-    latency.row({std::to_string(size), fmt(batch_ms, 1) + " ms", fmt(update_ms, 2) + " ms",
-                 std::to_string(batch.atomic_intervals)});
-    curve.push_back({size, batch_ms, update_ms, batch.atomic_intervals});
+    latency.row({std::to_string(size), fmt(batch_ms, 1) + " ms",
+                 std::to_string(batch.classes.size()), std::to_string(batch.atomic_intervals)});
+    curve.push_back({size, batch_ms, batch.classes.size(), batch.atomic_intervals});
   }
   latency.print();
-  std::printf("(batch recompute grows with the table; the streaming update touches only\n"
-              " the dirtied intervals, which is what makes per-scan maintenance viable\n"
-              " at full-table scale.)\n\n");
+  std::printf("(the partition grows with the table: one LPM per router per atomic\n"
+              " interval. The guard never partitions: early blocking reads a\n"
+              " destination's class signature from one lookup per router.)\n\n");
 
   // ---- artifact -----------------------------------------------------------
   JsonWriter json;
@@ -395,17 +295,12 @@ int main(int argc, char** argv) {
   json.key("ingest_speedup").value(speedup);
   json.key("ingest_speedup_required").value(5.0);
   json.key("digest_match").value(digests_match);
-  json.key("fib_updates_replayed").value(applied);
-  json.key("equivalence_classes").value(final_batch.classes.size());
-  json.key("atomic_intervals").value(final_batch.atomic_intervals);
-  json.key("ec_checkpoints").value(ec_checkpoints);
-  json.key("ec_divergences").value(ec_divergences);
-  json.key("scan_latency").begin_array();
+  json.key("eqclass_cost").begin_array();
   for (const LatencyPoint& point : curve) {
     json.begin_object();
     json.key("table_size").value(point.table_size);
     json.key("batch_ms").value(point.batch_ms);
-    json.key("streaming_update_ms").value(point.streaming_ms);
+    json.key("classes").value(point.classes);
     json.key("atomic_intervals").value(point.intervals);
     json.end_object();
   }

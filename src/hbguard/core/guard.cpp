@@ -5,6 +5,7 @@
 
 #include "hbguard/core/guard_state.hpp"
 #include "hbguard/util/logging.hpp"
+#include "hbguard/verify/eqclass.hpp"
 
 namespace hbguard {
 
@@ -35,14 +36,14 @@ Guard::Guard(Network& network, PolicyList policies, GuardOptions options)
                 : std::make_shared<ThreadPool>(options.num_threads)),
       verifier_(policies, VerifierOptions{options.num_threads}, pool_),
       options_(options),
-      // The horizon snapshotter inherits the Guard-wide thread knob so one
-      // setting parallelizes the whole pipeline.
-      horizon_snapshotter_({{options.snapshot}, options.num_threads}),
+      horizon_snapshotter_(options.snapshot),
       analyzer_(RootCauseAnalyzer::Options{options.min_confidence}),
       reverter_(network),
       incremental_builder_(options.matcher),
       snapshotter_(options.snapshot),
       traffic_scheduler_(options.traffic) {
+  // The horizon snapshotter replays on the Guard's pool, so the one thread
+  // knob parallelizes the whole pipeline.
   horizon_snapshotter_.set_thread_pool(pool_);
   // The HBG and match engine reference the capture store instead of copying
   // records (the hub outlives the guard and its store only grows).
@@ -513,26 +514,25 @@ void Guard::import_state(GuardPersistentState state) {
   last_health_transitions_ = state.last_health_transitions;
 }
 
+DataPlaneSnapshot Guard::pre_change_snapshot(const HappensBeforeGraph& hbg,
+                                             SimTime change_logged) const {
+  std::map<RouterId, SimTime> horizons;
+  for (std::size_t i = 0; i < network_.router_count(); ++i) {
+    horizons[static_cast<RouterId>(i)] = change_logged - 1;
+  }
+  return horizon_snapshotter_.build(network_.capture().records(), hbg, horizons);
+}
+
 void Guard::learn_early_block(const HappensBeforeGraph& hbg, const ProvenanceResult& provenance,
                               const std::vector<Violation>& violations, bool violated) {
   for (const RootCause& cause : provenance.causes) {
     if (cause.kind != CauseKind::kConfigChange) continue;
-    // Equivalence-class signatures from the *pre-change* data plane: replay
-    // the capture up to just before the change was logged.
-    std::map<RouterId, SimTime> horizons;
-    for (std::size_t i = 0; i < network_.router_count(); ++i) {
-      horizons[static_cast<RouterId>(i)] = cause.record.logged_time - 1;
-    }
-    DataPlaneSnapshot before =
-        horizon_snapshotter_.build(network_.capture().records(), hbg, horizons);
-    EquivalenceClasses classes = compute_equivalence_classes(before, pool_.get());
-
+    DataPlaneSnapshot before = pre_change_snapshot(hbg, cause.record.logged_time);
     std::string change_signature = normalize_change_description(cause.record.detail);
     for (const Violation& violation : violations) {
-      std::size_t index = classes.class_of(representative(violation.prefix));
-      std::string ec_signature =
-          index < classes.classes.size() ? classes.classes[index].signature : "";
-      early_model_.observe({cause.record.router, change_signature, ec_signature}, violated);
+      early_model_.observe({cause.record.router, change_signature,
+                            class_signature(before, representative(violation.prefix))},
+                           violated);
     }
     pending_benign_.erase(cause.record.config_version);
   }
@@ -556,23 +556,14 @@ std::optional<RevertAction> Guard::try_early_block(const HappensBeforeGraph& hbg
     if (change.parent == kNoVersion || change.reverted) continue;  // initial or already undone
     if (change.description.starts_with("revert")) continue;        // our own repairs
 
-    // Pre-change data plane and its equivalence classes.
-    std::map<RouterId, SimTime> horizons;
-    for (std::size_t i = 0; i < network_.router_count(); ++i) {
-      horizons[static_cast<RouterId>(i)] = record.logged_time - 1;
-    }
-    DataPlaneSnapshot before = horizon_snapshotter_.build(records, hbg, horizons);
-    EquivalenceClasses classes = compute_equivalence_classes(before, pool_.get());
-
+    DataPlaneSnapshot before = pre_change_snapshot(hbg, record.logged_time);
     std::string change_signature = normalize_change_description(record.detail);
     std::vector<EarlyBlockKey> keys;
     bool predicted_violation = false;
     for (const auto& policy : verifier_.policies()) {
       for (const Prefix& prefix : policy->prefixes()) {
-        std::size_t index = classes.class_of(representative(prefix));
-        std::string ec_signature =
-            index < classes.classes.size() ? classes.classes[index].signature : "";
-        EarlyBlockKey key{record.router, change_signature, ec_signature};
+        EarlyBlockKey key{record.router, change_signature,
+                          class_signature(before, representative(prefix))};
         keys.push_back(key);
         auto prediction = early_model_.predict(key);
         if (prediction.has_value() && *prediction >= 0.5) predicted_violation = true;

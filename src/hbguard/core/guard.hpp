@@ -19,7 +19,8 @@
 //   kEarlyBlock kRevert, plus a learned equivalence-class model that
 //               predicts violations from config-change inputs and reverts
 //               them before FIB fallout propagates (§6's most advanced
-//               mitigation)
+//               mitigation); a destination's class is keyed by its
+//               per-router forwarding actions (class_signature)
 #pragma once
 
 #include <memory>
@@ -35,7 +36,7 @@
 #include "hbguard/sim/network.hpp"
 #include "hbguard/snapshot/consistent.hpp"
 #include "hbguard/snapshot/incremental.hpp"
-#include "hbguard/verify/eqclass.hpp"
+#include "hbguard/verify/traffic.hpp"
 #include "hbguard/verify/verifier.hpp"
 
 #include "hbguard/core/report.hpp"
@@ -77,12 +78,13 @@ std::string_view to_string(RepairProposal::Status status);
 struct GuardOptions {
   RepairMode repair = RepairMode::kRevert;
   /// Worker threads for the pipeline's parallel stages (the verifier's
-  /// policy checks, per-router snapshot replay, EC computation). One pool is
+  /// policy checks, per-router replay of early-block snapshots). One pool is
   /// created per Guard and reused by every scan. 0 = one worker per
   /// hardware thread; 1 = no pool, every stage on the scanning thread. Reports are
   /// byte-identical for every setting (see tests/test_parallel_verify.cpp).
   unsigned num_threads = 0;
-  /// Minimum HBG edge confidence used for snapshots and provenance.
+  /// Minimum HBG edge confidence for provenance (the root-cause analyzer).
+  /// Snapshots read `snapshot.min_confidence` instead.
   double min_confidence = 0.9;
   /// Virtual time between scans of the capture stream.
   SimTime scan_interval_us = 100'000;
@@ -227,12 +229,17 @@ class Guard {
   void rank_causes_by_traffic(ProvenanceResult& provenance,
                               const std::vector<Violation>& violations) const;
 
+  /// The data plane just before a change logged at `change_logged`: the
+  /// capture replayed up to that instant on every router. Early blocking
+  /// keys each destination on its class_signature() here.
+  DataPlaneSnapshot pre_change_snapshot(const HappensBeforeGraph& hbg,
+                                        SimTime change_logged) const;
   void learn_early_block(const HappensBeforeGraph& hbg, const ProvenanceResult& provenance,
                          const std::vector<Violation>& violations, bool violated);
   std::optional<RevertAction> try_early_block(const HappensBeforeGraph& hbg);
 
   Network& network_;
-  /// Shared across the verifier, snapshotter and EC computation; null when
+  /// Shared by the verifier and the horizon snapshotter; null when
   /// `num_threads == 1`.
   std::shared_ptr<ThreadPool> pool_;
   Verifier verifier_;

@@ -244,7 +244,7 @@ void GuardDaemon::read_connection(Connection& conn) {
       } else if (line.empty()) {
         // A blank line carries nothing.
       } else if (conn.control) {
-        conn.lines.emplace_back(line);
+        conn.lines.push_back({std::string(line), std::nullopt});
       } else {
         block.append(line);
         block += '\n';
@@ -264,7 +264,7 @@ void GuardDaemon::read_connection(Connection& conn) {
 
 void GuardDaemon::reject_oversize_line(Connection& conn) {
   if (conn.control) {
-    conn.lines.push_back(kOversizeControlLine);
+    conn.lines.push_back({kOversizeControlLine, std::nullopt});
     return;
   }
   ++rejected_;
@@ -627,8 +627,27 @@ bool GuardDaemon::execute_command(Connection&, const std::string& line,
 bool GuardDaemon::process_control(Connection& conn) {
   bool progressed = false;
   while (!conn.lines.empty() && running_) {
-    std::string response;
-    if (!execute_command(conn, conn.lines.front(), response)) break;  // deferred
+    ControlLine& front = conn.lines.front();
+    if (!front.reply) {
+      std::string response;
+      if (!execute_command(conn, front.text, response)) {
+        // A digest or finish waits for ingest to quiesce, which paused
+        // delivery never does. A `resume` queued behind it runs now and
+        // its reply waits its turn. Hoisting stops at a `pause`, so
+        // delivery ends in the state line order gives.
+        for (auto it = std::next(conn.lines.begin()); it != conn.lines.end(); ++it) {
+          const std::string cmd = split(trim(it->text), ' ')[0];
+          if (cmd == "pause") break;
+          if (cmd == "resume" && !it->reply) {
+            execute_command(conn, it->text, it->reply.emplace());
+            progressed = true;
+          }
+        }
+        break;
+      }
+      front.reply = std::move(response);
+    }
+    std::string response = std::move(*front.reply);
     conn.lines.pop_front();
     // A reply is an acknowledgment: everything the command observed (and
     // every record delivered before it) must be durable before it leaves.

@@ -35,6 +35,12 @@
 // through its newline — counted in records_rejected on ingest, answered
 // with `err line too long` on control — and an ingest stream that ends
 // mid-line counts its unterminated tail as rejected too.
+//
+// Control lines on one connection answer in line order, one reply each.
+// `digest` and `finish` wait for ingest to quiesce; while one waits, a
+// `resume` queued behind it (and before any `pause`) runs at once, so
+// paused delivery cannot wedge the connection, and its reply waits its
+// turn.
 #pragma once
 
 #include <atomic>
@@ -42,6 +48,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -109,6 +116,12 @@ class GuardDaemon {
   bool recovered() const { return recovered_; }
 
  private:
+  /// One queued RPC line, and its reply once it has run ahead of its turn.
+  struct ControlLine {
+    std::string text;
+    std::optional<std::string> reply;
+  };
+
   struct Connection {
     int fd = -1;
     bool control = false;
@@ -119,7 +132,7 @@ class GuardDaemon {
     bool discarding = false;    // inside an oversize line: drop through its '\n'
     std::deque<IoRecord> inbox;     // parsed, undelivered records (ingest)
     std::size_t in_lane = 0;        // lines submitted to the parse lane, not landed
-    std::deque<std::string> lines;  // queued RPC lines (control)
+    std::deque<ControlLine> lines;  // queued RPC lines (control)
     std::uint64_t dropped = 0;      // records past the hard cap
   };
 

@@ -71,19 +71,6 @@ std::uint32_t FlatPrefixIndex::lookup(IpAddress ip) const {
   return index == kNotFound ? kNotFound : slots_[index].value;
 }
 
-std::uint32_t FlatPrefixIndex::exact(const Prefix& prefix) const {
-  const std::uint32_t start = prefix.address().bits();
-  const std::uint8_t length = prefix.length();
-  auto it = std::lower_bound(slots_.begin(), slots_.end(), prefix,
-                             [](const Slot& slot, const Prefix& p) {
-                               if (slot.start != p.address().bits())
-                                 return slot.start < p.address().bits();
-                               return slot.length < p.length();
-                             });
-  if (it == slots_.end() || it->start != start || it->length != length) return kNotFound;
-  return it->value;
-}
-
 std::vector<std::uint32_t> prefix_space_boundaries(const std::vector<Prefix>& prefixes) {
   std::vector<std::uint32_t> points;
   points.reserve(prefixes.size() * 2 + 1);

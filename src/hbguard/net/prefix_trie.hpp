@@ -163,7 +163,7 @@ class FlatPrefixIndex {
  public:
   static constexpr std::uint32_t kNotFound = 0xffffffffu;
 
-  /// Build from `prefixes`; the value returned by lookup()/exact() is the
+  /// Build from `prefixes`; the value returned by lookup() is the
   /// *position* in this span. Duplicate prefixes keep the last position
   /// (mirroring Fib install-overwrite semantics).
   void build(std::span<const Prefix> prefixes);
@@ -171,13 +171,9 @@ class FlatPrefixIndex {
   /// Position of the longest prefix covering `ip`, or kNotFound.
   std::uint32_t lookup(IpAddress ip) const;
 
-  /// Position of exactly `prefix`, or kNotFound.
-  std::uint32_t exact(const Prefix& prefix) const;
-
   /// Distinct prefixes indexed.
   std::size_t size() const { return slots_.size(); }
   bool empty() const { return slots_.empty(); }
-  void clear() { slots_.clear(); }
 
  private:
   struct Slot {

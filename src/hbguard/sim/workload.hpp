@@ -194,11 +194,11 @@ TrafficDemand make_traffic_demand(
     const std::function<Prefix(std::size_t)>& prefix_of = full_table_prefix);
 
 /// Synthesize a full-table BGP churn trace: an initial table dump, then
-/// Zipf-popular update trains with occasional session resets. Every record
-/// is a FIB update (install or withdraw) carrying the owning session, so
-/// replaying the stream through Snapshot::apply_fib_update reproduces the
-/// table at any cut point. Records arrive at the sink in capture order with
-/// monotone ids/times. Deterministic for given options.
+/// Zipf-popular update trains with occasional session resets. Updates are
+/// FIB-update records (install or withdraw) carrying the owning session; a
+/// session reset is a fib_reset marker followed by a re-advertisement
+/// train. Records arrive at the sink in capture order with monotone
+/// ids/times. Deterministic for given options.
 FullTableChurnStats generate_full_table_churn(
     const FullTableChurnOptions& options, const std::function<void(const IoRecord&)>& sink);
 

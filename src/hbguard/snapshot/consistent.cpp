@@ -6,13 +6,6 @@
 
 namespace hbguard {
 
-ThreadPool* ConsistentSnapshotter::replay_pool() const {
-  if (resolve_num_threads(options_.num_threads) == 1) return nullptr;
-  std::lock_guard<std::mutex> lock(pool_mutex_);
-  if (pool_ == nullptr) pool_ = std::make_shared<ThreadPool>(options_.num_threads);
-  return pool_.get();
-}
-
 DataPlaneSnapshot ConsistentSnapshotter::build(std::span<const IoRecord> records,
                                                const HappensBeforeGraph& hbg,
                                                const std::map<RouterId, SimTime>& horizons,
@@ -135,9 +128,8 @@ DataPlaneSnapshot ConsistentSnapshotter::build(std::span<const IoRecord> records
     fold.commit();
   };
 
-  ThreadPool* pool = replay_pool();
-  if (pool != nullptr && replay_order.size() > 1) {
-    pool->parallel_for(replay_order.size(), replay_router);
+  if (pool_ != nullptr && replay_order.size() > 1) {
+    pool_->parallel_for(replay_order.size(), replay_router);
   } else {
     for (std::size_t i = 0; i < replay_order.size(); ++i) replay_router(i);
   }

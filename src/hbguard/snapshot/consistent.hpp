@@ -19,7 +19,6 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 
 #include "hbguard/hbg/graph.hpp"
@@ -74,20 +73,13 @@ struct ConsistencyOptions {
 
 class ConsistentSnapshotter {
  public:
-  struct Options : ConsistencyOptions {
-    /// Worker threads for the per-router FIB replay (0 = one per hardware
-    /// thread, 1 = serial). The happens-before closure itself is inherently
-    /// sequential; only the replay shards. Parallel and serial builds
-    /// produce identical snapshots.
-    unsigned num_threads = 1;
-  };
-
   ConsistentSnapshotter() = default;
-  explicit ConsistentSnapshotter(Options options) : options_(options) {}
+  explicit ConsistentSnapshotter(ConsistencyOptions options) : options_(options) {}
 
-  /// Share a pool with other pipeline stages (e.g. the Guard's verifier);
-  /// without one, a pool is created lazily when the options ask for
-  /// parallelism.
+  /// Replay routers' FIBs on `pool`, shared with other pipeline stages (e.g.
+  /// the Guard's verifier); without one, build() replays serially. The
+  /// happens-before closure itself is sequential either way, and pooled and
+  /// serial builds produce identical snapshots.
   void set_thread_pool(std::shared_ptr<ThreadPool> pool) { pool_ = std::move(pool); }
 
   /// Build a consistent snapshot from the full capture history. `horizons`
@@ -105,11 +97,8 @@ class ConsistentSnapshotter {
                           const std::set<RouterId>* lossy_routers = nullptr) const;
 
  private:
-  ThreadPool* replay_pool() const;
-
-  Options options_;
-  mutable std::mutex pool_mutex_;  // guards lazy pool creation
-  mutable std::shared_ptr<ThreadPool> pool_;
+  ConsistencyOptions options_;
+  std::shared_ptr<ThreadPool> pool_;
 };
 
 }  // namespace hbguard

@@ -4,78 +4,28 @@
 
 namespace hbguard {
 
-DataPlaneSnapshot::RouterLookupState& DataPlaneSnapshot::state_of(
-    RouterId router, const RouterFibView& view) const {
-  RouterLookupState& state = lookup_cache_[router];
-  if (!state.index_built) {
+const FlatPrefixIndex& DataPlaneSnapshot::index_of(RouterId router,
+                                                  const RouterFibView& view) const {
+  auto [it, fresh] = lookup_cache_.try_emplace(router);
+  if (fresh) {
     std::vector<Prefix> prefixes;
     prefixes.reserve(view.entries.size());
     for (const FibEntry& entry : view.entries) prefixes.push_back(entry.prefix);
-    state.index.build(prefixes);
-    state.index_built = true;
+    it->second.build(prefixes);
   }
-  return state;
+  return it->second;
 }
 
 const FibEntry* DataPlaneSnapshot::lookup(RouterId router, IpAddress destination) const {
   auto view_it = routers.find(router);
   if (view_it == routers.end()) return nullptr;
-  const RouterLookupState& state = state_of(router, view_it->second);
-  std::uint32_t position = state.index.lookup(destination);
-  if (position == FlatPrefixIndex::kNotFound) return nullptr;
-  return &view_it->second.entries[position];
-}
-
-const FibEntry* DataPlaneSnapshot::exact_entry(RouterId router, const Prefix& prefix) const {
-  auto view_it = routers.find(router);
-  if (view_it == routers.end()) return nullptr;
-  const RouterLookupState& state = state_of(router, view_it->second);
-  std::uint32_t position = state.index.exact(prefix);
+  std::uint32_t position = index_of(router, view_it->second).lookup(destination);
   if (position == FlatPrefixIndex::kNotFound) return nullptr;
   return &view_it->second.entries[position];
 }
 
 void DataPlaneSnapshot::warm_lookup_cache() const {
-  for (const auto& [router, view] : routers) state_of(router, view);
-}
-
-bool DataPlaneSnapshot::apply_fib_update(RouterId router, const FibEntry& entry, bool withdraw) {
-  auto view_it = routers.find(router);
-  if (view_it == routers.end()) return false;
-  std::vector<FibEntry>& entries = view_it->second.entries;
-  RouterLookupState& state = lookup_cache_[router];
-  if (!state.positions_built) {
-    state.positions.clear();
-    state.positions.reserve(entries.size());
-    for (std::uint32_t i = 0; i < entries.size(); ++i) state.positions[entries[i].prefix] = i;
-    state.positions_built = true;
-  }
-  auto pos_it = state.positions.find(entry.prefix);
-  if (withdraw) {
-    if (pos_it == state.positions.end()) return false;
-    std::uint32_t position = pos_it->second;
-    state.positions.erase(pos_it);
-    if (position + 1 != entries.size()) {
-      entries[position] = std::move(entries.back());
-      state.positions[entries[position].prefix] = position;
-    }
-    entries.pop_back();
-    state.index.clear();
-    state.index_built = false;  // positions shifted; rebuild lazily
-    return true;
-  }
-  if (pos_it != state.positions.end()) {
-    if (entries[pos_it->second] == entry) return false;
-    // Same prefix, new content: the LPM index maps prefixes to positions
-    // and neither changed, so it stays warm.
-    entries[pos_it->second] = entry;
-    return true;
-  }
-  state.positions[entry.prefix] = static_cast<std::uint32_t>(entries.size());
-  entries.push_back(entry);
-  state.index.clear();
-  state.index_built = false;
-  return true;
+  for (const auto& [router, view] : routers) index_of(router, view);
 }
 
 void ViewFold::add(const IoRecord& r, SnapshotDelta* delta) {

@@ -6,7 +6,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "hbguard/capture/io_record.hpp"
@@ -38,12 +37,6 @@ struct DataPlaneSnapshot {
   /// per-router PrefixTrie cache would cost hundreds of MB.
   const FibEntry* lookup(RouterId router, IpAddress destination) const;
 
-  /// Exact-match entry for `prefix` in `router`'s view (not longest-match:
-  /// a more-specific entry never shadows it); nullptr if absent. The
-  /// streaming EC maintainer uses this to recount prefix presence under
-  /// churn.
-  const FibEntry* exact_entry(RouterId router, const Prefix& prefix) const;
-
   /// Build every router's lookup index now. Concurrent lookup() calls are
   /// only safe after warming (or mutual exclusion): the lazy index build
   /// mutates the cache. The verifier warms before fanning out.
@@ -58,15 +51,6 @@ struct DataPlaneSnapshot {
   /// covering `prefix`.
   bool uplink_offers(RouterId router, const std::string& session, const Prefix& prefix) const;
 
-  /// Install (or, with `withdraw`, remove) `entry.prefix` in `router`'s
-  /// view, keeping the cached exact-position map coherent so million-entry
-  /// views mutate in O(1) amortized instead of a linear entry scan. An
-  /// in-place replacement keeps the LPM index warm; a prefix-set change
-  /// drops it (rebuilt lazily on next lookup). Returns true if the view
-  /// changed. Appends and swap-removes, so `entries` leave prefix order:
-  /// views that ViewFold patches must not go through here.
-  bool apply_fib_update(RouterId router, const FibEntry& entry, bool withdraw);
-
   /// Lookups build per-router indices lazily; after mutating `routers`
   /// in place, call this to drop the stale indices.
   void invalidate_lookup_cache() const { lookup_cache_.clear(); }
@@ -77,16 +61,10 @@ struct DataPlaneSnapshot {
   void invalidate_lookup_cache(RouterId router) const { lookup_cache_.erase(router); }
 
  private:
-  struct RouterLookupState {
-    FlatPrefixIndex index;      // LPM over the view's entries (lazy)
-    bool index_built = false;
-    /// prefix -> position in entries (lazy; maintained by apply_fib_update).
-    std::unordered_map<Prefix, std::uint32_t> positions;
-    bool positions_built = false;
-  };
-  RouterLookupState& state_of(RouterId router, const RouterFibView& view) const;
+  /// `router`'s LPM index over `view`'s entries, built on first use.
+  const FlatPrefixIndex& index_of(RouterId router, const RouterFibView& view) const;
 
-  mutable std::map<RouterId, RouterLookupState> lookup_cache_;
+  mutable std::map<RouterId, FlatPrefixIndex> lookup_cache_;
 };
 
 /// What changed between one snapshot and its predecessor in a scan stream.

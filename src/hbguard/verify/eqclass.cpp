@@ -1,7 +1,8 @@
 #include "hbguard/verify/eqclass.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <string_view>
+#include <unordered_map>
 
 #include "hbguard/net/prefix_trie.hpp"
 #include "hbguard/util/thread_pool.hpp"
@@ -10,109 +11,112 @@ namespace hbguard {
 
 namespace {
 
-inline std::uint32_t last_address_of(const Prefix& prefix) {
-  std::uint32_t start = prefix.address().bits();
-  std::uint8_t length = prefix.length();
-  return length >= 32 ? start : (start | (0xffffffffu >> length));
+/// One router's part of a signature. The class materializer and
+/// class_signature() both write through here, so the two cannot drift.
+void append_action(std::string& signature, RouterId router, const FibEntry* entry) {
+  signature += std::to_string(router);
+  signature += ':';
+  if (entry == nullptr) {
+    signature += '-';
+  } else {
+    switch (entry->action) {
+      case FibEntry::Action::kLocal: signature += 'L'; break;
+      case FibEntry::Action::kDrop: signature += 'D'; break;
+      case FibEntry::Action::kForward:
+        signature += 'F';
+        signature += std::to_string(entry->next_hop);
+        break;
+      case FibEntry::Action::kExternal:
+        signature += 'X';
+        signature += entry->external_session;
+        break;
+    }
+  }
+  signature += ';';
 }
 
-/// The boundary point one past `prefix`'s last address, unless the prefix
-/// covers the top of the space (then there is no point after it). Mirrors
-/// prefix_space_boundaries exactly.
-inline bool end_point_of(const Prefix& prefix, std::uint32_t& point) {
-  std::uint64_t end = std::uint64_t{prefix.address().bits()} + prefix.size();
-  if (end > 0xffffffffULL) return false;
-  point = static_cast<std::uint32_t>(end);
-  return true;
-}
+/// Dense ids for forwarding actions: two entries share an id exactly when
+/// append_action writes the same token for them. Session keys view the
+/// snapshot's entries, which outlive the computation.
+class ActionTokens {
+ public:
+  std::uint32_t id_of(const FibEntry* entry) {
+    if (entry == nullptr) return 0;  // "-"
+    switch (entry->action) {
+      case FibEntry::Action::kLocal: return 1;
+      case FibEntry::Action::kDrop: return 2;
+      case FibEntry::Action::kForward: return intern(forward_, entry->next_hop);
+      case FibEntry::Action::kExternal:
+        return intern(external_, std::string_view(entry->external_session));
+    }
+    return 0;
+  }
+
+ private:
+  template <typename Map, typename Key>
+  std::uint32_t intern(Map& ids, const Key& key) {
+    auto [it, fresh] = ids.try_emplace(key, next_);
+    if (fresh) ++next_;
+    return it->second;
+  }
+
+  std::uint32_t next_ = 3;
+  std::unordered_map<RouterId, std::uint32_t> forward_;          // next hop -> id
+  std::unordered_map<std::string_view, std::uint32_t> external_;  // session -> id
+};
+
+struct RowHash {
+  std::size_t operator()(const std::vector<std::uint32_t>& row) const {
+    std::size_t h = 1469598103934665603ull;
+    for (std::uint32_t v : row) {
+      h ^= v;
+      h *= 1099511628211ull;
+    }
+    return h;
+  }
+};
 
 }  // namespace
 
 EquivalenceClasses compute_equivalence_classes(const DataPlaneSnapshot& snapshot,
                                                ThreadPool* pool) {
-  // The batch computation *is* a streaming rebuild + materialization: both
-  // paths share every byte-affecting step, so the differential guarantee
-  // (streaming == batch) holds by construction.
-  StreamingEquivalenceClasses streaming;
-  streaming.rebuild(snapshot, pool);
-  return streaming.classes();
+  return compute_equivalence_classes(snapshot, nullptr, pool);
 }
 
 EquivalenceClasses compute_equivalence_classes(
     const DataPlaneSnapshot& snapshot, std::shared_ptr<const TrafficWeights> weights,
     ThreadPool* pool) {
-  StreamingEquivalenceClasses streaming;
-  streaming.set_traffic_weights(std::move(weights));
-  streaming.rebuild(snapshot, pool);
-  return streaming.classes();
-}
+  std::vector<RouterId> routers;
+  routers.reserve(snapshot.routers.size());
+  for (const auto& [router, view] : snapshot.routers) routers.push_back(router);
+  const std::vector<Prefix> present = snapshot.all_prefixes();  // sorted, distinct
+  const std::vector<std::uint32_t> bounds = prefix_space_boundaries(present);
 
-std::size_t EquivalenceClasses::class_of(IpAddress ip) const {
-  for (std::size_t i = 0; i < classes.size(); ++i) {
-    for (const auto& [start, end] : classes[i].intervals) {
-      if (ip.bits() >= start && ip.bits() <= end) return i;
-    }
-  }
-  return classes.size();  // unreachable for a total partition
-}
-
-std::uint32_t StreamingEquivalenceClasses::token_of(const FibEntry* entry) {
-  if (entry == nullptr) return 0;  // "-"
-  switch (entry->action) {
-    case FibEntry::Action::kLocal: return 1;
-    case FibEntry::Action::kDrop: return 2;
-    case FibEntry::Action::kForward: {
-      auto [it, fresh] = forward_tokens_.try_emplace(entry->next_hop, 0);
-      if (fresh) {
-        it->second = static_cast<std::uint32_t>(token_text_.size());
-        token_text_.push_back('F' + std::to_string(entry->next_hop));
-      }
-      return it->second;
-    }
-    case FibEntry::Action::kExternal: {
-      auto [it, fresh] = external_tokens_.try_emplace(entry->external_session, 0);
-      if (fresh) {
-        it->second = static_cast<std::uint32_t>(token_text_.size());
-        token_text_.push_back('X' + entry->external_session);
-      }
-      return it->second;
-    }
-  }
-  return 0;
-}
-
-std::uint32_t StreamingEquivalenceClasses::intern_row(const std::vector<std::uint32_t>& row) {
-  auto it = row_ids_.find(row);
-  if (it != row_ids_.end()) return it->second;
-  std::uint32_t id = static_cast<std::uint32_t>(rows_.size());
-  rows_.push_back(row);
-  row_ids_.emplace(row, id);
-  return id;
-}
-
-void StreamingEquivalenceClasses::recompute_rows(const DataPlaneSnapshot& snapshot,
-                                                 ThreadPool* pool,
-                                                 const std::vector<std::uint32_t>& dirty) {
-  if (dirty.empty()) return;
-  const std::size_t router_count = routers_.size();
-  const bool parallel = pool != nullptr && pool->size() > 1 && dirty.size() > 1;
+  EquivalenceClasses out;
+  out.atomic_intervals = bounds.size();
+  const std::size_t router_count = routers.size();
+  const bool parallel = pool != nullptr && pool->size() > 1 && bounds.size() > 1;
   if (parallel) snapshot.warm_lookup_cache();  // lazy index build is not thread-safe
 
   // Process in blocks: the FIB lookups (the dominant cost — one LPM per
   // router per interval) fan out across the pool; tokenizing the resulting
-  // entry pointers and interning rows is serial hash-map work, keeping
-  // token/class ids deterministic at any thread count.
+  // entry pointers and grouping rows is serial hash-map work in interval
+  // order, so a row's first interval founds its class and class ids are
+  // the same at any thread count.
   constexpr std::size_t kBlock = std::size_t{1} << 16;
+  ActionTokens tokens;
+  std::unordered_map<std::vector<std::uint32_t>, std::uint32_t, RowHash> class_of_row;
   std::vector<const FibEntry*> entries;
   std::vector<std::uint32_t> row(router_count);
-  for (std::size_t base = 0; base < dirty.size(); base += kBlock) {
-    const std::size_t count = std::min(kBlock, dirty.size() - base);
+  std::size_t next_present = 0;
+  for (std::size_t base = 0; base < bounds.size(); base += kBlock) {
+    const std::size_t count = std::min(kBlock, bounds.size() - base);
     entries.assign(count * router_count, nullptr);
     auto fill = [&](std::size_t i) {
-      IpAddress destination(bounds_[dirty[base + i]]);
-      const FibEntry** out = entries.data() + i * router_count;
+      IpAddress destination(bounds[base + i]);
+      const FibEntry** out_row = entries.data() + i * router_count;
       for (std::size_t r = 0; r < router_count; ++r) {
-        out[r] = snapshot.lookup(routers_[r], destination);
+        out_row[r] = snapshot.lookup(routers[r], destination);
       }
     };
     if (parallel && count > 1) {
@@ -127,258 +131,53 @@ void StreamingEquivalenceClasses::recompute_rows(const DataPlaneSnapshot& snapsh
       for (std::size_t i = 0; i < count; ++i) fill(i);
     }
     for (std::size_t i = 0; i < count; ++i) {
-      const FibEntry** in = entries.data() + i * router_count;
-      for (std::size_t r = 0; r < router_count; ++r) row[r] = token_of(in[r]);
-      interval_class_[dirty[base + i]] = intern_row(row);
-    }
-  }
-}
-
-void StreamingEquivalenceClasses::rebuild(const DataPlaneSnapshot& snapshot, ThreadPool* pool) {
-  routers_.clear();
-  routers_.reserve(snapshot.routers.size());
-  for (const auto& [router, view] : snapshot.routers) routers_.push_back(router);
-
-  present_ = snapshot.all_prefixes();  // sorted, distinct
-
-  std::vector<std::uint32_t> points;
-  points.reserve(present_.size() * 2);
-  for (const Prefix& prefix : present_) {
-    points.push_back(prefix.address().bits());
-    std::uint32_t end = 0;
-    if (end_point_of(prefix, end)) points.push_back(end);
-  }
-  std::sort(points.begin(), points.end());
-  refs_.clear();
-  for (std::uint32_t point : points) {
-    if (!refs_.empty() && refs_.back().first == point) {
-      ++refs_.back().second;
-    } else {
-      refs_.emplace_back(point, 1u);
-    }
-  }
-
-  bounds_.clear();
-  bounds_.reserve(refs_.size() + 1);
-  bounds_.push_back(0);
-  for (const auto& [point, count] : refs_) {
-    if (point != 0) bounds_.push_back(point);
-  }
-
-  rows_.clear();
-  row_ids_.clear();
-  token_text_ = {"-", "L", "D"};
-  forward_tokens_.clear();
-  external_tokens_.clear();
-
-  interval_class_.assign(bounds_.size(), kDirty);
-  std::vector<std::uint32_t> all(bounds_.size());
-  std::iota(all.begin(), all.end(), 0u);
-  recompute_rows(snapshot, pool, all);
-
-  ready_ = true;
-  ++stats_.rebuilds;
-}
-
-void StreamingEquivalenceClasses::update(const DataPlaneSnapshot& snapshot,
-                                         const SnapshotDelta& delta, ThreadPool* pool) {
-  bool router_set_changed = routers_.size() != snapshot.routers.size();
-  if (!router_set_changed) {
-    std::size_t k = 0;
-    for (const auto& [router, view] : snapshot.routers) {
-      if (routers_[k++] != router) {
-        router_set_changed = true;
-        break;
-      }
-    }
-  }
-  if (!ready_ || delta.full || router_set_changed) {
-    rebuild(snapshot, pool);
-    return;
-  }
-  ++stats_.incremental_updates;
-  if (delta.changed_prefixes.empty()) return;
-
-  // 1. Recount presence of each changed prefix (exact match per router —
-  // longest-match can be shadowed by a more specific entry) and collect
-  // the signed boundary-point deltas of the presence toggles.
-  std::vector<std::pair<std::uint32_t, int>> point_deltas;
-  std::vector<Prefix> appeared, vanished;  // sorted: set iteration order
-  for (const Prefix& prefix : delta.changed_prefixes) {
-    bool now = false;
-    for (RouterId router : routers_) {
-      if (snapshot.exact_entry(router, prefix) != nullptr) {
-        now = true;
-        break;
-      }
-    }
-    bool was = std::binary_search(present_.begin(), present_.end(), prefix);
-    if (now == was) continue;
-    (now ? appeared : vanished).push_back(prefix);
-    int d = now ? 1 : -1;
-    point_deltas.emplace_back(prefix.address().bits(), d);
-    std::uint32_t end = 0;
-    if (end_point_of(prefix, end)) point_deltas.emplace_back(end, d);
-  }
-  if (!vanished.empty()) {
-    std::vector<Prefix> kept;
-    kept.reserve(present_.size() - vanished.size());
-    std::set_difference(present_.begin(), present_.end(), vanished.begin(), vanished.end(),
-                        std::back_inserter(kept));
-    present_ = std::move(kept);
-  }
-  if (!appeared.empty()) {
-    std::vector<Prefix> merged;
-    merged.reserve(present_.size() + appeared.size());
-    std::set_union(present_.begin(), present_.end(), appeared.begin(), appeared.end(),
-                   std::back_inserter(merged));
-    present_ = std::move(merged);
-  }
-
-  // 2. Merge the point deltas into the refcounts; points whose count
-  // crosses zero are boundary insertions (splits) / removals (merges).
-  // Point 0 is excluded — bounds_[0] is the implicit base either way.
-  std::vector<std::uint32_t> added_points, removed_points;
-  if (!point_deltas.empty()) {
-    std::sort(point_deltas.begin(), point_deltas.end());
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> new_refs;
-    new_refs.reserve(refs_.size() + point_deltas.size());
-    std::size_t i = 0, j = 0;
-    while (i < refs_.size() || j < point_deltas.size()) {
-      // Sum all deltas for one point before comparing.
-      if (j < point_deltas.size() &&
-          (i >= refs_.size() || point_deltas[j].first <= refs_[i].first)) {
-        std::uint32_t point = point_deltas[j].first;
-        int delta_sum = 0;
-        while (j < point_deltas.size() && point_deltas[j].first == point) {
-          delta_sum += point_deltas[j].second;
-          ++j;
+      const std::size_t interval = base + i;
+      const std::uint32_t start = bounds[interval];
+      const std::uint32_t end =
+          interval + 1 < bounds.size() ? bounds[interval + 1] - 1 : 0xffffffffu;
+      const FibEntry* const* in = entries.data() + i * router_count;
+      for (std::size_t r = 0; r < router_count; ++r) row[r] = tokens.id_of(in[r]);
+      auto [it, fresh] =
+          class_of_row.try_emplace(row, static_cast<std::uint32_t>(out.classes.size()));
+      if (fresh) {
+        EquivalenceClass& founded = out.classes.emplace_back();
+        founded.representative = IpAddress(start);
+        founded.signature.reserve(router_count * 8);
+        for (std::size_t r = 0; r < router_count; ++r) {
+          append_action(founded.signature, routers[r], in[r]);
         }
-        int count = delta_sum;
-        bool existed = i < refs_.size() && refs_[i].first == point;
-        if (existed) {
-          count += static_cast<int>(refs_[i].second);
-          ++i;
-        }
-        if (count > 0) {
-          new_refs.emplace_back(point, static_cast<std::uint32_t>(count));
-          if (!existed && point != 0) added_points.push_back(point);
-        } else if (existed && point != 0) {
-          removed_points.push_back(point);
-        }
-      } else {
-        new_refs.push_back(refs_[i++]);
       }
-    }
-    refs_ = std::move(new_refs);
-  }
-
-  // 3. Splice the boundary changes into the interval arrays in one merge
-  // pass. Every emitted interval tentatively carries the class of the *old*
-  // interval covering its start — correct for any interval no changed
-  // prefix overlaps (an un-dirtied interval can never span a removed
-  // boundary: the vanished prefix behind that boundary would have dirtied
-  // it).
-  if (!added_points.empty() || !removed_points.empty()) {
-    stats_.splits += added_points.size();
-    stats_.merges += removed_points.size();
-    std::vector<std::uint32_t> new_bounds, new_class;
-    new_bounds.reserve(bounds_.size() + added_points.size() - removed_points.size());
-    new_class.reserve(new_bounds.capacity());
-    std::size_t i = 0, a = 0, rm = 0, cover = 0;
-    while (i < bounds_.size() || a < added_points.size()) {
-      std::uint32_t point;
-      bool from_old;
-      if (i >= bounds_.size()) {
-        point = added_points[a];
-        from_old = false;
-      } else if (a >= added_points.size() || bounds_[i] < added_points[a]) {
-        point = bounds_[i];
-        from_old = true;
-      } else {
-        point = added_points[a];
-        from_old = false;
+      EquivalenceClass& klass = out.classes[it->second];
+      klass.intervals.emplace_back(start, end);
+      klass.size += std::uint64_t{end} - start + 1;
+      // Each present prefix's demand lands on the class of the interval its
+      // network address starts. Every such address starts an interval and
+      // `present` is sorted by address, so each prefix counts exactly once.
+      for (; weights != nullptr && next_present < present.size() &&
+             present[next_present].address().bits() == start;
+           ++next_present) {
+        klass.traffic_weight += weights->weight_of(present[next_present]);
       }
-      if (from_old) {
-        ++i;
-        if (rm < removed_points.size() && removed_points[rm] == point) {
-          ++rm;
-          continue;  // merged into the preceding interval
-        }
-      } else {
-        ++a;
-      }
-      while (cover + 1 < bounds_.size() && bounds_[cover + 1] <= point) ++cover;
-      new_bounds.push_back(point);
-      new_class.push_back(interval_class_[cover]);
-    }
-    bounds_ = std::move(new_bounds);
-    interval_class_ = std::move(new_class);
-  }
-
-  // 4. Dirty every interval overlapping a changed prefix — the only places
-  // forwarding behaviour can have moved — and re-evaluate just those.
-  auto covering_index = [&](std::uint32_t address) {
-    auto it = std::upper_bound(bounds_.begin(), bounds_.end(), address);
-    return static_cast<std::size_t>(std::distance(bounds_.begin(), it)) - 1;
-  };
-  for (const Prefix& prefix : delta.changed_prefixes) {
-    std::size_t lo = covering_index(prefix.address().bits());
-    std::size_t hi = covering_index(last_address_of(prefix));
-    for (std::size_t k = lo; k <= hi; ++k) interval_class_[k] = kDirty;
-  }
-  std::vector<std::uint32_t> dirty;
-  for (std::uint32_t k = 0; k < interval_class_.size(); ++k) {
-    if (interval_class_[k] == kDirty) dirty.push_back(k);
-  }
-  stats_.dirty_intervals += dirty.size();
-  stats_.reused_intervals += interval_class_.size() - dirty.size();
-  recompute_rows(snapshot, pool, dirty);
-}
-
-EquivalenceClasses StreamingEquivalenceClasses::classes() const {
-  EquivalenceClasses out;
-  out.atomic_intervals = bounds_.size();
-  // Renumber class keys by first appearance in interval order: identical to
-  // the order the legacy batch grouping assigned, so the emitted classes
-  // match it byte for byte regardless of the update history.
-  std::vector<std::uint32_t> renumber(rows_.size(), kDirty);
-  for (std::size_t i = 0; i < bounds_.size(); ++i) {
-    std::uint32_t key = interval_class_[i];
-    std::uint32_t start = bounds_[i];
-    std::uint32_t end = (i + 1 < bounds_.size()) ? bounds_[i + 1] - 1 : 0xffffffffu;
-    if (renumber[key] == kDirty) {
-      renumber[key] = static_cast<std::uint32_t>(out.classes.size());
-      EquivalenceClass klass;
-      klass.representative = IpAddress(start);
-      const std::vector<std::uint32_t>& row = rows_[key];
-      klass.signature.reserve(routers_.size() * 8);
-      for (std::size_t r = 0; r < routers_.size(); ++r) {
-        klass.signature += std::to_string(routers_[r]);
-        klass.signature += ':';
-        klass.signature += token_text_[row[r]];
-        klass.signature += ';';
-      }
-      out.classes.push_back(std::move(klass));
-    }
-    EquivalenceClass& klass = out.classes[renumber[key]];
-    klass.intervals.emplace_back(start, end);
-    klass.size += std::uint64_t{end} - start + 1;
-  }
-  if (traffic_weights_ != nullptr) {
-    // Each live prefix's demand lands on the class containing its network
-    // address (the address is inside exactly one atomic interval, so the
-    // per-class sums conserve the present prefixes' total weight exactly —
-    // tests/test_streaming_eqclass.cpp fuzzes this under split/merge churn).
-    for (const Prefix& prefix : present_) {
-      std::uint64_t weight = traffic_weights_->weight_of(prefix);
-      if (weight == 0) continue;
-      auto it = std::upper_bound(bounds_.begin(), bounds_.end(), prefix.address().bits());
-      std::size_t interval = static_cast<std::size_t>(std::distance(bounds_.begin(), it)) - 1;
-      out.classes[renumber[interval_class_[interval]]].traffic_weight += weight;
     }
   }
   return out;
+}
+
+std::string class_signature(const DataPlaneSnapshot& snapshot, IpAddress destination) {
+  std::string signature;
+  for (const auto& [router, view] : snapshot.routers) {
+    append_action(signature, router, snapshot.lookup(router, destination));
+  }
+  return signature;
+}
+
+std::size_t EquivalenceClasses::class_of(IpAddress ip) const {
+  for (std::size_t i = 0; i < classes.size(); ++i) {
+    for (const auto& [start, end] : classes[i].intervals) {
+      if (ip.bits() >= start && ip.bits() <= end) return i;
+    }
+  }
+  return classes.size();  // unreachable for a total partition
 }
 
 }  // namespace hbguard

@@ -93,7 +93,7 @@ struct GuardedRunOptions {
   /// incremental toggles, ...) before the Guard is constructed.
   std::function<void(GuardOptions&)> customize;
   /// Post-run hook over the finished Guard, for state GuardedRun does not
-  /// carry (scheduler stats, streaming ECs, ...).
+  /// carry (scheduler stats, the early-block model, ...).
   std::function<void(const Guard&)> inspect;
 };
 

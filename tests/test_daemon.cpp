@@ -4,8 +4,9 @@
 // the same input — the transport must be invisible to verification. Also
 // exercises the control RPC surface (status/scan/repairs/why), ingest
 // backpressure with a slow (paused) consumer, fragmented ingest through the
-// parse lane, an idle loop while paused behind a closed sender, stream order
-// across successive connections, and clean shutdown.
+// parse lane, an idle loop while paused behind a closed sender, a resume
+// queued behind a waiting digest, stream order across successive
+// connections, and clean shutdown.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -519,6 +520,50 @@ TEST(Daemon, PausedDeliveryBehindClosedSenderDoesNotSpin) {
     EXPECT_EQ(daemon.records_dropped(), 0u);
     EXPECT_EQ(daemon.session().records_delivered(), sent);
   }
+}
+
+TEST(Daemon, ResumeQueuedBehindADeferredDigestRunsAtOnce) {
+  // With delivery paused, a digest cannot quiesce until delivery resumes.
+  // A `resume` written behind it on the same connection must not wait for
+  // it: the resume runs at once, the digest then answers, and the resume's
+  // reply follows in line order.
+  Fig2Trace trace = make_fig2_trace();
+  DaemonOptions options = make_options(trace, "resume-behind-digest");
+  GuardReport offline = ReplayGuardSession::run_offline(trace.records, options.session);
+
+  GuardDaemon daemon(options);
+  ASSERT_TRUE(daemon.bind());
+  std::thread server([&daemon] { daemon.run(); });
+  int control = connect_unix(daemon.control_socket_path());
+  ASSERT_GE(control, 0);
+  timeval timeout{5, 0};
+  ASSERT_EQ(::setsockopt(control, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+  ASSERT_EQ(rpc(control, "pause").rfind("ok", 0), 0u);
+
+  int ingest = connect_unix(daemon.ingest_socket_path());
+  ASSERT_GE(ingest, 0);
+  ASSERT_TRUE(send_all(ingest, to_jsonl(trace.records)));
+  ::close(ingest);
+  poll_status_until(control, "records_buffered", trace.records.size());
+
+  ASSERT_TRUE(send_all(control, "digest\nresume\n"));
+  std::string buffer;
+  std::optional<std::string> digest = read_reply(control, buffer);
+  std::optional<std::string> resumed;
+  if (digest) resumed = read_reply(control, buffer);
+  if (digest && resumed) {
+    EXPECT_EQ(rpc(control, "shutdown").rfind("ok", 0), 0u);
+  } else {
+    daemon.stop();  // a line went unanswered: end the loop instead of hanging
+  }
+  ::close(control);
+  server.join();
+
+  ASSERT_TRUE(digest.has_value()) << "digest got no reply within 5 s";
+  EXPECT_EQ(chomp(*digest), chomp(offline.digest()));
+  ASSERT_TRUE(resumed.has_value()) << "resume got no reply within 5 s";
+  EXPECT_EQ(chomp(*resumed), "ok delivery resumed");
+  EXPECT_EQ(daemon.session().records_delivered(), trace.records.size());
 }
 
 TEST(Daemon, LaterConnectionWaitsForAnEarlierOnesLaneUnderBackpressure) {

@@ -163,7 +163,7 @@ TEST(SnapshotOptions, RequireSendForRecvCanBeDisabled) {
   ConsistencyReport strict_report;
   strict.build(records, hbg, {}, &strict_report);
 
-  ConsistentSnapshotter::Options lax_options;
+  ConsistencyOptions lax_options;
   lax_options.require_send_for_recv = false;
   ConsistentSnapshotter lax(lax_options);
   ConsistencyReport lax_report;

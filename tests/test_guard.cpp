@@ -207,6 +207,21 @@ TEST(Guard, EarlyBlockLearnsAcrossIncidents) {
   EXPECT_EQ(report.early_reverts, 1u);
   EXPECT_EQ(report.reverts, 1u) << "no additional reactive revert was needed";
   EXPECT_TRUE(scenario.fib_exits_via(scenario.r1, scenario.r2));
+
+  // The learned keys (router, change signature, EC signature) and their
+  // outcome counts, pinned as literals: how the guard derives a
+  // destination's EC signature must not move them.
+  std::vector<std::string> learned;
+  for (const auto& [key, stats] : guard.early_block_model().stats()) {
+    learned.push_back(std::to_string(key.router) + " | " + key.change_signature + " | " +
+                      key.ec_signature + " | " + std::to_string(stats.violations) + "/" +
+                      std::to_string(stats.benign));
+  }
+  EXPECT_EQ(learned, (std::vector<std::string>{
+                         "1 | early revert of v7 | 0:F1;1:Xuplink2;2:F1; | 0/3",
+                         "1 | set local-pref 10 on uplink2 import | 0:F1;1:Xuplink2;2:F1; | 3/0",
+                         "1 | set slow soft reconfiguration | 0:-;1:-;2:-; | 0/3",
+                     }));
 }
 
 TEST(Guard, RepeatViolationNotDoubleReported) {

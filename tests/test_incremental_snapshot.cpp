@@ -67,7 +67,7 @@ void expect_snapshot_parity(Network& network, std::size_t steps, SimTime interva
                             std::string* digests_out = nullptr) {
   IncrementalHbgBuilder builder(matcher);
   std::size_t hbg_cursor = 0;
-  ConsistentSnapshotter scratch({consistency, 1});
+  ConsistentSnapshotter scratch(consistency);
   IncrementalSnapshotter incremental(consistency);
   std::size_t cursor = 0;
   std::vector<HbgEdge> edge_delta;
@@ -343,7 +343,8 @@ TEST(IncrementalSnapshot, PolicyDeferredAcrossADeltaIsReevaluated) {
     SnapshotDelta withdraw_p;
     withdraw_p.full = false;
     withdraw_p.changed_prefixes = {p};
-    snapshot.apply_fib_update(0, exit_via(p, "up0"), /*withdraw=*/true);
+    snapshot.routers[0].entries = {exit_via(q, "up0")};  // p withdrawn
+    snapshot.invalidate_lookup_cache();
     VerifyPlan only_q;
     only_q.covered = {representative(q).bits()};
     VerifyResult deferred = stream.verify(snapshot, &withdraw_p, &only_q);
@@ -353,7 +354,8 @@ TEST(IncrementalSnapshot, PolicyDeferredAcrossADeltaIsReevaluated) {
     SnapshotDelta touch_q;
     touch_q.full = false;
     touch_q.changed_prefixes = {q};
-    snapshot.apply_fib_update(0, exit_via(q, "up1"), /*withdraw=*/false);
+    snapshot.routers[0].entries = {exit_via(q, "up1")};
+    snapshot.invalidate_lookup_cache();
     VerifyResult resumed = stream.verify(snapshot, &touch_q);
     VerifyResult fresh = Verifier(policies, VerifierOptions{threads}).verify(snapshot);
     EXPECT_FALSE(fresh.clean());

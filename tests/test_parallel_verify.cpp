@@ -122,14 +122,12 @@ TEST(ConsistentSnapshotter, ParallelReplayMatchesSerial) {
   std::span<const IoRecord> records = scenario.network->capture().records();
   HappensBeforeGraph hbg = HbgBuilder::build(records, GroundTruthInference());
 
-  ConsistentSnapshotter::Options serial_options;
-  ConsistentSnapshotter serial(serial_options);
+  ConsistentSnapshotter serial;
   DataPlaneSnapshot baseline = serial.build(records, hbg, {});
 
   for (unsigned threads : {2u, 8u}) {
-    ConsistentSnapshotter::Options options;
-    options.num_threads = threads;
-    ConsistentSnapshotter parallel(options);
+    ConsistentSnapshotter parallel;
+    parallel.set_thread_pool(std::make_shared<ThreadPool>(threads));
     DataPlaneSnapshot snapshot = parallel.build(records, hbg, {});
 
     ASSERT_EQ(snapshot.routers.size(), baseline.routers.size());

@@ -200,19 +200,18 @@ struct BudgetedFixture {
   std::vector<Prefix> prefixes;
 
   BudgetedFixture() {
-    snapshot.routers[0];
-    snapshot.routers[1];
+    std::vector<FibEntry>& r0 = snapshot.routers[0].entries;
+    std::vector<FibEntry>& r1 = snapshot.routers[1].entries;
     for (std::size_t i = 0; i < 4; ++i) {
       Prefix prefix = churn_prefix(i);
       prefixes.push_back(prefix);
       policies.push_back(std::make_shared<LoopFreedomPolicy>(prefix));
       std::string cidr = prefix.to_string();
+      r0.push_back(forward_entry(cidr.c_str(), 1));
       if (i == 2) {  // loop: R0 -> R1 -> R0
-        snapshot.apply_fib_update(0, forward_entry(cidr.c_str(), 1), false);
-        snapshot.apply_fib_update(1, forward_entry(cidr.c_str(), 0), false);
+        r1.push_back(forward_entry(cidr.c_str(), 0));
       } else {
-        snapshot.apply_fib_update(0, forward_entry(cidr.c_str(), 1), false);
-        snapshot.apply_fib_update(1, external_entry(cidr.c_str(), "up0"), false);
+        r1.push_back(external_entry(cidr.c_str(), "up0"));
       }
     }
   }
