@@ -15,7 +15,7 @@
 
 #include "hbguard/hbg/builder.hpp"
 #include "hbguard/hbr/rule_matcher.hpp"
-#include "hbguard/snapshot/consistent.hpp"
+#include "hbguard/snapshot/incremental.hpp"
 #include "hbguard/snapshot/naive.hpp"
 #include "hbguard/verify/truth_monitor.hpp"
 
@@ -62,8 +62,7 @@ TrialOutcome run_trial(SimTime skew_us, std::uint64_t seed, SimTime sample_offse
   net.run_to_convergence();
   auto records = net.capture().records();
   auto hbg = HbgBuilder::build(records, RuleMatchingInference());
-  ConsistentSnapshotter snapshotter;
-  DataPlaneSnapshot consistent = snapshotter.build(records, hbg, horizons);
+  DataPlaneSnapshot consistent = IncrementalSnapshotter::build({}, records, hbg, horizons);
 
   TrialOutcome outcome;
   outcome.naive = score_against_truth(verifier, naive_snapshot, truth);

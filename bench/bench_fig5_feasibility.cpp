@@ -15,7 +15,7 @@
 #include "hbguard/hbg/builder.hpp"
 #include "hbguard/hbg/render.hpp"
 #include "hbguard/hbr/rule_matcher.hpp"
-#include "hbguard/snapshot/consistent.hpp"
+#include "hbguard/snapshot/incremental.hpp"
 #include "hbguard/snapshot/naive.hpp"
 
 using namespace hbguard;
@@ -91,8 +91,7 @@ int main() {
   std::map<RouterId, SimTime> horizons{{scenario.r1, r1_fib - 1000},
                                        {scenario.r2, r1_fib - 1000}};
   ConsistencyReport report;
-  ConsistentSnapshotter snapshotter;
-  auto snapshot = snapshotter.build(all_records, hbg, horizons, &report);
+  auto snapshot = IncrementalSnapshotter::build({}, all_records, hbg, horizons, &report);
 
   Table consistency({"router", "records rewound", "why"});
   for (const auto& [router, count] : report.rewound) {

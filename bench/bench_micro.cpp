@@ -11,7 +11,7 @@
 #include "hbguard/hbg/incremental.hpp"
 #include "hbguard/hbr/rule_matcher.hpp"
 #include "hbguard/proto/bgp/decision.hpp"
-#include "hbguard/snapshot/consistent.hpp"
+#include "hbguard/snapshot/incremental.hpp"
 #include "hbguard/snapshot/naive.hpp"
 #include "hbguard/sim/workload.hpp"
 #include "hbguard/verify/eqclass.hpp"
@@ -164,9 +164,8 @@ BENCHMARK(BM_RootCauseQuery);
 void BM_ConsistentSnapshot(benchmark::State& state) {
   const auto& trace = churn_trace();
   auto hbg = HbgBuilder::build(trace, RuleMatchingInference());
-  ConsistentSnapshotter snapshotter;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(snapshotter.build(trace, hbg, {}));
+    benchmark::DoNotOptimize(IncrementalSnapshotter::build({}, trace, hbg, {}));
   }
   state.SetItemsProcessed(state.iterations() * trace.size());
 }

@@ -9,7 +9,7 @@
 
 #include "hbguard/hbg/builder.hpp"
 #include "hbguard/hbr/rule_matcher.hpp"
-#include "hbguard/snapshot/consistent.hpp"
+#include "hbguard/snapshot/incremental.hpp"
 #include "hbguard/snapshot/naive.hpp"
 #include "hbguard/sim/workload.hpp"
 #include "hbguard/verify/truth_monitor.hpp"
@@ -57,7 +57,6 @@ int main() {
       }
       Verifier verifier(policies);
       TruthMonitor truth(net, policies);
-      ConsistentSnapshotter snapshotter;
       NaiveSnapshotter naive(net, kSkew, seed + 7);
 
       // Sample repeatedly while the churn plays out.
@@ -74,7 +73,8 @@ int main() {
         auto records = net.capture().records();
         auto hbg = HbgBuilder::build(records, RuleMatchingInference());
         ConsistencyReport report;
-        DataPlaneSnapshot consistent = snapshotter.build(records, hbg, horizons, &report);
+        DataPlaneSnapshot consistent =
+            IncrementalSnapshotter::build({}, records, hbg, horizons, &report);
 
         auto naive_verdict = score_against_truth(verifier, naive_snapshot, truth);
         auto cons_verdict = score_against_truth(verifier, consistent, truth);

@@ -17,7 +17,7 @@
 #include "hbguard/util/strings.hpp"
 #include "hbguard/hbg/builder.hpp"
 #include "hbguard/hbr/rule_matcher.hpp"
-#include "hbguard/snapshot/consistent.hpp"
+#include "hbguard/snapshot/incremental.hpp"
 #include "hbguard/sim/workload.hpp"
 #include "hbguard/verify/eqclass.hpp"
 
@@ -57,8 +57,7 @@ int main() {
     horizons[static_cast<RouterId>(i)] = end - static_cast<SimTime>(i) * 30'000;
   }
   ConsistencyReport report;
-  ConsistentSnapshotter snapshotter;
-  auto snapshot = snapshotter.build(records, hbg, horizons, &report);
+  auto snapshot = IncrementalSnapshotter::build({}, records, hbg, horizons, &report);
   std::printf("consistent snapshot assembled: %zu I/Os rewound across %zu routers "
               "(%zu closure iterations)\n",
               report.total_rewound(), report.rewound.size(), report.iterations);

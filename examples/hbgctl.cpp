@@ -32,7 +32,7 @@
 #include "hbguard/util/strings.hpp"
 #include "hbguard/provenance/root_cause.hpp"
 #include "hbguard/sim/scenario.hpp"
-#include "hbguard/snapshot/consistent.hpp"
+#include "hbguard/snapshot/incremental.hpp"
 #include "hbguard/verify/verifier.hpp"
 
 using namespace hbguard;
@@ -182,7 +182,7 @@ int cmd_why(const std::vector<IoRecord>& records, IoId io) {
 int cmd_verify(const std::vector<IoRecord>& records, const std::vector<Prefix>& prefixes) {
   auto hbg = HbgBuilder::build(records, RuleMatchingInference());
   ConsistencyReport report;
-  auto snapshot = ConsistentSnapshotter().build(records, hbg, {}, &report);
+  auto snapshot = IncrementalSnapshotter::build({}, records, hbg, {}, &report);
   std::printf("replayed consistent snapshot (%zu routers, %zu I/Os rewound)\n",
               snapshot.routers.size(), report.total_rewound());
 

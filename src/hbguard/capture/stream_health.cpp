@@ -6,6 +6,24 @@
 
 namespace hbguard {
 
+namespace {
+
+/// Take `seq` out of the [first, end) ranges in `lost`, splitting the range
+/// that holds it; false when no range does.
+bool take_lost(std::map<std::uint64_t, std::uint64_t>& lost, std::uint64_t seq) {
+  auto it = lost.upper_bound(seq);
+  if (it == lost.begin()) return false;
+  --it;
+  const auto [first, end] = *it;
+  if (seq >= end) return false;
+  lost.erase(it);
+  if (first < seq) lost.emplace(first, seq);
+  if (seq + 1 < end) lost.emplace(seq + 1, end);
+  return true;
+}
+
+}  // namespace
+
 std::string_view to_string(StreamState state) {
   switch (state) {
     case StreamState::kHealthy: return "healthy";
@@ -73,10 +91,12 @@ void StreamHealthTracker::abandon_gap(RouterId router, Stream& stream, const Sin
   while (!stream.buffered.empty()) {
     auto it = stream.buffered.begin();
     if (it->first > stop && it->first != stream.next_seq) break;
-    while (stream.next_seq < it->first) {
-      stream.lost.insert(stream.next_seq++);
-      ++stats_.records_lost;
-      ++stream.total_lost;
+    if (stream.next_seq < it->first) {
+      const std::uint64_t missing = it->first - stream.next_seq;
+      stream.lost.emplace(stream.next_seq, it->first);
+      stats_.records_lost += missing;
+      stream.total_lost += missing;
+      stream.next_seq = it->first;
       corrupted = true;
     }
     IoRecord record = std::move(it->second);
@@ -105,7 +125,7 @@ void StreamHealthTracker::admit(IoRecord record, SimTime now, const Sink& sink) 
   const std::uint64_t seq = record.router_seq;
 
   if (seq < stream.next_seq) {
-    if (stream.lost.erase(seq) > 0) {
+    if (take_lost(stream.lost, seq)) {
       ++stats_.late_dropped;
       HBG_WARN_EVERY_N(256) << "capture stream R" << router << ": record seq "
                             << seq << " arrived after its gap was abandoned";

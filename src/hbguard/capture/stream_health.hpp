@@ -1,6 +1,6 @@
 // Per-router capture stream health (gap / duplicate / late-arrival repair).
 //
-// The hub's replay machinery (snapshot/incremental.*, consistent.*) depends
+// The hub's replay machinery (snapshot/incremental.*) depends
 // on one invariant: within the store, a router's records appear in
 // router_seq order. A transport that delays, reorders, duplicates, or drops
 // records breaks that at the collector's doorstep. This tracker sits at
@@ -95,8 +95,10 @@ class StreamHealthTracker {
     std::map<std::uint64_t, IoRecord> buffered;  // seq → record, ahead of next_seq
     SimTime gap_opened_at = 0;
     StreamState state = StreamState::kHealthy;
-    std::set<std::uint64_t> lost;  // seqs abandoned; late arrivals of these
-                                   // are counted late, not duplicate
+    /// Seqs abandoned, as [first, end) ranges keyed by first, so a gap
+    /// costs one entry however wide it is; late arrivals of these are
+    /// counted late, not duplicate, and split their range.
+    std::map<std::uint64_t, std::uint64_t> lost;
     std::uint64_t total_lost = 0;  // cumulative; never reset by checkpoints
   };
 

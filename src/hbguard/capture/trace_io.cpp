@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <istream>
+#include <limits>
 #include <ostream>
 
 namespace hbguard {
@@ -166,7 +167,17 @@ class RecordLineParser {
     std::optional<std::string> bad_prefix;
     std::optional<FibEntry> fib;
     bool bad_fib = false;  // first fib_entry was an object without prefix or action
+    const char* out_of_range = nullptr;  // first integer field its type cannot hold
   };
+
+  /// Flag `name` when `value` falls outside [min, 2^32): ids and router,
+  /// link and local-pref fields are 32-bit, and a cast would wrap them.
+  static void check_u32(Found& found, const char* name, std::int64_t value, std::int64_t min = 0) {
+    if (found.out_of_range == nullptr &&
+        (value < min || value > std::int64_t{std::numeric_limits<std::uint32_t>::max()})) {
+      found.out_of_range = name;
+    }
+  }
 
   bool fail(std::string_view message) {
     if (error_.empty()) error_ = std::string(message) + " at offset " + std::to_string(pos_);
@@ -361,6 +372,7 @@ bool RecordLineParser::parse_fib_entry(Found& found) {
         break;
       case kFibNextHop:
         if (value.type == Value::Type::kInt) {
+          check_u32(found, "next_hop", value.integer);
           entry.next_hop = static_cast<RouterId>(value.integer);
         }
         break;
@@ -396,11 +408,17 @@ bool RecordLineParser::parse_field(Field field, IoRecord& record, Found& found) 
   switch (field) {
     case kId:
       found.id = is_int;
-      if (is_int) record.id = static_cast<IoId>(integer);
+      if (is_int) {
+        check_u32(found, "id", integer, /*min=*/1);
+        record.id = static_cast<IoId>(integer);
+      }
       break;
     case kRouter:
       found.router = is_int;
-      if (is_int) record.router = static_cast<RouterId>(integer);
+      if (is_int) {
+        check_u32(found, "router", integer);
+        record.router = static_cast<RouterId>(integer);
+      }
       break;
     case kKind:
       found.kind = is_string;
@@ -434,13 +452,19 @@ bool RecordLineParser::parse_field(Field field, IoRecord& record, Found& found) 
       if (is_string) record.session.assign(value.string);
       break;
     case kPeer:
-      if (is_int) record.peer = static_cast<RouterId>(integer);
+      if (is_int) {
+        check_u32(found, "peer", integer);
+        record.peer = static_cast<RouterId>(integer);
+      }
       break;
     case kWithdraw:
       record.withdraw = is_true;
       break;
     case kLocalPref:
-      if (is_int) record.local_pref = static_cast<std::uint32_t>(integer);
+      if (is_int) {
+        check_u32(found, "local_pref", integer);
+        record.local_pref = static_cast<std::uint32_t>(integer);
+      }
       break;
     case kDetail:
       if (is_string) record.detail.assign(value.string);
@@ -449,7 +473,10 @@ bool RecordLineParser::parse_field(Field field, IoRecord& record, Found& found) 
       if (is_int) record.config_version = static_cast<ConfigVersion>(integer);
       break;
     case kLink:
-      if (is_int) record.link = static_cast<LinkId>(integer);
+      if (is_int) {
+        check_u32(found, "link", integer);
+        record.link = static_cast<LinkId>(integer);
+      }
       break;
     case kLinkUp:
       record.link_up = is_true;
@@ -515,6 +542,12 @@ TraceLineStatus RecordLineParser::parse(IoRecord& out, std::string& error) {
   }
   if (!found.kind_value) {
     error = "unknown kind '" + found.bad_kind + "'";
+    return TraceLineStatus::kError;
+  }
+  // A wrapped id would size the id-indexed tables downstream (HBG,
+  // snapshotter) by its value; a wrapped router id aliases another router.
+  if (found.out_of_range != nullptr) {
+    error = std::string(found.out_of_range) + " out of range";
     return TraceLineStatus::kError;
   }
   out.kind = *found.kind_value;

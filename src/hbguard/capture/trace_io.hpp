@@ -58,9 +58,10 @@ inline constexpr int kMaxJsonDepth = 16;
 /// Parse exactly one JSONL line into `out` (reset first). This is the
 /// primitive the streaming readers are built on: no stream wrapper, no
 /// accumulation — one line in, one record (or verdict) out. The line must
-/// be one JSON object, optionally surrounded by whitespace; trailing bytes
-/// and nesting past kMaxJsonDepth are errors. On kError `out` holds no
-/// meaningful record.
+/// be one JSON object, optionally surrounded by whitespace; trailing bytes,
+/// nesting past kMaxJsonDepth, an `id` outside [1, 2^32) and a `router`,
+/// `peer`, `next_hop`, `local_pref` or `link` outside [0, 2^32) are errors.
+/// On kError `out` holds no meaningful record.
 TraceLineStatus parse_trace_line(std::string_view line, IoRecord& out, std::string& error);
 
 /// Stream a trace record-by-record with constant memory: each parsed record

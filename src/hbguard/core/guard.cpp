@@ -36,15 +36,11 @@ Guard::Guard(Network& network, PolicyList policies, GuardOptions options)
                 : std::make_shared<ThreadPool>(options.num_threads)),
       verifier_(policies, VerifierOptions{options.num_threads}, pool_),
       options_(options),
-      horizon_snapshotter_(options.snapshot),
       analyzer_(RootCauseAnalyzer::Options{options.min_confidence}),
       reverter_(network),
       incremental_builder_(options.matcher),
       snapshotter_(options.snapshot),
       traffic_scheduler_(options.traffic) {
-  // The horizon snapshotter replays on the Guard's pool, so the one thread
-  // knob parallelizes the whole pipeline.
-  horizon_snapshotter_.set_thread_pool(pool_);
   // The HBG and match engine reference the capture store instead of copying
   // records (the hub outlives the guard and its store only grows).
   incremental_builder_.attach_store(&network.capture().records());
@@ -223,7 +219,7 @@ std::vector<Violation> Guard::scan() {
   bool health_flipped = false;
   std::set<RouterId> lossy;
   if (health != nullptr) {
-    // Streams with records gone for good: the snapshotters use this to keep
+    // Streams with records gone for good: the snapshotter uses this to keep
     // receives whose matching send was dropped in capture (it can never
     // arrive) instead of rewinding the receiving router forever.
     lossy = health->lossy_routers();
@@ -520,7 +516,8 @@ DataPlaneSnapshot Guard::pre_change_snapshot(const HappensBeforeGraph& hbg,
   for (std::size_t i = 0; i < network_.router_count(); ++i) {
     horizons[static_cast<RouterId>(i)] = change_logged - 1;
   }
-  return horizon_snapshotter_.build(network_.capture().records(), hbg, horizons);
+  return IncrementalSnapshotter::build(options_.snapshot, network_.capture().records(), hbg,
+                                       horizons);
 }
 
 void Guard::learn_early_block(const HappensBeforeGraph& hbg, const ProvenanceResult& provenance,

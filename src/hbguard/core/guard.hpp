@@ -34,7 +34,6 @@
 #include "hbguard/repair/early_block.hpp"
 #include "hbguard/repair/reverter.hpp"
 #include "hbguard/sim/network.hpp"
-#include "hbguard/snapshot/consistent.hpp"
 #include "hbguard/snapshot/incremental.hpp"
 #include "hbguard/verify/traffic.hpp"
 #include "hbguard/verify/verifier.hpp"
@@ -77,11 +76,12 @@ std::string_view to_string(RepairProposal::Status status);
 
 struct GuardOptions {
   RepairMode repair = RepairMode::kRevert;
-  /// Worker threads for the pipeline's parallel stages (the verifier's
-  /// policy checks, per-router replay of early-block snapshots). One pool is
-  /// created per Guard and reused by every scan. 0 = one worker per
-  /// hardware thread; 1 = no pool, every stage on the scanning thread. Reports are
-  /// byte-identical for every setting (see tests/test_parallel_verify.cpp).
+  /// Worker threads for the verifier's policy checks, the pipeline's one
+  /// parallel stage (snapshots, early-block ones included, replay on the
+  /// scanning thread). One pool is created per Guard and reused by every
+  /// scan. 0 = one worker per hardware thread; 1 = no pool, every stage on
+  /// the scanning thread. Reports are byte-identical for every setting (see
+  /// tests/test_parallel_verify.cpp).
   unsigned num_threads = 0;
   /// Minimum HBG edge confidence for provenance (the root-cause analyzer).
   /// Snapshots read `snapshot.min_confidence` instead.
@@ -239,13 +239,10 @@ class Guard {
   std::optional<RevertAction> try_early_block(const HappensBeforeGraph& hbg);
 
   Network& network_;
-  /// Shared by the verifier and the horizon snapshotter; null when
-  /// `num_threads == 1`.
+  /// The verifier's worker pool; null when `num_threads == 1`.
   std::shared_ptr<ThreadPool> pool_;
   Verifier verifier_;
   GuardOptions options_;
-  /// Early-block's pre-change snapshots (per-router horizons).
-  ConsistentSnapshotter horizon_snapshotter_;
   RootCauseAnalyzer analyzer_;
   ConfigReverter reverter_;
   std::unique_ptr<VerifyingBlocker> blocker_;  // kBlock mode only

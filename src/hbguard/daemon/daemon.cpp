@@ -632,18 +632,27 @@ bool GuardDaemon::process_control(Connection& conn) {
       std::string response;
       if (!execute_command(conn, front.text, response)) {
         // A digest or finish waits for ingest to quiesce, which paused
-        // delivery never does. A `resume` queued behind it runs now and
-        // its reply waits its turn. Hoisting stops at a `pause`, so
-        // delivery ends in the state line order gives.
-        for (auto it = std::next(conn.lines.begin()); it != conn.lines.end(); ++it) {
-          const std::string cmd = split(trim(it->text), ' ')[0];
-          if (cmd == "pause") break;
-          if (cmd == "resume" && !it->reply) {
-            execute_command(conn, it->text, it->reply.emplace());
-            progressed = true;
+        // delivery never does. A `shutdown` queued behind it ends the
+        // wait: the waiting line is refused, and the lines up to the
+        // shutdown are answered in order. Otherwise a `resume` queued
+        // behind it runs now and its reply waits its turn. Hoisting stops
+        // at a `pause`, so delivery ends in the state line order gives.
+        auto first_word = [](const ControlLine& line) { return split(trim(line.text), ' ')[0]; };
+        bool shutdown_queued = std::any_of(
+            std::next(conn.lines.begin()), conn.lines.end(),
+            [&](const ControlLine& line) { return first_word(line) == "shutdown"; });
+        if (!shutdown_queued) {
+          for (auto it = std::next(conn.lines.begin()); it != conn.lines.end(); ++it) {
+            const std::string cmd = first_word(*it);
+            if (cmd == "pause") break;
+            if (cmd == "resume" && !it->reply) {
+              execute_command(conn, it->text, it->reply.emplace());
+              progressed = true;
+            }
           }
+          break;
         }
-        break;
+        response = "err shutting down before ingest quiesced";
       }
       front.reply = std::move(response);
     }

@@ -85,8 +85,8 @@ struct SnapshotDelta {
 };
 
 /// Replays one router's captured records into its RouterFibView: the one
-/// fold every snapshot path shares (the consistent and incremental
-/// snapshotters, and the blocker's hypothetical update). Uplink and offer
+/// fold every snapshot path shares (the consistent snapshotter's one-shot
+/// and maintained cuts, and the blocker's hypothetical update). Uplink and offer
 /// state change as each record is added; FIB operations are buffered and
 /// applied by commit() in one pass, keeping `view.entries` sorted by prefix
 /// — the order Fib::entries() yields. The last operation per prefix wins,

@@ -256,6 +256,47 @@ TEST(StreamHealth, AbandonedGapQuarantinesUntilReset) {
   EXPECT_EQ(h.tracker.stats().resyncs, 1u);
 }
 
+TEST(StreamHealth, HugeSeqJumpCostsOneRange) {
+  // A seq jumping to 2^40 opens a gap of 2^40 - 1 records. Abandoning it,
+  // a late arrival inside it and that arrival's duplicate each cost one
+  // range operation, not one per missing seq.
+  StreamHealthOptions options;
+  options.gap_grace_us = 1'000;
+  HealthHarness h(options);
+  const std::uint64_t far = std::uint64_t{1} << 40;
+  h.admit(seq_record(0, 0), 0);
+  h.admit(seq_record(0, far), 100);
+  h.tracker.tick(1'200, h.sink);
+  EXPECT_EQ(h.released, (std::vector<std::uint64_t>{0, far}));
+  EXPECT_EQ(h.tracker.stats().gaps_abandoned, 1u);
+  EXPECT_EQ(h.tracker.stats().records_lost, far - 1);
+  EXPECT_EQ(h.tracker.state(0), StreamState::kQuarantined);
+  EXPECT_EQ(h.tracker.lossy_routers(), (std::set<RouterId>{0}));
+
+  const std::uint64_t middle = far / 2;
+  h.admit(seq_record(0, middle), 1'300);  // late: inside the abandoned gap
+  EXPECT_EQ(h.tracker.stats().late_dropped, 1u);
+  h.admit(seq_record(0, middle), 1'400);  // a second copy is a duplicate
+  EXPECT_EQ(h.tracker.stats().late_dropped, 1u);
+  EXPECT_EQ(h.tracker.stats().duplicates_dropped, 1u);
+  // Both halves of the split range stay lost, to their very ends.
+  for (std::uint64_t seq : {std::uint64_t{1}, middle - 1, middle + 1, far - 1}) {
+    h.admit(seq_record(0, seq), 1'500);
+  }
+  EXPECT_EQ(h.tracker.stats().late_dropped, 5u);
+  EXPECT_EQ(h.tracker.stats().duplicates_dropped, 1u);
+  h.admit(seq_record(0, far - 1), 1'600);  // already taken: a duplicate now
+  EXPECT_EQ(h.tracker.stats().duplicates_dropped, 2u);
+  EXPECT_EQ(h.tracker.stats().records_lost, far - 1);  // lost stays cumulative
+  EXPECT_EQ(h.released, (std::vector<std::uint64_t>{0, far}));
+
+  h.admit(seq_record(0, far + 1, /*fib_reset=*/true), 1'700);
+  EXPECT_EQ(h.tracker.state(0), StreamState::kHealthy);
+  h.admit(seq_record(0, 2), 1'800);  // the checkpoint superseded the gap
+  EXPECT_EQ(h.tracker.stats().late_dropped, 5u);
+  EXPECT_EQ(h.tracker.stats().duplicates_dropped, 3u);
+}
+
 TEST(StreamHealth, BufferedResetAbandonsGapEarly) {
   StreamHealthOptions options;
   options.gap_grace_us = 1'000'000;  // grace would hold for ages

@@ -5,8 +5,8 @@
 // exercises the control RPC surface (status/scan/repairs/why), ingest
 // backpressure with a slow (paused) consumer, fragmented ingest through the
 // parse lane, an idle loop while paused behind a closed sender, a resume
-// queued behind a waiting digest, stream order across successive
-// connections, and clean shutdown.
+// or shutdown queued behind a waiting digest, stream order across
+// successive connections, out-of-range integer fields, and clean shutdown.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -33,6 +33,7 @@
 #include "hbguard/daemon/recovery.hpp"
 #include "hbguard/provenance/root_cause.hpp"
 #include "hbguard/sim/scenario.hpp"
+#include "hbguard/snapshot/checkpoint.hpp"
 #include "hbguard/util/strings.hpp"
 
 namespace hbguard {
@@ -566,6 +567,53 @@ TEST(Daemon, ResumeQueuedBehindADeferredDigestRunsAtOnce) {
   EXPECT_EQ(daemon.session().records_delivered(), trace.records.size());
 }
 
+TEST(Daemon, ShutdownQueuedBehindADeferredDigestStops) {
+  // With delivery paused, a digest cannot quiesce. A `shutdown` written
+  // behind it on the same connection must not wait for it: the digest is
+  // refused, the status between them answers in line order, the shutdown
+  // is acknowledged, and run() returns through its final checkpoint.
+  Fig2Trace trace = make_fig2_trace();
+  DaemonOptions options = make_options(trace, "shutdown-behind-digest");
+  ScratchDir state(options.socket_dir + "-state");
+  options.state_dir = state.path;
+
+  GuardDaemon daemon(options);
+  ASSERT_TRUE(daemon.bind());
+  int rc = -1;
+  std::thread server([&daemon, &rc] { rc = daemon.run(); });
+  int control = connect_unix(daemon.control_socket_path());
+  ASSERT_GE(control, 0);
+  timeval timeout{5, 0};
+  ASSERT_EQ(::setsockopt(control, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+  ASSERT_EQ(rpc(control, "pause").rfind("ok", 0), 0u);
+
+  int ingest = connect_unix(daemon.ingest_socket_path());
+  ASSERT_GE(ingest, 0);
+  ASSERT_TRUE(send_all(ingest, to_jsonl(trace.records)));
+  ::close(ingest);
+  poll_status_until(control, "records_buffered", trace.records.size());
+
+  ASSERT_TRUE(send_all(control, "digest\nstatus\nshutdown\n"));
+  std::string buffer;
+  std::vector<std::string> replies;
+  while (replies.size() < 3) {
+    std::optional<std::string> reply = read_reply(control, buffer);
+    if (!reply) break;
+    replies.push_back(chomp(*reply));
+  }
+  if (replies.size() < 3) daemon.stop();  // a line went unanswered: end the loop
+  ::close(control);
+  server.join();
+
+  ASSERT_EQ(replies.size(), 3u) << "a line got no reply within 5 s";
+  EXPECT_EQ(replies[0].rfind("err", 0), 0u) << replies[0];
+  EXPECT_EQ(replies[1].rfind("{\"records_delivered\"", 0), 0u) << replies[1];
+  EXPECT_EQ(replies[2], "ok shutting down");
+  EXPECT_EQ(rc, 0);
+  EXPECT_FALSE(list_checkpoints(state.path).empty()) << "no final checkpoint";
+  EXPECT_EQ(daemon.session().records_delivered(), 0u);  // delivery never resumed
+}
+
 TEST(Daemon, LaterConnectionWaitsForAnEarlierOnesLaneUnderBackpressure) {
   // The first connection pauses at the soft limit with the rest of its
   // stream unread; the second arrives whole. After resume, the first
@@ -676,6 +724,67 @@ TEST(Daemon, RejectsHostileLinesAndKeepsIngesting) {
   // An oversize control line is answered, and the connection still works.
   EXPECT_EQ(rpc(control, std::string(2 << 20, 's')).rfind("err line too long", 0), 0u);
   EXPECT_NE(rpc(control, "status").find("records_delivered"), std::string::npos);
+  EXPECT_EQ(rpc(control, "shutdown").rfind("ok", 0), 0u);
+  ::close(control);
+  server.join();
+}
+
+TEST(Daemon, RejectsOutOfRangeIntegersWithDigestParity) {
+  // Integers a field's type cannot hold used to be cast: "id":-1 wrapped to
+  // 2^64 - 1 and broke the HBG's id table, an id of 2^40 exhausted memory,
+  // and a router of 2^32 read as router 0. Each such line must be rejected
+  // and counted, and the digest must equal the offline pass over the
+  // remaining lines.
+  Fig2Trace trace = make_fig2_trace();
+  DaemonOptions options = make_options(trace, "ranges");
+  GuardReport offline = ReplayGuardSession::run_offline(trace.records, options.session);
+
+  // The first occurrence of a key wins, so a member put in front overrides
+  // the record's own.
+  const std::string base = to_json_line(trace.records[trace.records.size() / 2]);
+  auto with_front = [&](const std::string& member) { return "{" + member + "," + base.substr(1); };
+  const std::vector<std::string> hostile = {
+      with_front("\"id\":-1"),
+      with_front("\"id\":1099511627776"),
+      with_front("\"id\":0"),
+      with_front("\"router\":4294967296"),
+      with_front("\"peer\":-1"),
+      with_front("\"local_pref\":4294967296"),
+      with_front("\"link\":-2"),
+      with_front("\"fib_entry\":{\"prefix\":\"10.0.0.0/24\",\"action\":\"forward\","
+                 "\"next_hop\":4294967296}"),
+  };
+  ASSERT_GT(trace.records.size(), 3 * hostile.size());
+  std::string payload;
+  for (std::size_t i = 0; i < trace.records.size(); ++i) {
+    if (i % 3 == 0 && i / 3 < hostile.size()) payload += hostile[i / 3] + "\n";
+    payload += to_json_line(trace.records[i]) + "\n";
+  }
+
+  GuardDaemon daemon(options);
+  ASSERT_TRUE(daemon.bind());
+  std::thread server([&daemon] { daemon.run(); });
+  int ingest = connect_unix(daemon.ingest_socket_path());
+  ASSERT_GE(ingest, 0);
+  ASSERT_TRUE(send_all(ingest, payload));
+  ::close(ingest);
+
+  int control = connect_unix(daemon.control_socket_path());
+  ASSERT_GE(control, 0);
+  timeval timeout{10, 0};
+  ASSERT_EQ(::setsockopt(control, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+  std::string status;
+  for (int i = 0; i < 2000; ++i) {
+    status = rpc(control, "status");
+    if (status_field(status, "records_rejected") + status_field(status, "records_delivered") ==
+        hostile.size() + trace.records.size()) {
+      break;
+    }
+    ::usleep(2'000);
+  }
+  EXPECT_EQ(status_field(status, "records_rejected"), hostile.size()) << status;
+  EXPECT_EQ(status_field(status, "records_delivered"), trace.records.size()) << status;
+  EXPECT_EQ(chomp(rpc(control, "digest")), chomp(offline.digest()));
   EXPECT_EQ(rpc(control, "shutdown").rfind("ok", 0), 0u);
   ::close(control);
   server.join();

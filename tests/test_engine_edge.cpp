@@ -6,7 +6,7 @@
 #include "hbguard/hbr/pattern_miner.hpp"
 #include "hbguard/proto/bgp/engine.hpp"
 #include "hbguard/sim/scenario.hpp"
-#include "hbguard/snapshot/consistent.hpp"
+#include "hbguard/snapshot/incremental.hpp"
 
 namespace hbguard {
 namespace {
@@ -159,15 +159,13 @@ TEST(SnapshotOptions, RequireSendForRecvCanBeDisabled) {
   auto records = scenario.network->capture().records();
   auto hbg = HbgBuilder::build(records, RuleMatchingInference());
 
-  ConsistentSnapshotter strict;  // default: require_send_for_recv = true
-  ConsistencyReport strict_report;
-  strict.build(records, hbg, {}, &strict_report);
+  ConsistencyReport strict_report;  // default: require_send_for_recv = true
+  IncrementalSnapshotter::build({}, records, hbg, {}, &strict_report);
 
   ConsistencyOptions lax_options;
   lax_options.require_send_for_recv = false;
-  ConsistentSnapshotter lax(lax_options);
   ConsistencyReport lax_report;
-  lax.build(records, hbg, {}, &lax_report);
+  IncrementalSnapshotter::build(lax_options, records, hbg, {}, &lax_report);
 
   EXPECT_GE(strict_report.total_rewound(), lax_report.total_rewound())
       << "the strict mode must be at least as conservative";

@@ -274,7 +274,7 @@ TEST(FaultInjection, LostSendsDoNotRewindHealthyRoutersForever) {
   // those (perfectly healthy) receivers past the receive on every scan,
   // freezing their replayed FIBs at the fault epoch — the guard kept
   // reporting a long-healed violation until the end of the run. The
-  // lost-send presumption (snapshotters consult the stream-health lossy
+  // lost-send presumption (the snapshotter consults the stream-health lossy
   // set) must keep such receives once the sender's log has moved on.
   Rng topo_rng(13);
   Topology topology = make_waxman_topology(12, topo_rng);

@@ -1,8 +1,8 @@
 // Incremental snapshot pipeline parity (ISSUE 2 tentpole).
 //
 // The contract under test: IncrementalSnapshotter fed per-scan record and
-// HBG-edge deltas produces a snapshot byte-identical to
-// ConsistentSnapshotter::build over the full capture history with empty
+// HBG-edge deltas produces a snapshot byte-identical to the one-shot
+// IncrementalSnapshotter::build over the full capture history with empty
 // horizons — at EVERY scan, not just at convergence, and under the same
 // lost-send presumption for known-lossy streams — and a default Guard emits
 // a GuardReport byte-identical to one that rebuilds its HBG from the full
@@ -21,7 +21,6 @@
 #include "hbguard/hbg/incremental.hpp"
 #include "hbguard/sim/scenario.hpp"
 #include "hbguard/sim/workload.hpp"
-#include "hbguard/snapshot/consistent.hpp"
 #include "hbguard/snapshot/incremental.hpp"
 #include "hbguard/snapshot/naive.hpp"
 #include "hbguard/verify/verifier.hpp"
@@ -67,7 +66,6 @@ void expect_snapshot_parity(Network& network, std::size_t steps, SimTime interva
                             std::string* digests_out = nullptr) {
   IncrementalHbgBuilder builder(matcher);
   std::size_t hbg_cursor = 0;
-  ConsistentSnapshotter scratch(consistency);
   IncrementalSnapshotter incremental(consistency);
   std::size_t cursor = 0;
   std::vector<HbgEdge> edge_delta;
@@ -82,7 +80,7 @@ void expect_snapshot_parity(Network& network, std::size_t steps, SimTime interva
 
     ConsistencyReport scratch_report;
     DataPlaneSnapshot scratch_snapshot =
-        scratch.build(records, hbg, {}, &scratch_report, lossy);
+        IncrementalSnapshotter::build(consistency, records, hbg, {}, &scratch_report, lossy);
     ConsistencyReport incremental_report;
     const DataPlaneSnapshot& maintained =
         incremental.ingest(network.capture().records_since(cursor), hbg, edge_delta, nullptr,
@@ -148,10 +146,10 @@ TEST(IncrementalSnapshot, ParityUnderClockSkewAndLoss) {
 }
 
 TEST(IncrementalSnapshot, ParityWithLossyStreamsAtEveryGrace) {
-  // The two snapshotters implement the lost-send presumption separately: a
-  // receive whose send is missing is kept when the sender's stream is
-  // known-lossy and its log already runs `lost_send_grace_us` past the
-  // receive. Drive both over a jittered trace with capture loss, with every
+  // The lost-send presumption: a receive whose send is missing is kept when
+  // the sender's stream is known-lossy and its log already runs
+  // `lost_send_grace_us` past the receive. Drive the maintained and the
+  // one-shot snapshot over a jittered trace with capture loss, with every
   // stream declared lossy, at a grace that presumes almost every missing
   // send lost (0), the default (10 ms) and one that presumes almost none
   // (60 s).
@@ -198,7 +196,6 @@ TEST(IncrementalSnapshot, LateEdgeIntoStableRegionForcesClosureRerun) {
   MatcherOptions matcher;
   matcher.local_slack_us = 500;
   IncrementalHbgBuilder builder(matcher);
-  ConsistentSnapshotter scratch;
   IncrementalSnapshotter incremental;
 
   IoRecord rib;
@@ -241,7 +238,8 @@ TEST(IncrementalSnapshot, LateEdgeIntoStableRegionForcesClosureRerun) {
   const DataPlaneSnapshot& after1 =
       incremental.ingest(scan1, builder.graph(), edges, nullptr, nullptr);
   EXPECT_EQ(after1.routers.at(0).entries.size(), 1u);
-  EXPECT_EQ(snapshot_digest(scratch.build(all, builder.graph(), {})), snapshot_digest(after1));
+  EXPECT_EQ(snapshot_digest(IncrementalSnapshotter::build({}, all, builder.graph(), {})),
+            snapshot_digest(after1));
   EXPECT_EQ(incremental.stats().closure_fallbacks, 0u);
 
   // Scan 2: the late receive arrives. Late-cause matching should attach it
@@ -258,7 +256,8 @@ TEST(IncrementalSnapshot, LateEdgeIntoStableRegionForcesClosureRerun) {
   SnapshotDelta delta;
   const DataPlaneSnapshot& after2 =
       incremental.ingest(scan2, builder.graph(), edges, &delta, nullptr);
-  EXPECT_EQ(snapshot_digest(scratch.build(all, builder.graph(), {})), snapshot_digest(after2));
+  EXPECT_EQ(snapshot_digest(IncrementalSnapshotter::build({}, all, builder.graph(), {})),
+            snapshot_digest(after2));
   EXPECT_TRUE(after2.routers.at(0).entries.empty())
       << "the FIB entry's whole causal prefix must be rewound";
   EXPECT_EQ(incremental.stats().closure_fallbacks, 1u);

@@ -8,7 +8,7 @@
 #include "hbguard/hbr/rule_matcher.hpp"
 #include "hbguard/sim/scenario.hpp"
 #include "hbguard/sim/workload.hpp"
-#include "hbguard/snapshot/consistent.hpp"
+#include "hbguard/snapshot/incremental.hpp"
 #include "hbguard/snapshot/naive.hpp"
 
 namespace hbguard {
@@ -218,8 +218,7 @@ TEST(CaptureImperfections, LossyLogsForceConservativeRewinds) {
   EXPECT_GT(scenario.network->capture().events_lost(), 0u);
   auto hbg = HbgBuilder::build(records, RuleMatchingInference());
   ConsistencyReport report;
-  ConsistentSnapshotter snapshotter;
-  auto snapshot = snapshotter.build(records, hbg, {}, &report);
+  auto snapshot = IncrementalSnapshotter::build({}, records, hbg, {}, &report);
   // With recvs whose sends were lost, the snapshotter must rewind (§5: "we
   // may be missing some FIB updates") rather than pretend completeness.
   EXPECT_GT(report.unmatched_recvs + report.total_rewound(), 0u);

@@ -8,10 +8,8 @@
 
 #include "fixtures.hpp"
 #include "hbguard/core/guard.hpp"
-#include "hbguard/hbg/builder.hpp"
 #include "hbguard/sim/scenario.hpp"
 #include "hbguard/sim/workload.hpp"
-#include "hbguard/snapshot/consistent.hpp"
 #include "hbguard/verify/verifier.hpp"
 
 namespace hbguard {
@@ -111,34 +109,6 @@ TEST(ParallelVerify, SerialVerifierCreatesNoPool) {
   VerifyStats stats = verifier.stats();
   EXPECT_EQ(stats.runs, 1u);
   EXPECT_EQ(stats.destinations, 8u);
-}
-
-TEST(ConsistentSnapshotter, ParallelReplayMatchesSerial) {
-  auto scenario = PaperScenario::make();
-  scenario.converge_initial();
-  scenario.misconfigure_r2_lp10();
-  scenario.network->run_for(2'000'000);
-
-  std::span<const IoRecord> records = scenario.network->capture().records();
-  HappensBeforeGraph hbg = HbgBuilder::build(records, GroundTruthInference());
-
-  ConsistentSnapshotter serial;
-  DataPlaneSnapshot baseline = serial.build(records, hbg, {});
-
-  for (unsigned threads : {2u, 8u}) {
-    ConsistentSnapshotter parallel;
-    parallel.set_thread_pool(std::make_shared<ThreadPool>(threads));
-    DataPlaneSnapshot snapshot = parallel.build(records, hbg, {});
-
-    ASSERT_EQ(snapshot.routers.size(), baseline.routers.size());
-    for (const auto& [router, view] : baseline.routers) {
-      const RouterFibView& other = snapshot.routers.at(router);
-      EXPECT_EQ(other.entries, view.entries) << "router " << router;
-      EXPECT_EQ(other.as_of, view.as_of);
-      EXPECT_EQ(other.failed_uplinks, view.failed_uplinks);
-      EXPECT_EQ(other.uplink_routes, view.uplink_routes);
-    }
-  }
 }
 
 std::string guarded_run_summary(unsigned num_threads) {

@@ -7,7 +7,7 @@
 #include "hbguard/hbg/builder.hpp"
 #include "hbguard/hbr/rule_matcher.hpp"
 #include "hbguard/proto/bgp/decision.hpp"
-#include "hbguard/snapshot/consistent.hpp"
+#include "hbguard/snapshot/incremental.hpp"
 #include "hbguard/snapshot/naive.hpp"
 #include "hbguard/sim/scenario.hpp"
 #include "hbguard/sim/workload.hpp"
@@ -130,7 +130,7 @@ TEST_P(NetworkInvariants, ConsistentSnapshotAtFullHorizonMatchesDataPlane) {
   auto records = net.capture().records();
   auto hbg = HbgBuilder::build(records, RuleMatchingInference());
   ConsistencyReport report;
-  auto snapshot = ConsistentSnapshotter().build(records, hbg, {}, &report);
+  auto snapshot = IncrementalSnapshotter::build({}, records, hbg, {}, &report);
   auto truth = take_instant_snapshot(net);
   for (const auto& [router, view] : truth.routers) {
     EXPECT_EQ(snapshot.routers.at(router).entries, view.entries) << "router " << router;

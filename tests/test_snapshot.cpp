@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <random>
+#include <sstream>
 
 #include "hbguard/hbg/builder.hpp"
 #include "hbguard/hbr/rule_matcher.hpp"
-#include "hbguard/snapshot/consistent.hpp"
+#include "hbguard/snapshot/incremental.hpp"
 #include "hbguard/snapshot/naive.hpp"
 #include "hbguard/verify/verifier.hpp"
 
@@ -87,7 +90,7 @@ TEST(NaiveSnapshot, SkewedSamplingDuringChurnDiverges) {
 }
 
 // ---------------------------------------------------------------------------
-// Consistent snapshotter
+// One-shot consistent snapshots (IncrementalSnapshotter::build)
 
 class ConsistentFixture : public ::testing::Test {
  protected:
@@ -97,15 +100,20 @@ class ConsistentFixture : public ::testing::Test {
     return HbgBuilder::build(scenario_.network->capture().records(), RuleMatchingInference());
   }
 
+  DataPlaneSnapshot build(std::span<const IoRecord> records, const HappensBeforeGraph& hbg,
+                          const std::map<RouterId, SimTime>& horizons,
+                          ConsistencyReport* report = nullptr) {
+    return IncrementalSnapshotter::build({}, records, hbg, horizons, report);
+  }
+
   PaperScenario scenario_;
-  ConsistentSnapshotter snapshotter_;
 };
 
 TEST_F(ConsistentFixture, FullHorizonMatchesFinalState) {
   scenario_.converge_initial();
   auto hbg = build_hbg();
   ConsistencyReport report;
-  auto snapshot = snapshotter_.build(scenario_.network->capture().records(), hbg, {}, &report);
+  auto snapshot = build(scenario_.network->capture().records(), hbg, {}, &report);
 
   auto truth = take_instant_snapshot(*scenario_.network);
   for (const auto& [router, view] : truth.routers) {
@@ -119,7 +127,7 @@ TEST_F(ConsistentFixture, GroundTruthHbgAlsoReplaysCleanly) {
   scenario_.misconfigure_r2_lp10();
   scenario_.network->run_to_convergence();
   auto hbg = HbgBuilder::build(scenario_.network->capture().records(), GroundTruthInference());
-  auto snapshot = snapshotter_.build(scenario_.network->capture().records(), hbg, {});
+  auto snapshot = build(scenario_.network->capture().records(), hbg, {});
   auto truth = take_instant_snapshot(*scenario_.network);
   for (const auto& [router, view] : truth.routers) {
     EXPECT_EQ(snapshot.routers.at(router).entries, view.entries);
@@ -144,7 +152,7 @@ TEST_F(ConsistentFixture, StaleRouterForcesRewindOfDependents) {
   // advertisement; other routers report in full.
   std::map<RouterId, SimTime> horizons{{scenario_.r2, before_r2}};
   ConsistencyReport report;
-  auto snapshot = snapshotter_.build(records, hbg, horizons, &report);
+  auto snapshot = build(records, hbg, horizons, &report);
 
   // Consistency: if R1/R3's FIBs still pointed at R2's new route while R2's
   // snapshot predates it, the verifier would see a state no packet
@@ -176,7 +184,7 @@ TEST_F(ConsistentFixture, NaiveSnapshotSameScenarioSeesPhantomState) {
 
   auto records = scenario_.network->capture().records();
   // Naive assembly: replay ALL reported FIB updates per router up to its
-  // horizon with no consistency check == ConsistentSnapshotter with the
+  // horizon with no consistency check == a one-shot build with the
   // closure disabled. Emulate by replaying manually.
   std::map<RouterId, SimTime> horizons{{scenario_.r2, before_r2}};
   DataPlaneSnapshot naive;
@@ -205,7 +213,7 @@ TEST_F(ConsistentFixture, DetectsViolationWithFullData) {
   scenario_.network->run_to_convergence();
 
   auto hbg = build_hbg();
-  auto snapshot = snapshotter_.build(scenario_.network->capture().records(), hbg, {});
+  auto snapshot = build(scenario_.network->capture().records(), hbg, {});
   Verifier verifier(paper_policies(scenario_));
   auto result = verifier.verify(snapshot);
   ASSERT_FALSE(result.clean());
@@ -222,13 +230,72 @@ TEST_F(ConsistentFixture, UplinkFailureIsNotAViolation) {
   scenario_.network->run_to_convergence();
 
   auto hbg = build_hbg();
-  auto snapshot = snapshotter_.build(scenario_.network->capture().records(), hbg, {});
+  auto snapshot = build(scenario_.network->capture().records(), hbg, {});
   EXPECT_FALSE(snapshot.uplink_up(scenario_.r2, PaperScenario::kUplink2));
   Verifier verifier(paper_policies(scenario_));
   auto result = verifier.verify(snapshot);
   EXPECT_TRUE(result.clean()) << (result.violations.empty()
                                       ? ""
                                       : result.violations.front().describe());
+}
+
+std::string snapshot_digest(const DataPlaneSnapshot& snapshot) {
+  std::ostringstream out;
+  for (const auto& [router, view] : snapshot.routers) {
+    out << "R" << router << "@" << view.as_of << "\n";
+    for (const FibEntry& entry : view.entries) out << "  " << entry.describe() << "\n";
+    for (const std::string& session : view.failed_uplinks) out << "  down:" << session << "\n";
+    for (const auto& [session, prefixes] : view.uplink_routes) {
+      out << "  offer:" << session << ":";
+      for (const Prefix& prefix : prefixes) out << prefix.to_string() << ",";
+      out << "\n";
+    }
+  }
+  return out.str();
+}
+
+TEST(OneShotSnapshot, ShuffledSpanMatchesCaptureOrder) {
+  // The one-shot cut is the only path that sorts each router's log by
+  // router_seq, so the order of the span it is handed must not matter:
+  // staggered horizons over a churned, jittered capture rewind several
+  // routers, and the shuffled span must reproduce the snapshot and report.
+  Rng topo_rng(7);
+  NetworkOptions options;
+  options.seed = 7;
+  options.capture.timestamp_jitter_us = 1'000;
+  auto generated = make_ibgp_network(make_waxman_topology(8, topo_rng), 2, options);
+  Network& net = *generated.network;
+  net.run_to_convergence();
+  ChurnOptions churn_options;
+  churn_options.prefix_count = 4;
+  churn_options.event_count = 30;
+  churn_options.seed = 8;
+  ChurnWorkload churn(generated, churn_options);
+  net.run_to_convergence();
+
+  const std::vector<IoRecord>& records = net.capture().records();
+  HappensBeforeGraph hbg = HbgBuilder::build(records, RuleMatchingInference());
+  std::map<RouterId, SimTime> horizons;
+  const SimTime end = net.sim().now();
+  for (RouterId r = 0; r < net.router_count(); ++r) horizons[r] = end - SimTime{r} * 150'000;
+
+  ConsistencyReport in_order;
+  DataPlaneSnapshot expected = IncrementalSnapshotter::build({}, records, hbg, horizons, &in_order);
+  ASSERT_GT(in_order.total_rewound(), 0u) << "premise: the cut rewinds some router";
+
+  std::vector<IoRecord> shuffled = records;
+  std::mt19937 rng(3);
+  for (int trial = 0; trial < 3; ++trial) {
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    ConsistencyReport report;
+    DataPlaneSnapshot snapshot =
+        IncrementalSnapshotter::build({}, shuffled, hbg, horizons, &report);
+    EXPECT_EQ(snapshot_digest(snapshot), snapshot_digest(expected)) << "trial " << trial;
+    EXPECT_EQ(report.rewound, in_order.rewound) << "trial " << trial;
+    EXPECT_EQ(report.in_flux, in_order.in_flux) << "trial " << trial;
+    EXPECT_EQ(report.unmatched_recvs, in_order.unmatched_recvs) << "trial " << trial;
+    EXPECT_EQ(report.iterations, in_order.iterations) << "trial " << trial;
+  }
 }
 
 TEST(ViewFold, MatchesInOrderFibReplay) {

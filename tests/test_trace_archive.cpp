@@ -455,9 +455,9 @@ TEST_F(TraceArchiveFileTest, JsonlConverterRoundTripsByteIdentically) {
   for (int i = 0; i < 60; ++i) {
     IoRecord record = random_record(rng);
     // The binary codec carries full-range 64-bit values, but this trip
-    // goes through JSONL, whose reader rejects negative times/seqs —
-    // clamp into the JSON-representable range.
-    record.id = (record.id & 0x7FFFFFFFFFFFFFFFull) | 1;
+    // goes through JSONL, whose reader rejects negative times/seqs and ids
+    // outside [1, 2^32) — clamp into the JSON-representable range.
+    record.id = (record.id & 0xFFFFFFFFull) | 1;
     record.logged_time = static_cast<SimTime>(record.logged_time) < 0
                              ? -static_cast<SimTime>(record.logged_time)
                              : record.logged_time;

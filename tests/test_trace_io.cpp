@@ -424,6 +424,31 @@ bool has_trailing_bytes(std::string_view line) {
   return parser.pos != line.size();
 }
 
+/// Whether the oracle's value tree holds an integer the parser rejects as
+/// out of range: an `id` outside [1, 2^32), or a `router`, `peer`,
+/// `local_pref`, `link` or fib_entry `next_hop` outside [0, 2^32).
+bool out_of_range(std::string_view line) {
+  reference::JsonParser parser{line, 0, {}};
+  reference::JsonValue value;
+  if (!parser.parse_value(value) || value.type != reference::JsonValue::Type::kObject) {
+    return false;
+  }
+  auto outside = [](const reference::JsonValue& object, const std::string& name,
+                    std::int64_t min) {
+    std::optional<std::int64_t> v = reference::int_field(object, name);
+    return v.has_value() && (*v < min || *v > std::int64_t{0xFFFFFFFF});
+  };
+  bool range = outside(value, "id", 1);
+  for (const char* name : {"router", "peer", "local_pref", "link"}) {
+    range |= outside(value, name, 0);
+  }
+  const reference::JsonValue* entry = reference::field(value, "fib_entry");
+  if (entry != nullptr && entry->type == reference::JsonValue::Type::kObject) {
+    range |= outside(*entry, "next_hop", 0);
+  }
+  return range;
+}
+
 /// One to three stacked mutations: byte flips, truncations, inserted JSON
 /// metacharacters, duplicated or wrong-typed known keys (front: the copy is
 /// the first occurrence and wins; back: it is ignored), nesting around the
@@ -489,7 +514,7 @@ std::string mutate(std::string line, Rng& rng) {
 
 TEST(TraceIo, SinglePassParserMatchesTheValueTreeOracleUnderFuzz) {
   Rng rng(20260);
-  std::size_t accepted = 0, rejected = 0, too_deep = 0, trailing = 0;
+  std::size_t accepted = 0, rejected = 0, too_deep = 0, trailing = 0, ranged = 0;
   for (IoId id = 1; id <= 30'000; ++id) {
     IoRecord original = random_record(rng, id);
     TraceWriteOptions options;
@@ -501,12 +526,14 @@ TEST(TraceIo, SinglePassParserMatchesTheValueTreeOracleUnderFuzz) {
     TraceLineStatus expected_status = reference::parse_trace_line(line, expected, expected_error);
     TraceLineStatus actual_status = parse_trace_line(line, actual, actual_error);
     if (expected_status == TraceLineStatus::kRecord && actual_status == TraceLineStatus::kError) {
-      // Only the two new rejections may turn an accepted line away.
+      // Only the three new rejections may turn an accepted line away.
       bool deep = nesting_depth(line) > kMaxJsonDepth;
       bool tail = has_trailing_bytes(line);
-      ASSERT_TRUE(deep || tail) << "newly rejected (" << actual_error << "): " << line;
+      bool range = out_of_range(line);
+      ASSERT_TRUE(deep || tail || range) << "newly rejected (" << actual_error << "): " << line;
       too_deep += deep;
       trailing += tail;
+      ranged += range;
       continue;
     }
     ASSERT_EQ(actual_status, expected_status)
@@ -525,6 +552,7 @@ TEST(TraceIo, SinglePassParserMatchesTheValueTreeOracleUnderFuzz) {
   EXPECT_GT(rejected, 3'000u);
   EXPECT_GT(too_deep, 50u);
   EXPECT_GT(trailing, 50u);
+  EXPECT_GT(ranged, 50u);
 }
 
 }  // namespace
