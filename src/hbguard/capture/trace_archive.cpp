@@ -183,12 +183,16 @@ bool decode_record(std::span<const std::uint8_t> payload, std::size_t& pos,
   out.kind = static_cast<IoKind>(kind);
   out.protocol = static_cast<Protocol>(protocol);
 
+  // As the JSONL reader requires, an id lies in [1, 2^32) and a router
+  // within 32 bits: a cast would otherwise wrap them.
   std::int64_t delta = 0;
   if (!get_zigzag(payload, pos, delta)) return false;
   state.id += static_cast<std::uint64_t>(delta);
+  if (state.id == 0 || state.id > 0xffffffffULL) return false;
   out.id = state.id;
   if (!get_zigzag(payload, pos, delta)) return false;
   state.router += static_cast<std::uint64_t>(delta);
+  if (state.router > 0xffffffffULL) return false;
   out.router = static_cast<RouterId>(state.router);
   if (!get_zigzag(payload, pos, delta)) return false;
   state.logged_time += static_cast<std::uint64_t>(delta);

@@ -115,21 +115,48 @@ GuardReport Guard::run() {
   return report_;
 }
 
-IoId Guard::latest_violating_update(const Violation& violation) const {
-  // Served from the per-prefix index scan() maintains from the capture
-  // delta — the last matching update in capture order, exactly what the
-  // old full rescan returned.
-  auto latest_fib_update = [&](RouterId router, const Prefix& prefix) -> IoId {
-    if (router != kInvalidRouter) {
-      auto it = latest_fib_update_by_router_.find({router, prefix});
-      return it != latest_fib_update_by_router_.end() ? it->second : kNoIo;
+void Guard::index_fib_updates() {
+  if (!fib_index_built_) {
+    fib_index_built_ = true;
+    for (const auto& policy : verifier_.policies()) {
+      for (const Prefix& prefix : policy->prefixes()) fib_prefixes_.push_back(prefix);
     }
-    auto it = latest_fib_update_.find(prefix);
-    return it != latest_fib_update_.end() ? it->second : kNoIo;
-  };
-  IoId io = latest_fib_update(violation.router, violation.prefix);
-  if (io == kNoIo) io = latest_fib_update(kInvalidRouter, violation.prefix);
-  return io;
+    std::sort(fib_prefixes_.begin(), fib_prefixes_.end());
+    fib_prefixes_.erase(std::unique(fib_prefixes_.begin(), fib_prefixes_.end()),
+                        fib_prefixes_.end());
+    fib_updates_.resize(fib_prefixes_.size());
+  }
+  const CaptureHub& capture = network_.capture();
+  for (const IoRecord& r : capture.records_since(fib_index_cursor_)) {
+    if (r.kind != IoKind::kFibUpdate || !r.prefix.has_value()) continue;
+    auto it = std::lower_bound(fib_prefixes_.begin(), fib_prefixes_.end(), *r.prefix);
+    if (it == fib_prefixes_.end() || *it != *r.prefix) continue;
+    LatestFibUpdates& latest = fib_updates_[static_cast<std::size_t>(it - fib_prefixes_.begin())];
+    latest.any = r.id;
+    auto own = std::find_if(latest.by_router.begin(), latest.by_router.end(),
+                            [&](const auto& entry) { return entry.first == r.router; });
+    if (own != latest.by_router.end()) {
+      own->second = r.id;
+    } else {
+      latest.by_router.emplace_back(r.router, r.id);
+    }
+  }
+  fib_index_cursor_ = capture.records().size();
+}
+
+IoId Guard::latest_violating_update(const Violation& violation) const {
+  // The last matching update in capture order, exactly what a full rescan
+  // of the capture would return.
+  auto it = std::lower_bound(fib_prefixes_.begin(), fib_prefixes_.end(), violation.prefix);
+  if (it == fib_prefixes_.end() || *it != violation.prefix) return kNoIo;
+  const LatestFibUpdates& latest =
+      fib_updates_[static_cast<std::size_t>(it - fib_prefixes_.begin())];
+  if (violation.router != kInvalidRouter) {
+    for (const auto& [router, io] : latest.by_router) {
+      if (router == violation.router) return io;
+    }
+  }
+  return latest.any;
 }
 
 std::vector<IoId> Guard::violating_fib_updates(const std::vector<Violation>& violations) const {
@@ -238,13 +265,7 @@ std::vector<Violation> Guard::scan() {
 
   // Fold the capture delta into the per-prefix FIB-update index before any
   // early return, so provenance lookups later this scan see every record.
-  for (const IoRecord& r : capture.records_since(fib_index_cursor_)) {
-    if (r.kind == IoKind::kFibUpdate && r.prefix.has_value()) {
-      latest_fib_update_[*r.prefix] = r.id;
-      latest_fib_update_by_router_[{r.router, *r.prefix}] = r.id;
-    }
-  }
-  fib_index_cursor_ = capture.records().size();
+  index_fib_updates();
 
   const HappensBeforeGraph& hbg = update_hbg();
 

@@ -217,9 +217,13 @@ class Guard {
   /// the offending entry (served from the per-prefix index maintained by
   /// scan()).
   std::vector<IoId> violating_fib_updates(const std::vector<Violation>& violations) const;
-  /// The single most recent FIB-update I/O behind one violation (kNoIo when
-  /// the capture has none for its prefix).
+  /// The single most recent FIB-update I/O behind one violation: the
+  /// violating router's latest update to its prefix, else any router's
+  /// (kNoIo when the capture has none for its prefix).
   IoId latest_violating_update(const Violation& violation) const;
+  /// Fold the capture's new FIB updates into the per-prefix index, building
+  /// the index over the policies' prefixes on the first call.
+  void index_fib_updates();
   /// Sync the scheduler with the policy destination universe and plan this
   /// scan's covered set; nullopt when scheduling is disabled.
   std::optional<ScheduledScan> plan_traffic_scan();
@@ -260,10 +264,19 @@ class Guard {
   std::size_t snapshot_cursor_ = 0;   // records fed to the snapshotter
   std::size_t early_cursor_ = 0;      // records walked by try_early_block
   std::size_t fib_index_cursor_ = 0;  // records folded into the FIB-update index
-  /// Latest FIB-update I/O per prefix (and per router+prefix), in capture
-  /// order — replaces the per-violation linear rescans of the capture.
-  std::map<Prefix, IoId> latest_fib_update_;
-  std::map<std::pair<RouterId, Prefix>, IoId> latest_fib_update_by_router_;
+  /// Latest FIB-update I/O per policy prefix, overall and per router, in
+  /// capture order. A violation names one of its policy's prefixes (see
+  /// Policy), so updates to any other prefix are never asked for and cost
+  /// one binary search. fib_prefixes_ is sorted and distinct; fib_updates_
+  /// runs parallel to it. Both are built by the first scan, which keeps a
+  /// daemon with thousands of policies quick to start.
+  struct LatestFibUpdates {
+    IoId any = kNoIo;
+    std::vector<std::pair<RouterId, IoId>> by_router;
+  };
+  std::vector<Prefix> fib_prefixes_;
+  std::vector<LatestFibUpdates> fib_updates_;
+  bool fib_index_built_ = false;
 
   /// Stream-health transition count at the last scan; a change trips the
   /// scan watchdog (full re-verify, stored verdicts dropped).

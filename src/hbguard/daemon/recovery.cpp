@@ -146,7 +146,16 @@ RecoveryResult recover_session(const std::string& state_dir,
   ReplayGuardSession& session = *result.session;
   bool fast_forwarding = result.used_checkpoint && result.checkpoint_lsn > 0;
   session.set_fast_forward(fast_forwarding);
+  // The daemon checkpoints between drain passes, so a checkpoint at LSN L
+  // need not sit between two entries' scans. A pass may stop right after a
+  // scan, leaving the checkpoint with scans that were due before entry L,
+  // which was not delivered yet; or a control line may end the pass after
+  // entry L - 1 was delivered but before the scan its delta threshold
+  // called for. The boundary is where the replay's scan count meets the
+  // checkpoint's: skip the scans it holds in fast-forward, and run the ones
+  // it lacks for real.
   auto cross_boundary = [&] {
+    while (session.scans_run() < state.report.scans) session.run_one_due_scan();
     session.guard().import_state(std::move(state));
     session.set_fast_forward(false);
     fast_forwarding = false;
@@ -155,6 +164,10 @@ RecoveryResult recover_session(const std::string& state_dir,
     if (fast_forwarding && lsn >= result.checkpoint_lsn) cross_boundary();
     while (session.scan_due_before(record)) session.run_one_due_scan();
     session.deliver(record);
+    if (fast_forwarding && lsn + 1 == result.checkpoint_lsn &&
+        session.scans_run() == state.report.scans) {
+      cross_boundary();
+    }
     while (session.scan_due_now()) session.run_one_due_scan();
   };
   auto on_control = [&](const std::string& line, std::uint64_t lsn) {

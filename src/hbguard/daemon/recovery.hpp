@@ -14,7 +14,10 @@
 //   3. replay the prefix in *fast-forward* (records delivered, cadence and
 //      health ticked, guard scans skipped — their result is the
 //      checkpoint), import the checkpointed guard state at the boundary,
-//      then replay the suffix for real.
+//      then replay the suffix for real. The boundary is the point past the
+//      checkpoint's LSN where the replay has run as many scans as the
+//      checkpointed report counts: the daemon may checkpoint after a scan
+//      due before the next record, or before a delta-threshold scan.
 //
 // Controls replay through apply_logged_control in both phases; during
 // fast-forward they are no-ops by construction (the proposal queue they

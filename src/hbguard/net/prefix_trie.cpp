@@ -24,7 +24,7 @@ void FlatPrefixIndex::build(std::span<const Prefix> prefixes) {
   // (start asc, length asc) puts ancestors before descendants; `value` as
   // the final key makes the later duplicate sort last, so the dedup below
   // keeps it (install-overwrite semantics). Input already in Prefix order
-  // (FIB views, SnapshotDelta's set) skips the sort.
+  // (FIB views, SnapshotDelta's changed prefixes) skips the sort.
   auto slot_less = [](const Slot& a, const Slot& b) {
     if (a.start != b.start) return a.start < b.start;
     if (a.length != b.length) return a.length < b.length;

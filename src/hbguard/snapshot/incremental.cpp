@@ -194,9 +194,13 @@ const DataPlaneSnapshot& IncrementalSnapshotter::ingest(std::span<const IoRecord
     scan_delta.full = true;
   }
   commit(hbg, &scan_delta);
+  std::vector<Prefix>& changed = scan_delta.changed_prefixes;
   if (scan_delta.full) {
     ++stats_.full_deltas;
-    scan_delta.changed_prefixes.clear();
+    changed.clear();
+  } else {
+    std::sort(changed.begin(), changed.end());
+    changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
   }
   if (delta != nullptr) *delta = std::move(scan_delta);
   if (report != nullptr) fill_report(hbg, closure, *report);

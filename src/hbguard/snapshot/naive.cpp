@@ -30,7 +30,7 @@ void DataPlaneSnapshot::warm_lookup_cache() const {
 
 void ViewFold::add(const IoRecord& r, SnapshotDelta* delta) {
   auto touch = [&](const Prefix& prefix) {
-    if (delta != nullptr && !delta->full) delta->changed_prefixes.insert(prefix);
+    if (delta != nullptr && !delta->full) delta->changed_prefixes.push_back(prefix);
   };
   view_.as_of = std::max(view_.as_of, r.logged_time);
   if (r.fib_reset) {

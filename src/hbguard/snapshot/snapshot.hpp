@@ -69,8 +69,8 @@ struct DataPlaneSnapshot {
 
 /// What changed between one snapshot and its predecessor in a scan stream.
 /// Produced by the incremental snapshotter; consumed by the verifier, which
-/// indexes `changed_prefixes` once per verify() call and re-evaluates only
-/// the policies with a destination inside a changed prefix (the others
+/// walks `changed_prefixes` over its sorted destinations and re-evaluates
+/// only the policies with a destination inside a changed prefix (the others
 /// keep their previous verdicts). A `full` delta (the default) claims nothing,
 /// so consumers must treat every destination as changed — correct for the
 /// first snapshot, uplink up/down flips, router-set changes, FIB resets and
@@ -79,9 +79,10 @@ struct SnapshotDelta {
   bool full = true;
   /// Prefixes whose FIB entries were installed/removed on some router, or
   /// whose external offers changed, since the previous snapshot (a
-  /// superset of actual changes is fine). A destination's lookups, traces
-  /// and covering offers can only move when one of these contains it.
-  std::set<Prefix> changed_prefixes;
+  /// superset of actual changes is fine), sorted and distinct. A
+  /// destination's lookups, traces and covering offers can only move when
+  /// one of these contains it.
+  std::vector<Prefix> changed_prefixes;
 };
 
 /// Replays one router's captured records into its RouterFibView: the one
@@ -99,8 +100,9 @@ class ViewFold {
   explicit ViewFold(RouterFibView& view) : view_(view) {}
 
   /// Fold one record (capture order). With `delta`, the prefixes the record
-  /// touches (FIB operations, external offers) enter changed_prefixes, and a
-  /// reset or an uplink flip marks the delta full.
+  /// touches (FIB operations, external offers) are appended to
+  /// changed_prefixes, unsorted and possibly repeated (the caller sorts and
+  /// dedups once), and a reset or an uplink flip marks the delta full.
   void add(const IoRecord& record, SnapshotDelta* delta = nullptr);
 
   /// Buffer an install or replacement; `entry` must outlive commit().

@@ -1,6 +1,6 @@
 #include "hbguard/verify/forwarding_graph.hpp"
 
-#include <set>
+#include <algorithm>
 #include <sstream>
 
 namespace hbguard {
@@ -32,11 +32,12 @@ std::string ForwardTrace::describe() const {
 ForwardTrace trace_forwarding(const DataPlaneSnapshot& snapshot, RouterId source,
                               IpAddress destination) {
   ForwardTrace trace;
-  std::set<RouterId> visited;
   RouterId current = source;
   while (true) {
+    // A path is a few hops long: searching it beats a visited set.
+    bool revisit = std::find(trace.path.begin(), trace.path.end(), current) != trace.path.end();
     trace.path.push_back(current);
-    if (!visited.insert(current).second) {
+    if (revisit) {
       trace.outcome = ForwardOutcome::kLoop;
       return trace;
     }

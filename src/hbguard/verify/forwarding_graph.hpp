@@ -36,7 +36,8 @@ struct ForwardTrace {
   std::string describe() const;
 };
 
-/// Trace a packet for `destination` injected at `source`.
+/// Trace a packet for `destination` injected at `source`. A source with no
+/// route for it yields a one-hop kBlackhole trace.
 ForwardTrace trace_forwarding(const DataPlaneSnapshot& snapshot, RouterId source,
                               IpAddress destination);
 

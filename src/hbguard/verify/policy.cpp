@@ -2,6 +2,13 @@
 
 namespace hbguard {
 
+namespace {
+/// The trace's source has no route for the destination at all.
+bool no_route_at_source(const ForwardTrace& trace) {
+  return trace.outcome == ForwardOutcome::kBlackhole && trace.path.size() == 1;
+}
+}  // namespace
+
 std::string Violation::describe() const {
   std::string out = policy + ": " + prefix.to_string();
   if (router != kInvalidRouter) out += " at R" + std::to_string(router);
@@ -24,10 +31,8 @@ void BlackholeFreedomPolicy::check(const DataPlaneSnapshot& snapshot,
                                    std::vector<Violation>& out) const {
   IpAddress destination = representative(prefix_);
   for (const auto& [router, view] : snapshot.routers) {
-    if (snapshot.lookup(router, destination) == nullptr) {
-      continue;  // no route: not a blackhole
-    }
     ForwardTrace trace = trace_forwarding(snapshot, router, destination);
+    if (no_route_at_source(trace)) continue;  // not a blackhole
     if (trace.outcome == ForwardOutcome::kBlackhole ||
         trace.outcome == ForwardOutcome::kDropped ||
         trace.outcome == ForwardOutcome::kDeadUplink) {
@@ -90,8 +95,8 @@ void PreferredExitPolicy::check(const DataPlaneSnapshot& snapshot,
   }
 
   for (const auto& [router, view] : snapshot.routers) {
-    if (snapshot.lookup(router, destination) == nullptr) continue;
     ForwardTrace trace = trace_forwarding(snapshot, router, destination);
+    if (no_route_at_source(trace)) continue;
     if (trace.outcome != ForwardOutcome::kExternal || trace.exit_router != want_router ||
         trace.exit_session != *want_session) {
       out.push_back({name(), prefix_, router,

@@ -35,12 +35,16 @@ struct Violation {
 /// changes and uplink flips make a SnapshotDelta full, and any other change
 /// to these inputs puts a prefix containing one of the destinations into
 /// the delta's changed_prefixes.
+///
+/// Every violation a policy reports names one of its prefixes() as
+/// `Violation::prefix`. The Guard relies on this to find a violation's
+/// latest FIB update: it indexes updates to the policies' prefixes only.
 class Policy {
  public:
   virtual ~Policy() = default;
   virtual std::string name() const = 0;
   /// Append violations found in `snapshot` to `out`, tracing forwarding
-  /// on the fly.
+  /// on the fly; each names one of prefixes().
   virtual void check(const DataPlaneSnapshot& snapshot, std::vector<Violation>& out) const = 0;
   /// Destination prefixes this policy reasons about (drives verdict reuse
   /// and the distributed verifier's work partitioning).

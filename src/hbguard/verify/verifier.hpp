@@ -9,10 +9,14 @@
 // table: given the SnapshotDelta since the previous verify() call, a policy
 // none of whose destinations the delta touches keeps its previous
 // violations, and only the remaining policies are checked, each tracing
-// forwarding on the fly. One path serves every thread count: a pool only
-// splits the list of policies to check across its workers. Verdicts are
-// merged in policy order, so reports are byte-identical at any thread
-// count.
+// forwarding on the fly. Deciding which those are costs the delta, not the
+// policy set: the changed prefixes are walked over the sorted destinations,
+// a destination → policy index names the policies to check, and a reused
+// policy costs nothing (a plan or a full delta, the inputs that do cover
+// every policy, may cost a pass). One path serves every thread count: a
+// pool only splits the list of policies to check across its workers.
+// Verdicts are merged in policy order, so reports are byte-identical at any
+// thread count.
 #pragma once
 
 #include <algorithm>
@@ -120,22 +124,29 @@ class Verifier {
   /// Guards everything below. The destination tables are written once,
   /// under it, and only read after that.
   mutable std::mutex mutex_;
-  /// The distinct destinations the policy set reasons about (ascending),
-  /// and each policy's destinations as indices into them: policy i owns
-  /// policy_destinations_[policy_begin_[i], policy_begin_[i + 1]). Built by
-  /// the first verify() rather than the constructor, which keeps a daemon
-  /// with thousands of policies quick to start.
-  mutable std::vector<IpAddress> destinations_;
+  /// The distinct destinations the policy set reasons about (their bits,
+  /// ascending), each policy's destinations as indices into them — policy
+  /// i owns policy_destinations_[policy_begin_[i], policy_begin_[i + 1]) —
+  /// and the inverse: each destination's policies, ascending. Built by the
+  /// first verify() rather than the constructor, which keeps a daemon with
+  /// thousands of policies quick to start.
+  mutable std::vector<std::uint32_t> destinations_;
   mutable std::vector<std::size_t> policy_begin_;
   mutable std::vector<std::size_t> policy_destinations_;
+  mutable std::vector<std::vector<std::size_t>> destination_policies_;
   mutable std::shared_ptr<ThreadPool> pool_;
-  /// Each policy's violations from the last call that evaluated or reused
-  /// them, stamped with that call's run number (0: none stored). A delta
-  /// only vouches for the immediately preceding call, so reuse needs
-  /// `verdict_runs_[i] == stats_.runs - 1`; a policy a plan deferred keeps
-  /// an older stamp and is re-evaluated.
+  /// Each policy's violations from the last call that checked it.
   mutable std::vector<std::vector<Violation>> verdicts_;
-  mutable std::vector<std::size_t> verdict_runs_;
+  /// The policies whose stored verdict no delta may vouch for: set at
+  /// construction, by clear_cache() and for each policy a plan defers (the
+  /// deltas it then misses describe changes it never saw); cleared when the
+  /// policy is checked. A policy that is not stale reuses its verdict at no
+  /// cost until a changed prefix contains one of its destinations.
+  mutable std::vector<char> stale_;
+  mutable std::size_t stale_count_ = 0;
+  /// The policies whose stored verdict holds violations, ascending: the
+  /// policy-order merge walks these only.
+  mutable std::vector<std::size_t> violating_;
   mutable VerifyStats stats_;
 };
 

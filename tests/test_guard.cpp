@@ -239,6 +239,68 @@ TEST(Guard, RepeatViolationNotDoubleReported) {
   EXPECT_EQ(guard.report().incidents.size(), incidents);
 }
 
+TEST(Guard, ProvenanceStartsAtTheViolatingRoutersLatestUpdate) {
+  // R0 forwards P to R1, which then withdraws P: R0's traffic blackholes.
+  // P's latest update is R1's withdrawal, and other prefixes change in
+  // between, but provenance must start from R0's own latest update to P.
+  const Prefix p = *Prefix::parse("10.0.0.0/24");
+  const Prefix q = *Prefix::parse("10.9.0.0/24");
+  const Prefix r = *Prefix::parse("10.8.0.0/16");
+  auto fib = [](IoId id, RouterId router, std::uint64_t seq, const Prefix& prefix,
+                std::optional<RouterId> next_hop) {
+    IoRecord record;
+    record.id = id;
+    record.router = router;
+    record.router_seq = seq;
+    record.kind = IoKind::kFibUpdate;
+    record.logged_time = record.true_time = static_cast<SimTime>(id) * 100;
+    record.prefix = prefix;
+    if (next_hop.has_value()) {
+      FibEntry entry;
+      entry.prefix = prefix;
+      entry.action = FibEntry::Action::kForward;
+      entry.next_hop = *next_hop;
+      record.fib_entry = entry;
+    } else {
+      record.withdraw = true;
+    }
+    return record;
+  };
+  std::vector<IoRecord> records = {
+      fib(1, 1, 1, p, 2),             // R1 routes P towards R2
+      fib(2, 0, 1, p, 1),             // R0 routes P to R1: the violating update
+      fib(3, 0, 2, q, 1),             // other prefixes in between, on both
+      fib(4, 1, 2, q, 2),             // routers
+      fib(5, 1, 3, p, std::nullopt),  // R1 withdraws P: P's latest update
+      fib(6, 2, 1, r, 0),
+  };
+
+  Network network(Topology{}, NetworkOptions{});
+  GuardOptions options;
+  options.repair = RepairMode::kReport;
+  options.num_threads = 1;
+  PolicyList policies = {std::make_shared<BlackholeFreedomPolicy>(p),
+                         std::make_shared<LoopFreedomPolicy>(q)};
+  Guard guard(network, policies, options);
+  for (IoRecord& record : records) {
+    SimTime at = record.logged_time;
+    network.capture().deliver(std::move(record), at);
+  }
+  network.sim().run(700);
+  std::vector<Violation> violations = guard.scan();
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].router, 0u);
+  EXPECT_EQ(violations[0].prefix, p);
+
+  ASSERT_EQ(guard.report().incidents.size(), 1u);
+  const GuardIncident& incident = guard.report().incidents[0];
+  ASSERT_FALSE(incident.causes.empty());
+  for (const RootCause& cause : incident.causes) {
+    ASSERT_FALSE(cause.chain.empty());
+    EXPECT_EQ(cause.chain.back(), 2u) << "cause chain must end at R0's update to P";
+  }
+}
+
 TEST(Guard, SummaryMentionsActions) {
   auto scenario = PaperScenario::make();
   scenario.converge_initial();

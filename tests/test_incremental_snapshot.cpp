@@ -305,7 +305,7 @@ TEST(IncrementalSnapshot, DeltaDrivenVerifyMatchesFullVerify) {
               violations_digest(without_delta.verify(before)));
     SnapshotDelta delta;
     delta.full = false;
-    delta.changed_prefixes.insert(churn_prefix(0));
+    delta.changed_prefixes.push_back(churn_prefix(0));
     VerifyResult delta_result = with_delta.verify(after, &delta);
     VerifyResult full_result = without_delta.verify(after);
     EXPECT_EQ(violations_digest(delta_result), violations_digest(full_result))
@@ -438,7 +438,7 @@ TEST(IncrementalSnapshot, OfferOnlyChangeFlipsReusedVerdict) {
         snapshotter.ingest(scans[scan], builder.graph(), edges, &delta);
     if (scan > 0) {
       ASSERT_FALSE(delta.full) << "scan " << scan;
-      EXPECT_EQ(delta.changed_prefixes, std::set<Prefix>{p}) << "scan " << scan;
+      EXPECT_EQ(delta.changed_prefixes, std::vector<Prefix>{p}) << "scan " << scan;
     }
     std::string expected;
     for (std::size_t t = 0; t < streams.size(); ++t) {

@@ -32,6 +32,9 @@
 namespace hbguard {
 namespace {
 
+/// The largest id a frame may carry (2^32 - 1).
+constexpr IoId kMaxId = 0xffffffffULL;
+
 void expect_same(const IoRecord& a, const IoRecord& b, const char* where) {
   EXPECT_EQ(a.id, b.id) << where;
   EXPECT_EQ(a.router, b.router) << where;
@@ -113,7 +116,9 @@ TEST(TraceArchive, EveryFieldRoundTrips) {
   fwd.source = Protocol::kIbgp;
   forward.fib_entry = fwd;
   batch.push_back(forward);
-  batch.push_back(IoRecord{});  // all defaults
+  IoRecord defaults;  // every field but the id at its default
+  defaults.id = 44;
+  batch.push_back(defaults);
 
   std::vector<IoRecord> decoded = roundtrip(batch);
   ASSERT_EQ(decoded.size(), batch.size());
@@ -128,7 +133,7 @@ TEST(TraceArchive, EmptyBatchRoundTrips) {
 
 TEST(TraceArchive, ExtremeFieldValuesRoundTrip) {
   IoRecord a;
-  a.id = std::numeric_limits<IoId>::max();
+  a.id = kMaxId;
   a.router = kInvalidRouter - 2;
   a.kind = IoKind::kSendAdvert;
   a.true_time = std::numeric_limits<SimTime>::max();
@@ -138,8 +143,8 @@ TEST(TraceArchive, ExtremeFieldValuesRoundTrip) {
   a.local_pref = std::numeric_limits<std::uint32_t>::max();
   a.link = kInvalidLink - 1;
   a.true_causes = {std::numeric_limits<IoId>::max(), 0, 1};
-  IoRecord b;  // deltas from max back to zero wrap the full u64 range
-  b.id = 0;
+  IoRecord b;  // deltas from the maxima back to the minima wrap the full u64 range
+  b.id = 1;
   b.router = 0;
   b.kind = IoKind::kConfigChange;
   b.true_time = 0;
@@ -149,6 +154,58 @@ TEST(TraceArchive, ExtremeFieldValuesRoundTrip) {
   ASSERT_EQ(decoded.size(), 2u);
   expect_same(a, decoded[0], "extreme[0]");
   expect_same(b, decoded[1], "extreme[1]");
+}
+
+/// One hand-assembled frame: an empty string table and records whose id
+/// and router are the running sums of `deltas` (id, router) from zero.
+std::vector<std::uint8_t> frame_with_ids(
+    const std::vector<std::pair<std::int64_t, std::int64_t>>& deltas) {
+  std::vector<std::uint8_t> payload;
+  payload.push_back(1);                     // kRecords
+  wire::put_varint(payload, 0);             // string_count = 0
+  wire::put_varint(payload, deltas.size());  // record_count
+  for (const auto& [id, router] : deltas) {
+    wire::put_varint(payload, 0);  // flags: none
+    payload.push_back(0);          // kind/protocol
+    wire::put_zigzag(payload, id);
+    wire::put_zigzag(payload, router);
+    wire::put_zigzag(payload, 0);  // logged_time
+    wire::put_zigzag(payload, 0);  // router_seq
+  }
+  std::vector<std::uint8_t> frame;
+  for (int shift = 0; shift < 32; shift += 8) {
+    frame.push_back(static_cast<std::uint8_t>(payload.size() >> shift));
+  }
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  return frame;
+}
+
+TEST(TraceArchive, IdsOutsideTheJsonlRangeAndWideRoutersAreRejected) {
+  // The JSONL reader's rule: an id in [1, 2^32), a router within 32 bits.
+  const std::int64_t max_u32 = 0xffffffffLL;
+  std::vector<IoRecord> out;
+  ASSERT_TRUE(decode_archive_frame(frame_with_ids({{1, 0}, {max_u32 - 1, max_u32}}), out));
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[1].id, kMaxId);
+  EXPECT_EQ(out[1].router, std::numeric_limits<RouterId>::max());
+
+  EXPECT_FALSE(decode_archive_frame(frame_with_ids({{0, 0}}), out)) << "id 0";
+  EXPECT_FALSE(decode_archive_frame(frame_with_ids({{max_u32 + 1, 0}}), out)) << "id 2^32";
+  EXPECT_FALSE(decode_archive_frame(frame_with_ids({{-1, 0}}), out)) << "id 2^64-1";
+  // A running delta that leaves 32 bits, from the first record or a later one.
+  EXPECT_FALSE(decode_archive_frame(frame_with_ids({{1, max_u32 + 1}}), out)) << "router 2^32";
+  EXPECT_FALSE(decode_archive_frame(frame_with_ids({{1, max_u32}, {1, 1}}), out))
+      << "router 2^32 by delta";
+  EXPECT_FALSE(decode_archive_frame(frame_with_ids({{1, -1}}), out)) << "router 2^64-1";
+
+  // The encoder takes any id; the decoder refuses the frame.
+  for (IoId id : {IoId{0}, kMaxId + 1, std::numeric_limits<IoId>::max()}) {
+    std::vector<IoRecord> batch = {rich_record()};
+    batch[0].id = id;
+    std::vector<std::uint8_t> frame;
+    encode_archive_frame(batch, frame);
+    EXPECT_FALSE(decode_archive_frame(frame, out)) << "id " << id;
+  }
 }
 
 TEST(TraceArchive, DuplicateStringsInternToOneTableEntry) {
@@ -224,7 +281,8 @@ TEST(TraceArchive, StringIndexPastTableIsRejected) {
   wire::put_varint(payload, 1);      // record_count = 1
   wire::put_varint(payload, 1u << 7);  // flags: has_session
   payload.push_back(0);              // kind/protocol
-  for (int i = 0; i < 4; ++i) wire::put_zigzag(payload, 0);
+  wire::put_zigzag(payload, 1);      // id 1
+  for (int i = 0; i < 3; ++i) wire::put_zigzag(payload, 0);
   wire::put_varint(payload, 0);      // session index 0 >= table size 0
   std::vector<std::uint8_t> frame;
   frame.push_back(static_cast<std::uint8_t>(payload.size()));
@@ -239,7 +297,7 @@ TEST(TraceArchive, StringIndexPastTableIsRejected) {
 IoRecord random_record(std::mt19937_64& rng) {
   auto coin = [&] { return (rng() & 1) != 0; };
   IoRecord r;
-  r.id = rng();
+  r.id = (rng() & kMaxId) | 1;  // the decoder's id range, [1, 2^32)
   r.router = static_cast<RouterId>(rng() % 1000);
   r.kind = static_cast<IoKind>(rng() % 6);
   r.logged_time = static_cast<SimTime>(rng());

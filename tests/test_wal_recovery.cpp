@@ -493,6 +493,98 @@ TEST(Recovery, DigestParityAtEveryCutPointWithAndWithoutCheckpoint) {
   }
 }
 
+/// Write generation 1 of a checkpoint at `lsn` holding `session`'s guard
+/// state.
+void write_session_checkpoint(const std::string& dir, const ReplaySessionOptions& options,
+                              const ReplayGuardSession& session, std::uint64_t lsn) {
+  Checkpoint c;
+  c.generation = 1;
+  c.lsn = lsn;
+  c.fingerprint = session_fingerprint(options);
+  encode_guard_state(session.guard().export_state(), c.payload);
+  std::string error;
+  ASSERT_TRUE(write_checkpoint(dir, c, &error)) << error;
+}
+
+/// Recover `dir`, feed records[from..), finish, and return the digest.
+std::string recover_and_finish(const std::string& dir, const ReplaySessionOptions& options,
+                               const std::vector<IoRecord>& records, std::size_t from) {
+  RecoveryResult recovery = recover_session(dir, options);
+  EXPECT_TRUE(recovery.ok) << recovery.error;
+  if (!recovery.ok) return {};
+  EXPECT_TRUE(recovery.used_checkpoint);
+  feed_canonical(*recovery.session, records, from, records.size());
+  recovery.session->finish();
+  return recovery.session->digest();
+}
+
+TEST(Recovery, CheckpointHoldingTheScanDueBeforeItsNextRecordIsNotRescanned) {
+  // hbguardd's drain pass runs the scan due before the inbox's next record
+  // and returns to poll, so a checkpoint can land between that scan and the
+  // record's delivery. Replay must not run the scan a second time, whether
+  // the boundary falls mid-WAL or at its end.
+  Fig2Trace trace = make_fig2_trace();
+  ReplaySessionOptions options = make_session_options(trace);
+  const std::vector<IoRecord>& records = trace.records;
+  const std::size_t n = records.size();
+  std::string oracle = ReplayGuardSession::run_offline(records, options).digest();
+
+  // The first record past the middle with a cadence scan due before it.
+  ReplayGuardSession daemon(options);
+  std::size_t lsn = 0;
+  for (; lsn < n; ++lsn) {
+    if (lsn >= n / 2 && daemon.scan_due_before(records[lsn])) break;
+    feed_canonical(daemon, records, lsn, lsn + 1);
+  }
+  ASSERT_LT(lsn, n) << "no cadence scan due before any record past the middle";
+  daemon.run_one_due_scan();  // the daemon's order: scan, then checkpoint
+
+  for (bool at_wal_end : {false, true}) {
+    SCOPED_TRACE(at_wal_end ? "at the WAL's end" : "mid-WAL");
+    TempDir dir("scan-before-record");
+    std::size_t logged = at_wal_end ? lsn : n;
+    build_wal(dir.path, std::vector<IoRecord>(records.begin(), records.begin() + logged), {},
+              options);
+    write_session_checkpoint(dir.path, options, daemon, lsn);
+    EXPECT_EQ(recover_and_finish(dir.path, options, records, logged), oracle);
+  }
+}
+
+TEST(Recovery, CheckpointBeforeADeltaThresholdScanRunsItAfterRecovery) {
+  // A control line (checkpoint, pause, shutdown) can end the daemon's drain
+  // pass after a delivery reached the delta threshold but before the scan it
+  // calls for. Fast-forwarding that scan would lose it: the replay must run
+  // it for real after the import.
+  Fig2Trace trace = make_fig2_trace();
+  ReplaySessionOptions options = make_session_options(trace);
+  options.scan_every_us = 0;
+  options.scan_delta_threshold = 7;
+  const std::vector<IoRecord>& records = trace.records;
+  const std::size_t n = records.size();
+  std::string oracle = ReplayGuardSession::run_offline(records, options).digest();
+
+  // The first delivery past the middle that reaches the threshold; the
+  // daemon checkpoints before its scan.
+  ReplayGuardSession daemon(options);
+  std::size_t lsn = 0;
+  while (lsn < n) {
+    daemon.deliver(records[lsn++]);
+    if (lsn > n / 2 && daemon.scan_due_now()) break;
+    while (daemon.scan_due_now()) daemon.run_one_due_scan();
+  }
+  ASSERT_TRUE(daemon.scan_due_now()) << "no delta scan due past the middle";
+
+  for (bool at_wal_end : {false, true}) {
+    SCOPED_TRACE(at_wal_end ? "at the WAL's end" : "mid-WAL");
+    TempDir dir("delta-scan-after-record");
+    std::size_t logged = at_wal_end ? lsn : n;
+    build_wal(dir.path, std::vector<IoRecord>(records.begin(), records.begin() + logged), {},
+              options);
+    write_session_checkpoint(dir.path, options, daemon, lsn);
+    EXPECT_EQ(recover_and_finish(dir.path, options, records, logged), oracle);
+  }
+}
+
 TEST(Recovery, LoggedControlsReplayToTheControlOracle) {
   Fig2Trace trace = make_fig2_trace();
   ReplaySessionOptions options = make_session_options(trace);
