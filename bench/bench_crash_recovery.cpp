@@ -17,7 +17,11 @@
 //      fails the run (non-zero exit).
 //   2. WAL overhead — ingest wall-clock with durability off, fsync off
 //      (flush-only), group fsync (interval 256), and fsync-every-entry.
-//      The full run gates group-fsync overhead at <= 25% over no-WAL.
+//      The gated pair (no WAL, group fsync) alternates within each
+//      repetition, and the full run gates the median over repetitions of
+//      group fsync's overhead over no-WAL in the same repetition at <= 25%.
+//      The two other modes are only reported: each is timed once on a
+//      shorter trace, beside one no-WAL ingest of the same records.
 //   3. Recovery time vs WAL length — recover_session timed over growing
 //      logs, with and without checkpoints every 1000 entries.
 //
@@ -31,6 +35,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <dirent.h>
@@ -591,47 +596,84 @@ int run_harness(const std::string& exe, bool smoke) {
   if (passed != specs.size()) all_ok = false;
 
   // -- Phase 2: WAL overhead --
-  const std::size_t overhead_records = smoke ? 400 : 2'000;
-  const int overhead_reps = smoke ? 1 : 3;
+  // The full run's trace takes over 100 ms per no-WAL ingest, so timer
+  // and scheduling noise stay small against it. Each repetition runs the
+  // gated pair (no-WAL, fsync-256) back to back, the first side swapping
+  // every repetition, so a host slowing down for a while slows both sides
+  // alike; the gate takes the median of the pair's per-repetition
+  // overheads. The ungated modes run once each after all the pairs, on the
+  // trace's first 2,000 records and after one no-WAL ingest of those
+  // records, their baseline: fsync-1's writeback would slow whichever
+  // ingest follows it, and over the whole trace it would issue 32,000
+  // fdatasyncs.
+  const std::size_t overhead_records = smoke ? 400 : 32'000;
+  const std::size_t reported_records = smoke ? 400 : 2'000;
+  const int overhead_reps = smoke ? 1 : 11;
   std::vector<IoRecord> overhead_trace = make_trace(overhead_records, kSeed + 1);
-  std::string overhead_jsonl = to_jsonl(overhead_trace, 0, overhead_trace.size());
 
   struct OverheadMode {
     std::string name;
     bool durable;
     std::size_t fsync_interval;
-    double seconds = 0.0;
+    std::size_t records;
+    std::vector<double> samples;  // seconds, one per repetition
+    double seconds = 0.0;          // their median
   };
-  std::vector<OverheadMode> modes = {{"no-wal", false, 0},
-                                     {"fsync-off", true, 0},
-                                     {"fsync-256", true, 256},
-                                     {"fsync-1", true, 1}};
-  for (OverheadMode& mode : modes) {
-    double best = -1.0;
-    for (int rep = 0; rep < overhead_reps; ++rep) {
-      std::string state = mode.durable ? fresh_dir("ovh-state") : "";
-      double seconds =
-          time_ingest(overhead_jsonl, overhead_trace.size(), state, mode.fsync_interval);
-      if (!state.empty()) wipe_dir(state);
-      if (seconds < 0) continue;
-      if (best < 0 || seconds < best) best = seconds;
+  // Each no-WAL row is the baseline of the rows after it.
+  std::vector<OverheadMode> modes = {{"no-wal", false, 0, overhead_records, {}},
+                                     {"fsync-256", true, 256, overhead_records, {}},
+                                     {"no-wal", false, 0, reported_records, {}},
+                                     {"fsync-off", true, 0, reported_records, {}},
+                                     {"fsync-1", true, 1, reported_records, {}}};
+  const std::string overhead_jsonl = to_jsonl(overhead_trace, 0, overhead_records);
+  const std::string reported_jsonl = to_jsonl(overhead_trace, 0, reported_records);
+  auto median = [](std::vector<double> values) {
+    if (values.empty()) return -1.0;
+    std::sort(values.begin(), values.end());
+    std::size_t mid = values.size() / 2;
+    return values.size() % 2 == 1 ? values[mid] : (values[mid - 1] + values[mid]) / 2.0;
+  };
+  auto time_mode = [&](OverheadMode& mode) {
+    std::string state = mode.durable ? fresh_dir("ovh-state") : "";
+    double seconds =
+        time_ingest(mode.records == overhead_records ? overhead_jsonl : reported_jsonl,
+                    mode.records, state, mode.fsync_interval);
+    if (!state.empty()) wipe_dir(state);
+    if (seconds < 0) {
+      all_ok = false;
+    } else {
+      mode.samples.push_back(seconds);
     }
-    mode.seconds = best;
-    if (best < 0) all_ok = false;
+    return seconds;
+  };
+  std::vector<double> batched_overheads;
+  for (int rep = 0; rep < overhead_reps; ++rep) {
+    bool wal_first = rep % 2 == 1;
+    double batched = wal_first ? time_mode(modes[1]) : -1.0;
+    double plain = time_mode(modes[0]);
+    if (!wal_first) batched = time_mode(modes[1]);
+    if (plain > 0 && batched > 0) batched_overheads.push_back((batched - plain) / plain);
   }
-  double baseline = modes[0].seconds;
+  for (std::size_t i = 2; i < modes.size(); ++i) time_mode(modes[i]);
+  for (OverheadMode& mode : modes) mode.seconds = median(mode.samples);
   double batched_overhead =
-      baseline > 0 ? (modes[2].seconds - baseline) / baseline : -1.0;
-  Table overhead({"mode", "seconds", "krec/s", "overhead"});
+      batched_overheads.empty() ? -1.0 : median(batched_overheads);
+  Table overhead({"mode", "records", "seconds", "krec/s", "overhead"});
+  const OverheadMode* baseline = nullptr;
   for (const OverheadMode& mode : modes) {
-    double rate = mode.seconds > 0
-                      ? static_cast<double>(overhead_trace.size()) / mode.seconds / 1000.0
-                      : 0.0;
-    double over = baseline > 0 ? (mode.seconds - baseline) / baseline : 0.0;
-    overhead.row({mode.name, fmt(mode.seconds, 4), fmt(rate, 1),
+    if (!mode.durable) baseline = &mode;
+    double rate =
+        mode.seconds > 0 ? static_cast<double>(mode.records) / mode.seconds / 1000.0 : 0.0;
+    double over =
+        baseline->seconds > 0 ? (mode.seconds - baseline->seconds) / baseline->seconds : 0.0;
+    overhead.row({mode.name, std::to_string(mode.records), fmt(mode.seconds, 4), fmt(rate, 1),
                   bench::fmt_pct(over)});
   }
   overhead.print();
+  std::printf("fsync-256 overhead over no-WAL, median of %zu alternating repetitions "
+              "(%zu records each): %s\n\n",
+              batched_overheads.size(), overhead_trace.size(),
+              bench::fmt_pct(batched_overhead).c_str());
   // The 25% gate applies to group fsync (the shipping default) in the full
   // run only — sanitizer smoke builds distort relative cost too much — and
   // only where the background syncer can actually overlap with ingest: on a
@@ -712,6 +754,7 @@ int run_harness(const std::string& exe, bool smoke) {
   json.end_object();
   json.key("overhead").begin_object();
   json.key("records").value(overhead_trace.size());
+  json.key("repetitions").value(overhead_reps);
   json.key("gated").value(gate_overhead);
   json.key("budget_pct").value(25);
   json.key("fsync256_overhead").value(batched_overhead);
@@ -719,6 +762,7 @@ int run_harness(const std::string& exe, bool smoke) {
   for (const OverheadMode& mode : modes) {
     json.begin_object();
     json.key("name").value(mode.name);
+    json.key("records").value(mode.records);
     json.key("seconds").value(mode.seconds);
     json.end_object();
   }

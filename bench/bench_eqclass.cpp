@@ -46,7 +46,7 @@ DataPlaneSnapshot synthesize(std::size_t prefix_count, std::size_t template_coun
         entry.action = FibEntry::Action::kForward;
         entry.next_hop = static_cast<RouterId>((r + 1) % kRouters);
       }
-      snapshot.routers[static_cast<RouterId>(r)].entries.push_back(entry);
+      snapshot.routers[static_cast<RouterId>(r)].entries.install(entry);
     }
   }
   return snapshot;

@@ -253,14 +253,17 @@ int main(int argc, char** argv) {
   for (std::size_t size : sizes) {
     DataPlaneSnapshot table;
     const std::size_t routers = churn.router_count;
-    for (std::size_t r = 0; r < routers; ++r) table.routers[static_cast<RouterId>(r)];
+    std::vector<std::vector<FibEntry>> views(routers);
     for (std::size_t i = 0; i < size; ++i) {
       FibEntry entry;
       entry.prefix = full_table_prefix(i);
       entry.source = Protocol::kEbgp;
       entry.action = FibEntry::Action::kExternal;
       entry.external_session = "peer" + std::to_string(i % churn.session_count);
-      table.routers[static_cast<RouterId>(i % routers)].entries.push_back(entry);
+      views[i % routers].push_back(entry);
+    }
+    for (std::size_t r = 0; r < routers; ++r) {
+      table.routers[static_cast<RouterId>(r)].entries = FibTable(std::move(views[r]));
     }
 
     Stopwatch batch_watch;

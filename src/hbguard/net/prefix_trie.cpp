@@ -1,6 +1,7 @@
 #include "hbguard/net/prefix_trie.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace hbguard {
 
@@ -8,67 +9,139 @@ namespace {
 inline std::uint32_t last_address(std::uint32_t start, std::uint8_t length) {
   return length >= 32 ? start : start | (0xffffffffu >> length);
 }
+
+/// Prefix order as one integer: start, then length.
+inline std::uint64_t order_key(std::uint32_t start, std::uint8_t length) {
+  return (std::uint64_t{start} << 8) | length;
+}
+inline std::uint64_t order_key(const Prefix& prefix) {
+  return order_key(prefix.address().bits(), prefix.length());
+}
+
+/// Leading bits `a` and `b` share: 32 when they are equal.
+inline int shared_length(std::uint32_t a, std::uint32_t b) {
+  return a == b ? 32 : std::countl_zero(a ^ b);
+}
+
+/// Mask bits 0..`length` (`length` at most 31).
+inline std::uint32_t lengths_through(int length) { return 0xffffffffu >> (31 - length); }
 }  // namespace
 
-void FlatPrefixIndex::build(std::span<const Prefix> prefixes) {
-  slots_.clear();
-  slots_.reserve(prefixes.size());
-  for (std::size_t i = 0; i < prefixes.size(); ++i) {
-    Slot slot;
-    slot.start = prefixes[i].address().bits();
-    slot.length = prefixes[i].length();
-    slot.end = last_address(slot.start, slot.length);
-    slot.value = static_cast<std::uint32_t>(i);
-    slots_.push_back(slot);
-  }
-  // (start asc, length asc) puts ancestors before descendants; `value` as
-  // the final key makes the later duplicate sort last, so the dedup below
-  // keeps it (install-overwrite semantics). Input already in Prefix order
-  // (FIB views, SnapshotDelta's changed prefixes) skips the sort.
-  auto slot_less = [](const Slot& a, const Slot& b) {
-    if (a.start != b.start) return a.start < b.start;
-    if (a.length != b.length) return a.length < b.length;
-    return a.value < b.value;
-  };
-  if (!std::is_sorted(slots_.begin(), slots_.end(), slot_less)) {
-    std::sort(slots_.begin(), slots_.end(), slot_less);
-  }
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (out > 0 && slots_[out - 1].start == slots_[i].start &&
-        slots_[out - 1].length == slots_[i].length) {
-      slots_[out - 1].value = slots_[i].value;
-      continue;
-    }
-    slots_[out++] = slots_[i];
-  }
-  slots_.resize(out);
-
-  // Parent sweep: the stack holds the chain of prefixes enclosing the
-  // current position. Laminarity guarantees a stack prefix either encloses
-  // the next slot or is wholly before it.
-  std::vector<std::uint32_t> stack;
-  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-    while (!stack.empty() && slots_[stack.back()].end < slots_[i].start) stack.pop_back();
-    slots_[i].parent = stack.empty() ? kNotFound : stack.back();
-    stack.push_back(i);
+PrefixIndex::PrefixIndex(std::span<const Item> items) {
+  slots_.reserve(items.size());
+  for (const Item& item : items) {
+    slots_.push_back({item.prefix.address().bits(), 0, item.value, item.prefix.length()});
+    slots_.back().ancestors = ancestors_at(slots_.size() - 1);
   }
 }
 
-std::uint32_t FlatPrefixIndex::lookup(IpAddress ip) const {
+std::size_t PrefixIndex::lower_bound(const Prefix& prefix, std::size_t lo, std::size_t hi) const {
+  const std::uint64_t key = order_key(prefix);
+  auto it = std::lower_bound(slots_.begin() + static_cast<std::ptrdiff_t>(lo),
+                             slots_.begin() + static_cast<std::ptrdiff_t>(hi), key,
+                             [](const Slot& slot, std::uint64_t bound) {
+                               return order_key(slot.start, slot.length) < bound;
+                             });
+  return static_cast<std::size_t>(it - slots_.begin());
+}
+
+std::uint32_t PrefixIndex::ancestors_at(std::size_t at) const {
+  const Slot& slot = slots_[at];
+  if (at == 0 || slot.length == 0) return 0;
+  // Every ancestor of this slot is its predecessor or one of the
+  // predecessor's ancestors (laminarity); keep those no longer than the
+  // bits both starts share, and strictly shorter than this slot.
+  const Slot& before = slots_[at - 1];
+  std::uint32_t covering = before.ancestors;
+  if (before.length < 32) covering |= 1u << before.length;
+  int limit = std::min(shared_length(before.start, slot.start), slot.length - 1);
+  return covering & lengths_through(limit);
+}
+
+void PrefixIndex::mark_descendants(std::size_t from, const Prefix& prefix, bool set) {
+  if (prefix.length() >= 32) return;  // a /32 covers no other prefix
+  const std::uint32_t bit = 1u << prefix.length();
+  const std::uint32_t last = last_address(prefix.address().bits(), prefix.length());
+  for (std::size_t i = from; i < slots_.size() && slots_[i].start <= last; ++i) {
+    if (set) {
+      slots_[i].ancestors |= bit;
+    } else {
+      slots_[i].ancestors &= ~bit;
+    }
+  }
+}
+
+std::uint32_t PrefixIndex::lookup(IpAddress ip) const {
   const std::uint32_t bits = ip.bits();
-  // Last slot with start <= bits; the sort order makes it the longest such
-  // prefix at that start, i.e. the most specific candidate. Every prefix
-  // covering `bits` is an ancestor of it (see header), so walking the
-  // parent chain finds the longest cover.
+  // The last slot starting at or before `bits` (ties: the longest) is the
+  // most specific candidate; every other prefix covering `bits` is one of
+  // its ancestors, and those still covering `bits` are the ones no longer
+  // than the leading bits `bits` shares with the candidate.
   auto it = std::upper_bound(slots_.begin(), slots_.end(), bits,
                              [](std::uint32_t value, const Slot& slot) {
                                return value < slot.start;
                              });
   if (it == slots_.begin()) return kNotFound;
-  std::uint32_t index = static_cast<std::uint32_t>(std::distance(slots_.begin(), it)) - 1;
-  while (index != kNotFound && slots_[index].end < bits) index = slots_[index].parent;
-  return index == kNotFound ? kNotFound : slots_[index].value;
+  const Slot& candidate = *(it - 1);
+  const int shared = shared_length(bits, candidate.start);
+  if (candidate.length <= shared) return candidate.value;
+  const std::uint32_t covering = candidate.ancestors & lengths_through(shared);
+  if (covering == 0) return kNotFound;
+  const auto length = static_cast<std::uint8_t>(std::bit_width(covering) - 1);
+  const auto hi = static_cast<std::size_t>(it - slots_.begin()) - 1;
+  return slots_[lower_bound(Prefix(ip, length), 0, hi)].value;
+}
+
+std::uint32_t PrefixIndex::find(const Prefix& prefix) const {
+  std::size_t at = lower_bound(prefix, 0, slots_.size());
+  if (at == slots_.size() || order_key(slots_[at].start, slots_[at].length) != order_key(prefix)) {
+    return kNotFound;
+  }
+  return slots_[at].value;
+}
+
+void PrefixIndex::patch(std::span<const Prefix> erased, std::span<const Item> inserted) {
+  // One in-place merge, no scratch buffer: erases compact forward from the
+  // first erased slot, then inserts merge backward from the end.
+  std::size_t first_erased = erased.empty() ? 0 : lower_bound(erased.front(), 0, slots_.size());
+  if (!erased.empty()) {
+    std::size_t write = first_erased;
+    auto next = erased.begin();
+    for (std::size_t read = write; read < slots_.size(); ++read) {
+      if (next != erased.end() &&
+          order_key(slots_[read].start, slots_[read].length) == order_key(*next)) {
+        ++next;
+        continue;
+      }
+      slots_[write++] = slots_[read];
+    }
+    slots_.resize(write);
+  }
+  std::size_t read = slots_.size();
+  slots_.resize(read + inserted.size());
+  std::size_t write = slots_.size();
+  for (auto item = inserted.rbegin(); item != inserted.rend(); ++item) {
+    const std::uint64_t key = order_key(item->prefix);
+    while (read > 0 && key < order_key(slots_[read - 1].start, slots_[read - 1].length)) {
+      slots_[--write] = slots_[--read];
+    }
+    slots_[--write] = Slot{item->prefix.address().bits(), 0, item->value, item->prefix.length()};
+  }
+
+  // Masks: an erased prefix leaves its descendants' masks; then, in order,
+  // each inserted slot derives its own from its (by then current)
+  // predecessor and enters its descendants'.
+  std::size_t at = first_erased;
+  for (const Prefix& prefix : erased) {
+    at = lower_bound(prefix, at, slots_.size());
+    mark_descendants(at, prefix, /*set=*/false);
+  }
+  at = write;  // where the first insert landed
+  for (const Item& item : inserted) {
+    at = lower_bound(item.prefix, at, slots_.size());
+    slots_[at].ancestors = ancestors_at(at);
+    mark_descendants(at + 1, item.prefix, /*set=*/true);
+  }
 }
 
 std::vector<std::uint32_t> prefix_space_boundaries(const std::vector<Prefix>& prefixes) {

@@ -140,50 +140,69 @@ class PrefixTrie {
   std::size_t size_ = 0;
 };
 
-/// Flat longest-prefix-match index over an *immutable* prefix set.
+/// Longest-prefix-match index over a changing prefix set, mapping each
+/// prefix to a caller's 32-bit value (a FibTable's entry slot).
 ///
-/// PrefixTrie spends ~88 bytes and up to 32 pointer hops per stored prefix;
-/// at internet scale (10^6 prefixes per router) that is hundreds of MB and
-/// cache-miss city. This index exploits the laminar structure of prefixes
-/// (any two are nested or disjoint — they can never partially overlap) to
-/// store one 20-byte slot per prefix in a sorted array:
+/// Slots sit in one array sorted by Prefix order (start ascending, then
+/// length ascending), which puts every ancestor before its descendants. By
+/// laminarity (two prefixes are nested or disjoint), every prefix covering
+/// address x is the last slot starting at or before x or one of its
+/// ancestors. No slot stores a position: each carries `ancestors`, a mask
+/// with bit L set when a stored prefix of length L strictly covers it. So
+/// LPM is a binary search, a match-length test against that slot, and at
+/// most one exact search for the longest ancestor that still covers x.
 ///
-///   * slots sorted by (start ascending, length ascending) put every
-///     ancestor before its descendants, so one stack sweep computes each
-///     slot's parent (nearest enclosing prefix);
-///   * every prefix covering address x starts at or before x, so the last
-///     slot with start <= x (ties -> longest) is the most specific
-///     candidate, and all other covering prefixes are its ancestors: LPM is
-///     a binary search plus a parent-chain walk.
-///
-/// build() is O(n log n), or O(n) when the prefixes arrive in Prefix order;
-/// lookup is O(log n + chain) where the chain is bounded by nesting depth
-/// (<= 32, in practice ~1-3).
-class FlatPrefixIndex {
+/// Updates shift the small sorted slots, never the caller's values, and
+/// patch masks only inside each changed prefix's range: an inserted slot
+/// takes its mask from its predecessor, and a changed prefix sets or clears
+/// its length bit on its descendants, which follow it contiguously.
+class PrefixIndex {
  public:
   static constexpr std::uint32_t kNotFound = 0xffffffffu;
 
-  /// Build from `prefixes`; the value returned by lookup() is the
-  /// *position* in this span. Duplicate prefixes keep the last position
-  /// (mirroring Fib install-overwrite semantics).
-  void build(std::span<const Prefix> prefixes);
+  struct Item {
+    Prefix prefix;
+    std::uint32_t value = kNotFound;
+  };
 
-  /// Position of the longest prefix covering `ip`, or kNotFound.
+  PrefixIndex() = default;
+  /// Index `items`, sorted by prefix and distinct, in one pass.
+  explicit PrefixIndex(std::span<const Item> items);
+
+  /// Value of the longest prefix covering `ip`, or kNotFound.
   std::uint32_t lookup(IpAddress ip) const;
+  /// Value stored at exactly `prefix`, or kNotFound.
+  std::uint32_t find(const Prefix& prefix) const;
 
-  /// Distinct prefixes indexed.
+  /// Apply one batch in place: remove `erased` (every one present) and add
+  /// `inserted` (none present once `erased` is gone), both sorted by prefix
+  /// and distinct. Slots before the first change never move.
+  void patch(std::span<const Prefix> erased, std::span<const Item> inserted);
+
+  /// The value of the `i`-th stored prefix in Prefix order.
+  std::uint32_t value_at(std::size_t i) const { return slots_[i].value; }
   std::size_t size() const { return slots_.size(); }
   bool empty() const { return slots_.empty(); }
+  void clear() { slots_.clear(); }
 
  private:
   struct Slot {
-    std::uint32_t start = 0;              // first covered address
-    std::uint32_t end = 0;                // last covered address (inclusive)
-    std::uint32_t value = kNotFound;      // caller's index
-    std::uint32_t parent = kNotFound;     // slot index of nearest enclosing prefix
+    std::uint32_t start = 0;      // first covered address
+    std::uint32_t ancestors = 0;  // bit L: a stored length-L prefix covers this one
+    std::uint32_t value = kNotFound;
     std::uint8_t length = 0;
   };
-  std::vector<Slot> slots_;  // sorted by (start asc, length asc)
+
+  /// First position in [lo, hi) whose slot is not ordered before `prefix`.
+  std::size_t lower_bound(const Prefix& prefix, std::size_t lo, std::size_t hi) const;
+  /// `slots_[at]`'s ancestors, derived from its predecessor's (which must
+  /// be current).
+  std::uint32_t ancestors_at(std::size_t at) const;
+  /// Set or clear `prefix`'s length bit on the slots from `from` on that it
+  /// strictly covers.
+  void mark_descendants(std::size_t from, const Prefix& prefix, bool set);
+
+  std::vector<Slot> slots_;  // sorted by (start, length)
 };
 
 /// Given a set of prefixes (from any number of FIBs), return the sorted,

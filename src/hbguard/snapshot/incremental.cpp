@@ -98,7 +98,6 @@ void IncrementalSnapshotter::commit(const HappensBeforeGraph& hbg, SnapshotDelta
     RouterFibView& view = snapshot_.routers[router];
     if (state.frontier < state.stable) {
       view = RouterFibView{};
-      snapshot_.invalidate_lookup_cache(router);
       state.stable = 0;
       if (delta != nullptr) delta->full = true;
       ++stats_.rebuilt_routers;
@@ -107,8 +106,7 @@ void IncrementalSnapshotter::commit(const HappensBeforeGraph& hbg, SnapshotDelta
     for (std::size_t i = state.stable; i < state.frontier; ++i) {
       fold.add(*hbg.record(state.log[i]), delta);
     }
-    // Only a fold that moved entries drops the router's index.
-    if (fold.commit()) snapshot_.invalidate_lookup_cache(router);
+    fold.commit();
     state.stable = state.frontier;
   }
 }

@@ -19,8 +19,8 @@
 //
 //   - ingest() maintains the snapshot *across* scans. It takes only the
 //     records captured since the previous scan, folds them into the
-//     persistent per-router views in place (ViewFold: one merge per changed
-//     router per scan), and re-checks only the log ranges whose verdict
+//     persistent per-router views in place (ViewFold: one FibTable batch
+//     per changed router per scan), and re-checks only the log ranges whose verdict
 //     could have changed — each router's pending suffix (records past its
 //     validated frontier) plus any record that gained an incoming HBG edge
 //     since the last scan. Every known record is tentatively included.

@@ -4,28 +4,9 @@
 
 namespace hbguard {
 
-const FlatPrefixIndex& DataPlaneSnapshot::index_of(RouterId router,
-                                                  const RouterFibView& view) const {
-  auto [it, fresh] = lookup_cache_.try_emplace(router);
-  if (fresh) {
-    std::vector<Prefix> prefixes;
-    prefixes.reserve(view.entries.size());
-    for (const FibEntry& entry : view.entries) prefixes.push_back(entry.prefix);
-    it->second.build(prefixes);
-  }
-  return it->second;
-}
-
 const FibEntry* DataPlaneSnapshot::lookup(RouterId router, IpAddress destination) const {
-  auto view_it = routers.find(router);
-  if (view_it == routers.end()) return nullptr;
-  std::uint32_t position = index_of(router, view_it->second).lookup(destination);
-  if (position == FlatPrefixIndex::kNotFound) return nullptr;
-  return &view_it->second.entries[position];
-}
-
-void DataPlaneSnapshot::warm_lookup_cache() const {
-  for (const auto& [router, view] : routers) index_of(router, view);
+  auto it = routers.find(router);
+  return it == routers.end() ? nullptr : it->second.entries.lookup(destination);
 }
 
 void ViewFold::add(const IoRecord& r, SnapshotDelta* delta) {
@@ -77,21 +58,19 @@ void ViewFold::add(const IoRecord& r, SnapshotDelta* delta) {
   }
 }
 
-bool ViewFold::commit() {
-  std::vector<FibEntry>& entries = view_.entries;
-  bool moved = false;
+void ViewFold::commit() {
   if (reset_) {
     reset_ = false;
-    moved = !entries.empty();
-    entries.clear();
+    view_.entries.clear();
   }
-  if (ops_.empty()) return moved;
-
+  if (ops_.empty()) return;
   // The last operation per prefix wins.
   std::stable_sort(ops_.begin(), ops_.end(),
-                   [](const Op& a, const Op& b) { return a.prefix < b.prefix; });
+                   [](const FibTable::Update& a, const FibTable::Update& b) {
+                     return a.prefix < b.prefix;
+                   });
   std::size_t kept = 0;
-  for (const Op& op : ops_) {
+  for (const FibTable::Update& op : ops_) {
     if (kept > 0 && ops_[kept - 1].prefix == op.prefix) {
       ops_[kept - 1] = op;
     } else {
@@ -99,56 +78,8 @@ bool ViewFold::commit() {
     }
   }
   ops_.resize(kept);
-
-  // Replacements patch in place; inserts and erases stay queued.
-  auto before = [](const FibEntry& entry, const Prefix& prefix) { return entry.prefix < prefix; };
-  std::size_t structural = 0;
-  std::size_t inserts = 0;
-  std::size_t first_erase = entries.size();
-  for (const Op& op : ops_) {
-    auto it = std::lower_bound(entries.begin(), entries.end(), op.prefix, before);
-    bool present = it != entries.end() && it->prefix == op.prefix;
-    if (present && op.entry != nullptr) {
-      *it = *op.entry;
-    } else if (present || op.entry != nullptr) {
-      if (op.entry != nullptr) {
-        ++inserts;
-      } else if (structural == inserts) {
-        first_erase = static_cast<std::size_t>(it - entries.begin());
-      }
-      ops_[structural++] = op;
-    }
-  }
-  ops_.resize(structural);
-  if (ops_.empty()) return moved;
-
-  // One in-place merge, no scratch buffer: erases compact forward from the
-  // first erased entry, then inserts merge backward from the end, so
-  // entries before the first change never move.
-  if (inserts < ops_.size()) {
-    // Visits entries in order. Of the queued ops, only erases name a
-    // prefix the entries hold.
-    auto next = ops_.begin();
-    auto erased = [&](const FibEntry& entry) {
-      while (next != ops_.end() && next->prefix < entry.prefix) ++next;
-      return next != ops_.end() && next->prefix == entry.prefix;
-    };
-    entries.erase(std::remove_if(entries.begin() + static_cast<std::ptrdiff_t>(first_erase),
-                                 entries.end(), erased),
-                  entries.end());
-  }
-  std::size_t read = entries.size();
-  entries.resize(entries.size() + inserts);
-  std::size_t write = entries.size();
-  for (auto op = ops_.rbegin(); op != ops_.rend() && write > read; ++op) {
-    if (op->entry == nullptr) continue;
-    while (read > 0 && op->prefix < entries[read - 1].prefix) {
-      entries[--write] = std::move(entries[--read]);
-    }
-    entries[--write] = *op->entry;
-  }
+  view_.entries.apply(ops_);
   ops_.clear();
-  return true;
 }
 
 std::vector<Prefix> DataPlaneSnapshot::all_prefixes() const {
@@ -181,7 +112,7 @@ bool DataPlaneSnapshot::uplink_offers(RouterId router, const std::string& sessio
 namespace {
 RouterFibView view_of(const Router& router, SimTime now) {
   RouterFibView view;
-  view.entries = router.data_fib().entries();
+  view.entries = FibTable(router.data_fib().entries());
   view.as_of = now;
   view.failed_uplinks = router.failed_uplinks();
   view.uplink_routes = router.external_routes();

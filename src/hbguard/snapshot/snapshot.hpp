@@ -10,16 +10,15 @@
 
 #include "hbguard/capture/io_record.hpp"
 #include "hbguard/event/simulator.hpp"
-#include "hbguard/net/prefix_trie.hpp"
 #include "hbguard/net/topology.hpp"
-#include "hbguard/rib/fib.hpp"
+#include "hbguard/snapshot/fib_table.hpp"
 
 namespace hbguard {
 
 /// One router's FIB state as seen by the verifier, plus environment state
 /// (which uplinks are up) needed to evaluate conditional policies.
 struct RouterFibView {
-  std::vector<FibEntry> entries;
+  FibTable entries;  // with its LPM index, current after every update
   SimTime as_of = 0;  // the instant this view reflects
   std::set<std::string> failed_uplinks;
   /// Routes currently offered by each external uplink (derived from the
@@ -32,15 +31,9 @@ struct DataPlaneSnapshot {
   std::map<RouterId, RouterFibView> routers;
 
   /// Longest-prefix-match lookup in `router`'s view; nullptr if no match.
-  /// Builds per-router FlatPrefixIndex structures lazily (cached) — ~20
-  /// bytes per entry, so million-prefix views stay indexable where the old
-  /// per-router PrefixTrie cache would cost hundreds of MB.
+  /// A plain read of the view's index: safe from any number of threads
+  /// while no view changes.
   const FibEntry* lookup(RouterId router, IpAddress destination) const;
-
-  /// Build every router's lookup index now. Concurrent lookup() calls are
-  /// only safe after warming (or mutual exclusion): the lazy index build
-  /// mutates the cache. The verifier warms before fanning out.
-  void warm_lookup_cache() const;
 
   /// All prefixes appearing in any router's view.
   std::vector<Prefix> all_prefixes() const;
@@ -50,21 +43,6 @@ struct DataPlaneSnapshot {
   /// True if `router`'s uplink `session` is up and currently offers a route
   /// covering `prefix`.
   bool uplink_offers(RouterId router, const std::string& session, const Prefix& prefix) const;
-
-  /// Lookups build per-router indices lazily; after mutating `routers`
-  /// in place, call this to drop the stale indices.
-  void invalidate_lookup_cache() const { lookup_cache_.clear(); }
-
-  /// Drop one router's index only — the incremental snapshotter mutates
-  /// views router-by-router, and unchanged routers keep their warm indices
-  /// across scans.
-  void invalidate_lookup_cache(RouterId router) const { lookup_cache_.erase(router); }
-
- private:
-  /// `router`'s LPM index over `view`'s entries, built on first use.
-  const FlatPrefixIndex& index_of(RouterId router, const RouterFibView& view) const;
-
-  mutable std::map<RouterId, FlatPrefixIndex> lookup_cache_;
 };
 
 /// What changed between one snapshot and its predecessor in a scan stream.
@@ -89,14 +67,11 @@ struct SnapshotDelta {
 /// fold every snapshot path shares (the consistent snapshotter's one-shot
 /// and maintained cuts, and the blocker's hypothetical update). Uplink and offer
 /// state change as each record is added; FIB operations are buffered and
-/// applied by commit() in one pass, keeping `view.entries` sorted by prefix
-/// — the order Fib::entries() yields. The last operation per prefix wins,
-/// a reset voids the operations (and entries) before it, replacements
-/// patch entries in place, and inserts and erases are merged in place, so
-/// entries before the first of them never move.
+/// applied by commit() as one FibTable batch: the last operation per prefix
+/// wins, a reset voids the operations (and entries) before it, and no entry
+/// the batch does not touch moves.
 class ViewFold {
  public:
-  /// `view.entries` must be sorted by prefix with no duplicates.
   explicit ViewFold(RouterFibView& view) : view_(view) {}
 
   /// Fold one record (capture order). With `delta`, the prefixes the record
@@ -109,19 +84,12 @@ class ViewFold {
   void install(const FibEntry& entry) { ops_.push_back({entry.prefix, &entry}); }
   void withdraw(const Prefix& prefix) { ops_.push_back({prefix, nullptr}); }
 
-  /// Apply the buffered FIB operations to the view's entries. Returns true
-  /// when entries moved (an insert, erase or reset), which invalidates a
-  /// positional index over the view; replacements keep every position.
-  bool commit();
+  /// Apply the buffered FIB operations to the view's entries.
+  void commit();
 
  private:
-  struct Op {
-    Prefix prefix;
-    const FibEntry* entry = nullptr;  // null: withdraw
-  };
-
   RouterFibView& view_;
-  std::vector<Op> ops_;
+  std::vector<FibTable::Update> ops_;
   bool reset_ = false;
 };
 

@@ -96,7 +96,6 @@ EquivalenceClasses compute_equivalence_classes(
   out.atomic_intervals = bounds.size();
   const std::size_t router_count = routers.size();
   const bool parallel = pool != nullptr && pool->size() > 1 && bounds.size() > 1;
-  if (parallel) snapshot.warm_lookup_cache();  // lazy index build is not thread-safe
 
   // Process in blocks: the FIB lookups (the dominant cost — one LPM per
   // router per interval) fan out across the pool; tokenizing the resulting

@@ -153,9 +153,6 @@ VerifyResult Verifier::verify(const DataPlaneSnapshot& snapshot, const SnapshotD
   if (pool == nullptr) {
     for (std::size_t k = 0; k < todo.size(); ++k) check(k);
   } else {
-    // lookup() builds per-router indices lazily and is not safe for
-    // concurrent first calls; build them all before fanning out.
-    snapshot.warm_lookup_cache();
     pool->parallel_for(todo.size(), check);
   }
 

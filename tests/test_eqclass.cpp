@@ -88,7 +88,7 @@ DataPlaneSnapshot random_snapshot(std::mt19937_64& rng, std::size_t routers) {
     if (rng() % 4 == 0) continue;
     const std::uint64_t keep_one_in = 1 + rng() % 4;
     for (const Prefix& prefix : pool) {
-      if (rng() % keep_one_in == 0) view.entries.push_back(entry_for(prefix, rng));
+      if (rng() % keep_one_in == 0) view.entries.install(entry_for(prefix, rng));
     }
   }
   return snapshot;
@@ -104,10 +104,12 @@ TEST_P(BatchEqclass, SignatureTokensNameEachAction) {
   DataPlaneSnapshot snapshot;
   snapshot.routers[0].entries = {forward_entry("10.0.0.0/8", 12)};
   snapshot.routers[3].entries = {external_entry("10.0.0.0/8", "up")};
-  snapshot.routers[4].entries = {forward_entry("10.0.0.0/8", 0)};
-  snapshot.routers[4].entries[0].action = FibEntry::Action::kLocal;
-  snapshot.routers[11].entries = {forward_entry("10.0.0.0/8", 0)};
-  snapshot.routers[11].entries[0].action = FibEntry::Action::kDrop;
+  FibEntry local = forward_entry("10.0.0.0/8", 0);
+  local.action = FibEntry::Action::kLocal;
+  snapshot.routers[4].entries = {local};
+  FibEntry drop = forward_entry("10.0.0.0/8", 0);
+  drop.action = FibEntry::Action::kDrop;
+  snapshot.routers[11].entries = {drop};
   snapshot.routers[12];  // empty view
 
   EquivalenceClasses ec = compute_equivalence_classes(snapshot, pool_.get());
@@ -165,7 +167,7 @@ TEST_P(BatchEqclass, PooledClassesEqualSerial) {
   DataPlaneSnapshot table;
   for (std::size_t i = 0; i < (std::size_t{1} << 16); ++i) {
     FibEntry entry = entry_for(full_table_prefix(i), rng);
-    table.routers[static_cast<RouterId>(i % 3)].entries.push_back(entry);
+    table.routers[static_cast<RouterId>(i % 3)].entries.install(entry);
   }
   EquivalenceClasses serial = compute_equivalence_classes(table);
   ASSERT_GT(serial.atomic_intervals, std::size_t{1} << 16);

@@ -343,7 +343,6 @@ TEST(IncrementalSnapshot, PolicyDeferredAcrossADeltaIsReevaluated) {
     withdraw_p.full = false;
     withdraw_p.changed_prefixes = {p};
     snapshot.routers[0].entries = {exit_via(q, "up0")};  // p withdrawn
-    snapshot.invalidate_lookup_cache();
     VerifyPlan only_q;
     only_q.covered = {representative(q).bits()};
     VerifyResult deferred = stream.verify(snapshot, &withdraw_p, &only_q);
@@ -354,7 +353,6 @@ TEST(IncrementalSnapshot, PolicyDeferredAcrossADeltaIsReevaluated) {
     touch_q.full = false;
     touch_q.changed_prefixes = {q};
     snapshot.routers[0].entries = {exit_via(q, "up1")};
-    snapshot.invalidate_lookup_cache();
     VerifyResult resumed = stream.verify(snapshot, &touch_q);
     VerifyResult fresh = Verifier(policies, VerifierOptions{threads}).verify(snapshot);
     EXPECT_FALSE(fresh.clean());

@@ -24,19 +24,19 @@ DataPlaneSnapshot mixed_snapshot() {
     const char* p = prefix.c_str();
     switch (i % 4) {
       case 0:  // clean chain 0 -> 1 -> 2 -> uplink
-        s.routers[0].entries.push_back(forward_entry(p, 1));
-        s.routers[1].entries.push_back(forward_entry(p, 2));
-        s.routers[2].entries.push_back(external_entry(p, "up"));
+        s.routers[0].entries.install(forward_entry(p, 1));
+        s.routers[1].entries.install(forward_entry(p, 2));
+        s.routers[2].entries.install(external_entry(p, "up"));
         break;
       case 1:  // loop 0 -> 1 -> 0
-        s.routers[0].entries.push_back(forward_entry(p, 1));
-        s.routers[1].entries.push_back(forward_entry(p, 0));
+        s.routers[0].entries.install(forward_entry(p, 1));
+        s.routers[1].entries.install(forward_entry(p, 0));
         break;
       case 2:  // blackhole at 1 (route points there, no entry)
-        s.routers[0].entries.push_back(forward_entry(p, 1));
+        s.routers[0].entries.install(forward_entry(p, 1));
         break;
       case 3:  // direct exit from 1 only
-        s.routers[1].entries.push_back(external_entry(p, "up"));
+        s.routers[1].entries.install(external_entry(p, "up"));
         break;
     }
   }

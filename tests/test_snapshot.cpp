@@ -199,7 +199,7 @@ TEST_F(ConsistentFixture, NaiveSnapshotSameScenarioSeesPhantomState) {
     } else if (r.fib_entry) {
       fib.install(*r.fib_entry);
     }
-    view.entries = fib.entries();
+    view.entries = FibTable(fib.entries());
   }
 
   Verifier verifier({std::make_shared<LoopFreedomPolicy>(scenario_.prefix_p)});
@@ -301,15 +301,14 @@ TEST(OneShotSnapshot, ShuffledSpanMatchesCaptureOrder) {
 TEST(ViewFold, MatchesInOrderFibReplay) {
   // Random batches of installs, replacements, withdraws (of present and
   // absent prefixes), repeats and resets over nested prefixes, each batch
-  // committed once, against a Fib that applies every record in order.
+  // committed once, against a Fib that applies every record in order: the
+  // same entries, and the same longest-prefix matches through the snapshot.
   Rng rng(5);
-  RouterFibView view;
+  DataPlaneSnapshot snapshot;
+  RouterFibView& view = snapshot.routers[0];
   Fib reference;
   std::deque<IoRecord> records;  // the fold keeps pointers until commit()
   for (int batch = 0; batch < 400; ++batch) {
-    std::vector<Prefix> before;
-    for (const FibEntry& entry : view.entries) before.push_back(entry.prefix);
-
     ViewFold fold(view);
     auto ops = rng.uniform_int(0, 24);
     for (std::int64_t k = 0; k < ops; ++k) {
@@ -331,12 +330,20 @@ TEST(ViewFold, MatchesInOrderFibReplay) {
       }
       fold.add(r);
     }
-    bool moved = fold.commit();
+    fold.commit();
     ASSERT_EQ(view.entries, reference.entries()) << "batch " << batch;
-    std::vector<Prefix> after;
-    for (const FibEntry& entry : view.entries) after.push_back(entry.prefix);
-    if (!moved) {
-      EXPECT_EQ(before, after) << "a fold that reports no move kept every position";
+    for (std::size_t i = 0; i < 48; ++i) {
+      Prefix prefix = full_table_prefix(i);
+      std::uint32_t start = prefix.address().bits();
+      std::uint32_t end = start + static_cast<std::uint32_t>(prefix.size() - 1);
+      for (std::uint32_t bits : {start, end, end + 1}) {
+        const FibEntry* got = snapshot.lookup(0, IpAddress(bits));
+        const FibEntry* want = reference.lookup(IpAddress(bits));
+        ASSERT_EQ(got == nullptr, want == nullptr) << "batch " << batch << " at " << bits;
+        if (want != nullptr) {
+          EXPECT_EQ(*got, *want) << "batch " << batch << " at " << bits;
+        }
+      }
     }
   }
 }

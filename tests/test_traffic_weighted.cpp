@@ -200,18 +200,18 @@ struct BudgetedFixture {
   std::vector<Prefix> prefixes;
 
   BudgetedFixture() {
-    std::vector<FibEntry>& r0 = snapshot.routers[0].entries;
-    std::vector<FibEntry>& r1 = snapshot.routers[1].entries;
+    FibTable& r0 = snapshot.routers[0].entries;
+    FibTable& r1 = snapshot.routers[1].entries;
     for (std::size_t i = 0; i < 4; ++i) {
       Prefix prefix = churn_prefix(i);
       prefixes.push_back(prefix);
       policies.push_back(std::make_shared<LoopFreedomPolicy>(prefix));
       std::string cidr = prefix.to_string();
-      r0.push_back(forward_entry(cidr.c_str(), 1));
+      r0.install(forward_entry(cidr.c_str(), 1));
       if (i == 2) {  // loop: R0 -> R1 -> R0
-        r1.push_back(forward_entry(cidr.c_str(), 0));
+        r1.install(forward_entry(cidr.c_str(), 0));
       } else {
-        r1.push_back(external_entry(cidr.c_str(), "up0"));
+        r1.install(external_entry(cidr.c_str(), "up0"));
       }
     }
   }

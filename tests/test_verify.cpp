@@ -66,7 +66,6 @@ TEST(Trace, ChainReachesExternal) {
 TEST(Trace, LoopDetected) {
   auto s = chain_snapshot();
   s.routers[2].entries = {forward("203.0.113.0/24", 0)};
-  s.invalidate_lookup_cache();
   auto trace = trace_forwarding(s, 0, representative(kP));
   EXPECT_EQ(trace.outcome, ForwardOutcome::kLoop);
 }
@@ -74,7 +73,6 @@ TEST(Trace, LoopDetected) {
 TEST(Trace, BlackholeOnMissingEntry) {
   auto s = chain_snapshot();
   s.routers[1].entries = {};
-  s.invalidate_lookup_cache();
   auto trace = trace_forwarding(s, 0, representative(kP));
   EXPECT_EQ(trace.outcome, ForwardOutcome::kBlackhole);
   EXPECT_EQ(trace.path.back(), 1u);
@@ -83,7 +81,6 @@ TEST(Trace, BlackholeOnMissingEntry) {
 TEST(Trace, DropAction) {
   auto s = chain_snapshot();
   s.routers[1].entries = {drop("203.0.113.0/24")};
-  s.invalidate_lookup_cache();
   auto trace = trace_forwarding(s, 0, representative(kP));
   EXPECT_EQ(trace.outcome, ForwardOutcome::kDropped);
 }
@@ -91,7 +88,6 @@ TEST(Trace, DropAction) {
 TEST(Trace, LocalDelivery) {
   auto s = chain_snapshot();
   s.routers[2].entries = {local("203.0.113.0/24")};
-  s.invalidate_lookup_cache();
   auto trace = trace_forwarding(s, 0, representative(kP));
   EXPECT_EQ(trace.outcome, ForwardOutcome::kDelivered);
   EXPECT_EQ(trace.exit_router, 2u);
@@ -107,7 +103,6 @@ TEST(Trace, DeadUplinkDetected) {
 TEST(Trace, ForwardToUnknownRouterIsBlackhole) {
   auto s = chain_snapshot();
   s.routers[1].entries = {forward("203.0.113.0/24", 99)};
-  s.invalidate_lookup_cache();
   auto trace = trace_forwarding(s, 0, representative(kP));
   EXPECT_EQ(trace.outcome, ForwardOutcome::kBlackhole);
 }
@@ -115,7 +110,6 @@ TEST(Trace, ForwardToUnknownRouterIsBlackhole) {
 TEST(Trace, LongestPrefixMatchGovernsNextHop) {
   auto s = chain_snapshot();
   s.routers[0].entries = {forward("203.0.113.0/24", 1), forward("203.0.113.0/25", 2)};
-  s.invalidate_lookup_cache();
   auto trace = trace_forwarding(s, 0, IpAddress(203, 0, 113, 5));  // inside /25
   EXPECT_EQ(trace.path[1], 2u);
 }
@@ -123,7 +117,6 @@ TEST(Trace, LongestPrefixMatchGovernsNextHop) {
 TEST(Policies, LoopFreedomFlagsEveryLoopedSource) {
   auto s = chain_snapshot();
   s.routers[2].entries = {forward("203.0.113.0/24", 0)};
-  s.invalidate_lookup_cache();
   LoopFreedomPolicy policy(kP);
   std::vector<Violation> violations;
   policy.check(s, violations);
@@ -133,7 +126,6 @@ TEST(Policies, LoopFreedomFlagsEveryLoopedSource) {
 TEST(Policies, BlackholeFreedomIgnoresRoutelessRouters) {
   auto s = chain_snapshot();
   s.routers[0].entries = {};  // no route at R0: not a blackhole by policy
-  s.invalidate_lookup_cache();
   BlackholeFreedomPolicy policy(kP);
   std::vector<Violation> violations;
   policy.check(s, violations);
@@ -143,7 +135,6 @@ TEST(Policies, BlackholeFreedomIgnoresRoutelessRouters) {
 TEST(Policies, BlackholeFreedomFlagsDownstreamHole) {
   auto s = chain_snapshot();
   s.routers[2].entries = {};  // R0 and R1 forward into a hole
-  s.invalidate_lookup_cache();
   BlackholeFreedomPolicy policy(kP);
   std::vector<Violation> violations;
   policy.check(s, violations);
@@ -158,7 +149,6 @@ TEST(Policies, ReachabilityPassAndFail) {
   EXPECT_TRUE(violations.empty());
 
   s.routers[1].entries = {};
-  s.invalidate_lookup_cache();
   ok.check(s, violations);
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0].router, 0u);
@@ -173,7 +163,6 @@ TEST(Policies, WaypointEnforced) {
 
   // R0 bypasses R1 straight to R2.
   s.routers[0].entries = {forward("203.0.113.0/24", 2)};
-  s.invalidate_lookup_cache();
   through_r1.check(s, violations);
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0].router, 0u);
@@ -232,7 +221,6 @@ TEST(Policies, PreferredExitQuietWhenPrefixWithdrawn) {
 TEST(Verifier, AggregatesAcrossPolicies) {
   auto s = chain_snapshot();
   s.routers[2].entries = {forward("203.0.113.0/24", 0)};
-  s.invalidate_lookup_cache();
   Verifier verifier({std::make_shared<LoopFreedomPolicy>(kP),
                      std::make_shared<ReachabilityPolicy>(0, kP)});
   auto result = verifier.verify(s);
@@ -424,9 +412,8 @@ TEST(Verifier, RandomDeltaPlanAndCacheSequencesMatchTheModel) {
       for (RouterId router = 0; router < kRouters; ++router) {
         RouterFibView& view = snapshot.routers[router];
         view.entries.clear();
-        for (const auto& [prefix, entry] : fibs[router]) view.entries.push_back(entry);
+        for (const auto& [prefix, entry] : fibs[router]) view.entries.install(entry);
       }
-      snapshot.invalidate_lookup_cache();
     };
     for (RouterId router = 0; router < kRouters; ++router) {
       for (const char* text : delta_prefixes) change_entry(router, *Prefix::parse(text));
@@ -526,8 +513,8 @@ TEST(EqClass, ManyPrefixesSameTreatmentCollapse) {
   DataPlaneSnapshot s;
   for (int i = 0; i < 50; ++i) {
     std::string p = "10." + std::to_string(i) + ".0.0/16";
-    s.routers[0].entries.push_back(forward(p.c_str(), 1));
-    s.routers[1].entries.push_back(external(p.c_str(), "up"));
+    s.routers[0].entries.install(forward(p.c_str(), 1));
+    s.routers[1].entries.install(external(p.c_str(), "up"));
   }
   auto classes = compute_equivalence_classes(s);
   // 50 prefixes but only 2 classes: "inside a 10.x/16" and "everything else".
