@@ -5,9 +5,7 @@
 // trace ingest keeps up with full-table churn (~10^6 prefixes). This bench
 // generates a full-table churn trace (Zipf prefix popularity, bursty update
 // trains, session resets), writes it through both codecs, and measures:
-//   * ingest throughput — JSONL stream parse vs mmap'd binary decode vs
-//     binary decode + re-homing every record into an ArenaCaptureStore
-//     (an owned copy with interned strings);
+//   * ingest throughput — JSONL stream parse vs mmap'd binary decode;
 //   * equivalence-class cost vs table size — compute_equivalence_classes
 //     over one table per size;
 // and enforces two gates (exit 1 on either failure):
@@ -181,28 +179,11 @@ int main(int argc, char** argv) {
     reader_mapped = reader.mapped();
   }
 
-  // Decode + re-home into an owned arena store.
-  ArenaCaptureStore store;
-  double arena_ms;
-  {
-    TraceArchiveReader reader;
-    Stopwatch watch;
-    if (!reader.open(archive_path) || !reader.for_each([&](const ArchiveRecord& record) {
-          store.append(record);
-          return true;
-        })) {
-      std::printf("GATE FAILED: arena ingest: %s\n", reader.error().c_str());
-      exit_code = 1;
-    }
-    arena_ms = watch.ms();
-  }
-
   auto rps = [](std::uint64_t records, double ms) {
     return ms > 0 ? static_cast<double>(records) / (ms / 1000.0) : 0.0;
   };
   const double jsonl_rps = rps(jsonl_records, jsonl_ms);
   const double archive_rps = rps(archive_records, archive_ms);
-  const double arena_rps = rps(store.size(), arena_ms);
   const double speedup = jsonl_rps > 0 ? archive_rps / jsonl_rps : 0.0;
 
   Table ingest({"codec", "records", "time", "records/sec", "notes"});
@@ -211,10 +192,6 @@ int main(int argc, char** argv) {
   ingest.row({"archive (for_each)", std::to_string(archive_records),
               fmt(archive_ms, 0) + " ms", fmt(archive_rps, 0),
               reader_mapped ? "mmap, zero-copy views" : "read fallback"});
-  ingest.row({"archive -> arena", std::to_string(store.size()), fmt(arena_ms, 0) + " ms",
-              fmt(arena_rps, 0),
-              std::to_string(store.interned_strings()) + " interned strings, " +
-                  std::to_string(store.arena_bytes() / 1024 / 1024) + " MB arena"});
   ingest.print();
 
   std::printf("throughput gate: archive %.1fx vs jsonl (>= 5.0x required)\n", speedup);
@@ -291,10 +268,7 @@ int main(int argc, char** argv) {
   json.key("archive_bytes").value(archive_bytes);
   json.key("jsonl_records_per_sec").value(jsonl_rps);
   json.key("archive_records_per_sec").value(archive_rps);
-  json.key("arena_records_per_sec").value(arena_rps);
   json.key("archive_mmap").value(reader_mapped);
-  json.key("arena_interned_strings").value(store.interned_strings());
-  json.key("arena_bytes").value(store.arena_bytes());
   json.key("ingest_speedup").value(speedup);
   json.key("ingest_speedup_required").value(5.0);
   json.key("digest_match").value(digests_match);

@@ -17,10 +17,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -59,8 +59,8 @@ constexpr const char* kHelpText =
     "                                    pause | resume | finish | digest | shutdown\n"
     "  feed   <ingest.sock> <trace>      stream a trace into the ingest socket\n"
     "live options (before the command):\n"
-    "  --retry-ms <n>                    initial backoff for connect retries\n"
-    "                                    (default 50; doubles up to 2s)\n"
+    "  --retry-ms <n>                    initial backoff for connect retries,\n"
+    "                                    1..2000 (default 50; doubles up to 2s)\n"
     "  --retry-max <n>                   retry a refused/absent socket up to\n"
     "                                    <n> times, e.g. across a daemon\n"
     "                                    restart/recovery (default 0)\n";
@@ -69,6 +69,15 @@ int usage() {
   std::fputs(kHelpText, stderr);
   return 2;
 }
+
+/// Report a malformed argument; returns usage()'s exit code.
+int bad_argument(const std::string& message) {
+  std::fprintf(stderr, "hbgctl: %s\n", message.c_str());
+  return usage();
+}
+
+/// Most milliseconds --retry-ms accepts: the backoff's doubling cap.
+constexpr long kMaxBackoffMs = 2000;
 
 std::optional<std::vector<IoRecord>> load(const std::string& path) {
   if (is_trace_archive(path)) {
@@ -230,7 +239,7 @@ struct RetryOptions {
 };
 
 int connect_unix(const std::string& path, const RetryOptions& retry = {}) {
-  long backoff_ms = retry.initial_ms > 0 ? retry.initial_ms : 50;
+  long backoff_ms = retry.initial_ms;
   for (std::size_t attempt = 0;; ++attempt) {
     int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0) {
@@ -258,7 +267,7 @@ int connect_unix(const std::string& path, const RetryOptions& retry = {}) {
       return -1;
     }
     ::usleep(static_cast<useconds_t>(backoff_ms) * 1000);
-    backoff_ms = std::min(backoff_ms * 2, 2000L);
+    backoff_ms = std::min(backoff_ms * 2, kMaxBackoffMs);
   }
 }
 
@@ -395,11 +404,17 @@ int main(int argc, char** argv) {
   // Leading connect-retry flags apply to the live/feed commands only.
   RetryOptions retry;
   while (args.size() >= 2 && (args[0] == "--retry-ms" || args[0] == "--retry-max")) {
-    long value = std::strtol(args[1].c_str(), nullptr, 10);
+    std::optional<std::uint64_t> value = parse_unsigned(args[1]);
     if (args[0] == "--retry-ms") {
-      retry.initial_ms = value > 0 ? value : 50;
+      if (!value || *value == 0 || *value > static_cast<std::uint64_t>(kMaxBackoffMs)) {
+        return bad_argument("--retry-ms takes an integer in [1, 2000], not '" + args[1] + "'");
+      }
+      retry.initial_ms = static_cast<long>(*value);
     } else {
-      retry.max_retries = value > 0 ? static_cast<std::size_t>(value) : 0;
+      if (!value) {
+        return bad_argument("--retry-max takes an unsigned integer, not '" + args[1] + "'");
+      }
+      retry.max_retries = static_cast<std::size_t>(*value);
     }
     args.erase(args.begin(), args.begin() + 2);
   }
@@ -439,7 +454,9 @@ int main(int argc, char** argv) {
   }
   if (command == "why") {
     if (args.size() != 3) return usage();
-    return cmd_why(*records, static_cast<IoId>(std::stoull(args[2])));
+    std::optional<std::uint64_t> io = parse_unsigned(args[2]);
+    if (!io) return bad_argument("why takes a decimal io-id, not '" + args[2] + "'");
+    return cmd_why(*records, *io);
   }
   if (command == "verify") {
     std::vector<Prefix> prefixes;

@@ -1,41 +1,8 @@
 // hbguardd — long-running guard daemon over Unix-domain sockets.
 //
-//   hbguardd [options]            serve until a `shutdown` RPC
-//   hbguardd --smoke              self-test: serve, stream the Fig. 2 demo
-//                                 trace through the ingest socket, assert
-//                                 digest parity with the synchronous pass,
-//                                 >= 1 clean scan, and a clean shutdown
-//   hbguardd --soak <records>     self-benchmark: stream a generated churn
-//                                 trace of ~<records> records and report
-//                                 ingest rate and scan cadence (EXPERIMENTS
-//                                 A12)
-//
-// Options:
-//   --dir <path>          socket directory (default /tmp/hbguardd)
-//   --prefix <cidr>       policy prefix (repeatable): loop + blackhole
-//                         freedom per prefix
-//   --cadence-us <n>      virtual-time scan cadence (default 100000)
-//   --on-delta <n>        also scan every <n> ingested records (default off)
-//   --threads <n>         guard worker threads (default 1)
-//   --compact-budget <n>  amortized HBG compaction budget (default 512)
-//   --mode <m>            report | propose (default propose: repairs queue
-//                         for `hbgctl live ... repairs approve`)
-//   --state-dir <path>    durable WAL + checkpoints here; on restart the
-//                         session is recovered byte-identically (default
-//                         off: in-memory only)
-//   --fsync-interval <n>  WAL entries per group fdatasync (default 256;
-//                         0 = no fsync, flush-only)
-//   --checkpoint-every <n> checkpoint + WAL rotation cadence in WAL entries
-//                         (default 20000; 0 = only at shutdown/SIGHUP)
-//   --no-recover          discard any durable state in --state-dir and
-//                         start fresh (loud)
-//   --coverage-target <f> traffic-weighted scheduling: stop each scan once
-//                         this fraction of the destination traffic weight
-//                         is covered (0..1; enables scheduling)
-//   --scan-budget <n>     hard cap on destinations verified per scan
-//                         (enables scheduling; 0 = uncapped)
-//   --aging-scans <n>     scans a deferred destination may wait before it
-//                         jumps the weight order (default 16)
+// `hbguardd --help` lists the modes and options (README.md embeds the same
+// text). A malformed or out-of-range flag value prints that text to stderr
+// and exits 2 before anything is bound or started.
 //
 // Signals: SIGTERM/SIGINT exit cleanly through a final checkpoint + WAL
 // sync; SIGHUP forces an immediate checkpoint + WAL rotation.
@@ -45,8 +12,11 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <chrono>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -57,20 +27,54 @@
 #include "hbguard/sim/scenario.hpp"
 #include "hbguard/sim/workload.hpp"
 #include "hbguard/util/logging.hpp"
+#include "hbguard/util/strings.hpp"
 
 using namespace hbguard;
 
 namespace {
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: hbguardd [--dir <path>] [--prefix <cidr>]... [--cadence-us <n>]\n"
-               "                [--on-delta <n>] [--threads <n>] [--compact-budget <n>]\n"
-               "                [--mode report|propose] [--state-dir <path>]\n"
-               "                [--fsync-interval <n>] [--checkpoint-every <n>]\n"
-               "                [--no-recover] [--coverage-target <f>] [--scan-budget <n>]\n"
-               "                [--aging-scans <n>] [--smoke] [--soak <records>]\n");
-  return 2;
+// Keep this text in sync with README.md: CI diffs `hbguardd --help`
+// against the block between the hbguardd-help markers there.
+constexpr const char* kHelpText =
+    "usage: hbguardd [options]          serve until a `shutdown` RPC\n"
+    "       hbguardd --smoke            self-test: stream the Fig. 2 trace through\n"
+    "                                   the ingest socket, check digest parity with\n"
+    "                                   the synchronous pass and a clean shutdown\n"
+    "       hbguardd --soak <records>   self-benchmark: stream a generated churn\n"
+    "                                   trace, report ingest rate and scan cadence\n"
+    "options:\n"
+    "  --dir <path>             socket directory (default /tmp/hbguardd)\n"
+    "  --prefix <cidr>          policy prefix (repeatable): loop + blackhole\n"
+    "                           freedom per prefix\n"
+    "  --cadence-us <n>         virtual-time scan cadence (default 100000; 0 = off)\n"
+    "  --on-delta <n>           also scan every <n> ingested records (default off)\n"
+    "  --threads <n>            guard worker threads, at most 256 (default 1;\n"
+    "                           0 = one per hardware thread)\n"
+    "  --mode report|propose    default propose: repairs queue for\n"
+    "                           `hbgctl live ... repairs approve`\n"
+    "  --state-dir <path>       durable WAL + checkpoints here; a restart recovers\n"
+    "                           the session byte-identically (default off)\n"
+    "  --fsync-interval <n>     WAL entries per group fdatasync (default 256;\n"
+    "                           0 = flush only)\n"
+    "  --checkpoint-every <n>   checkpoint + WAL rotation every <n> WAL entries\n"
+    "                           (default 20000; 0 = only at shutdown/SIGHUP)\n"
+    "  --no-recover             discard any durable state in --state-dir\n"
+    "  --coverage-target <f>    stop each scan once this fraction (0 < f <= 1) of\n"
+    "                           the destination traffic weight is covered\n"
+    "                           (enables traffic-weighted scheduling)\n"
+    "  --scan-budget <n>        cap on destinations verified per scan (enables\n"
+    "                           scheduling; 0 = uncapped)\n"
+    "  --aging-scans <n>        scans a deferred destination may wait before it\n"
+    "                           jumps the weight order (default 16)\n"
+    "  --help                   print this text\n";
+
+/// Most guard worker threads --threads accepts.
+constexpr std::uint64_t kMaxThreads = 256;
+
+[[noreturn]] void usage_error(const std::string& message) {
+  std::fprintf(stderr, "hbguardd: %s\n", message.c_str());
+  std::fputs(kHelpText, stderr);
+  std::exit(2);
 }
 
 GuardDaemon* g_daemon = nullptr;
@@ -281,72 +285,82 @@ int main(int argc, char** argv) {
   options.session.guard.compact_budget = 512;
 
   bool smoke = false;
-  std::size_t soak = 0;
+  std::optional<std::size_t> soak;
   std::vector<std::string> args(argv + 1, argv + argc);
   for (std::size_t i = 0; i < args.size(); ++i) {
-    auto next = [&](const char* flag) -> std::string {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "hbguardd: %s needs a value\n", flag);
-        std::exit(usage());
-      }
+    const std::string& flag = args[i];
+    auto next = [&]() -> const std::string& {
+      if (i + 1 >= args.size()) usage_error(flag + " needs a value");
       return args[++i];
     };
-    if (args[i] == "--dir") {
-      options.socket_dir = next("--dir");
-    } else if (args[i] == "--prefix") {
-      auto prefix = Prefix::parse(next("--prefix"));
-      if (!prefix) {
-        std::fprintf(stderr, "hbguardd: bad prefix\n");
-        return 2;
+    // A numeric flag's value: whole decimal digits, in [0, max].
+    auto number = [&](std::uint64_t max) -> std::uint64_t {
+      const std::string& text = next();
+      std::optional<std::uint64_t> value = parse_unsigned(text);
+      if (!value || *value > max) {
+        usage_error(flag + " takes an integer in [0, " + std::to_string(max) + "], not '" +
+                    text + "'");
       }
+      return *value;
+    };
+    constexpr std::uint64_t kSizeMax = std::numeric_limits<std::size_t>::max();
+    if (flag == "--help" || flag == "-h") {
+      std::fputs(kHelpText, stdout);
+      return 0;
+    } else if (flag == "--dir") {
+      options.socket_dir = next();
+    } else if (flag == "--prefix") {
+      const std::string& text = next();
+      auto prefix = Prefix::parse(text);
+      if (!prefix) usage_error("--prefix takes a CIDR prefix, not '" + text + "'");
       options.session.policies.push_back(std::make_shared<LoopFreedomPolicy>(*prefix));
       options.session.policies.push_back(std::make_shared<BlackholeFreedomPolicy>(*prefix));
-    } else if (args[i] == "--cadence-us") {
-      options.session.scan_every_us = std::stoll(next("--cadence-us"));
-    } else if (args[i] == "--on-delta") {
-      options.session.scan_delta_threshold = std::stoull(next("--on-delta"));
-    } else if (args[i] == "--threads") {
-      options.session.guard.num_threads =
-          static_cast<unsigned>(std::stoul(next("--threads")));
-    } else if (args[i] == "--compact-budget") {
-      options.session.guard.compact_budget = std::stoull(next("--compact-budget"));
-    } else if (args[i] == "--mode") {
-      std::string mode = next("--mode");
+    } else if (flag == "--cadence-us") {
+      options.session.scan_every_us =
+          static_cast<SimTime>(number(std::numeric_limits<SimTime>::max()));
+    } else if (flag == "--on-delta") {
+      options.session.scan_delta_threshold = number(kSizeMax);
+    } else if (flag == "--threads") {
+      options.session.guard.num_threads = static_cast<unsigned>(number(kMaxThreads));
+    } else if (flag == "--mode") {
+      const std::string& mode = next();
       if (mode == "report") {
         options.session.guard.repair = RepairMode::kReport;
       } else if (mode == "propose") {
         options.session.guard.repair = RepairMode::kProposeOnly;
       } else {
-        std::fprintf(stderr, "hbguardd: unknown --mode %s\n", mode.c_str());
-        return 2;
+        usage_error("--mode takes report or propose, not '" + mode + "'");
       }
-    } else if (args[i] == "--state-dir") {
-      options.state_dir = next("--state-dir");
-    } else if (args[i] == "--fsync-interval") {
-      options.fsync_interval = std::stoull(next("--fsync-interval"));
-    } else if (args[i] == "--checkpoint-every") {
-      options.checkpoint_every = std::stoull(next("--checkpoint-every"));
-    } else if (args[i] == "--no-recover") {
+    } else if (flag == "--state-dir") {
+      options.state_dir = next();
+    } else if (flag == "--fsync-interval") {
+      options.fsync_interval = number(kSizeMax);
+    } else if (flag == "--checkpoint-every") {
+      options.checkpoint_every = number(kSizeMax);
+    } else if (flag == "--no-recover") {
       options.recover = false;
-    } else if (args[i] == "--coverage-target") {
+    } else if (flag == "--coverage-target") {
+      const std::string& text = next();
+      std::optional<double> target = parse_fraction(text);
+      if (!target) usage_error("--coverage-target takes a fraction in (0, 1], not '" + text + "'");
       options.session.guard.traffic.enabled = true;
-      options.session.guard.traffic.coverage_target = std::stod(next("--coverage-target"));
-    } else if (args[i] == "--scan-budget") {
+      options.session.guard.traffic.coverage_target = *target;
+    } else if (flag == "--scan-budget") {
       options.session.guard.traffic.enabled = true;
-      options.session.guard.traffic.max_items = std::stoull(next("--scan-budget"));
-    } else if (args[i] == "--aging-scans") {
-      options.session.guard.traffic.aging_scans = std::stoull(next("--aging-scans"));
-    } else if (args[i] == "--smoke") {
+      options.session.guard.traffic.max_items = number(kSizeMax);
+    } else if (flag == "--aging-scans") {
+      options.session.guard.traffic.aging_scans = number(kSizeMax);
+    } else if (flag == "--smoke") {
       smoke = true;
-    } else if (args[i] == "--soak") {
-      soak = std::stoull(next("--soak"));
+    } else if (flag == "--soak") {
+      soak = number(kSizeMax);
     } else {
-      return usage();
+      usage_error("unknown option '" + flag + "'");
     }
   }
 
   if (smoke) return run_smoke(options);
-  if (soak > 0) return run_soak(options, soak);
+  if (soak) return run_soak(options, *soak);
 
   if (options.session.policies.empty()) {
     std::fprintf(stderr,

@@ -44,7 +44,6 @@ void CaptureHub::deliver(IoRecord record, SimTime now) {
 
 void CaptureHub::append(IoRecord record) {
   ++generation_;
-  if (!records_.empty() && record.id < records_.back().id) id_sorted_ = false;
   records_.push_back(std::move(record));
   for (const auto& listener : listeners_) listener(records_.back());
 }
@@ -73,33 +72,6 @@ SimTime CaptureHub::router_clock_offset(RouterId router) {
     offset_drawn_[router] = true;
   }
   return per_router_offset_[router];
-}
-
-std::vector<std::uint32_t> CaptureHub::records_of(RouterId router) const {
-  std::vector<std::uint32_t> out;
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    if (records_[i].router == router) out.push_back(static_cast<std::uint32_t>(i));
-  }
-  return out;
-}
-
-const IoRecord* CaptureHub::find(IoId id) const {
-  if (id_sorted_) {
-    // Records are stored in id order but some may be missing (lost); binary
-    // search by id.
-    auto it = std::lower_bound(records_.begin(), records_.end(), id,
-                               [](const IoRecord& r, IoId target) { return r.id < target; });
-    if (it == records_.end() || it->id != id) return nullptr;
-    return &*it;
-  }
-  // A transport delivered out of global-id order; extend the id index over
-  // anything appended since the last lookup, then consult it.
-  while (indexed_up_to_ < records_.size()) {
-    id_index_[records_[indexed_up_to_].id] = indexed_up_to_;
-    ++indexed_up_to_;
-  }
-  auto it = id_index_.find(id);
-  return it == id_index_.end() ? nullptr : &records_[it->second];
 }
 
 }  // namespace hbguard

@@ -18,7 +18,6 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <vector>
@@ -75,14 +74,6 @@ class CaptureHub {
   /// builds assert on use-after-append via a generation counter.
   RecordSlice records_since(std::size_t offset) const;
 
-  /// Indices (into records()) of one router's records, in its log order.
-  /// Indices rather than copies: the store is append-only, so they stay
-  /// valid across later captures.
-  std::vector<std::uint32_t> records_of(RouterId router) const;
-
-  /// Look up a surviving record by id; nullptr if lost or unknown.
-  const IoRecord* find(IoId id) const;
-
   /// Number of events that occurred (including lost ones).
   std::uint64_t events_seen() const { return next_id_ - 1; }
   std::uint64_t events_lost() const { return lost_; }
@@ -137,12 +128,6 @@ class CaptureHub {
   std::uint64_t lost_ = 0;
   std::uint64_t generation_ = 0;
   bool last_lost_ = false;
-  // Transports may deliver out of global-id order; once that happens the
-  // store is no longer id-sorted and find() switches from binary search to
-  // this lazily-extended index.
-  mutable std::map<IoId, std::size_t> id_index_;
-  mutable std::size_t indexed_up_to_ = 0;
-  bool id_sorted_ = true;
 };
 
 /// A view of a contiguous run of the hub's record store. Behaves like

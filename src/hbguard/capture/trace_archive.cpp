@@ -625,29 +625,6 @@ bool TraceArchiveReader::read_all(std::vector<IoRecord>& out) {
   });
 }
 
-// ---- ArenaCaptureStore -----------------------------------------------------
-
-void ArenaCaptureStore::append(const ArchiveRecord& record) {
-  if (size_ % kChunk == 0) chunks_.push_back(arena_.allocate_array<ArchiveRecord>(kChunk));
-  ArchiveRecord* slot = chunks_[size_ / kChunk] + size_ % kChunk;
-  new (slot) ArchiveRecord(record);
-  slot->session = interner_.intern(record.session);
-  slot->detail = interner_.intern(record.detail);
-  if (record.has_fib_entry) {
-    slot->fib_entry.external_session = interner_.intern(record.fib_entry.external_session);
-  }
-  if (!record.true_causes.empty()) {
-    IoId* causes = arena_.allocate_array<IoId>(record.true_causes.size());
-    std::memcpy(causes, record.true_causes.data(), record.true_causes.size() * sizeof(IoId));
-    slot->true_causes = std::span<const IoId>(causes, record.true_causes.size());
-  }
-  ++size_;
-}
-
-std::size_t ArenaCaptureStore::arena_bytes() const {
-  return arena_.allocated_bytes() + interner_.allocated_bytes();
-}
-
 // ---- Converters ------------------------------------------------------------
 
 bool convert_jsonl_to_archive(std::istream& in, std::ostream& out,

@@ -37,10 +37,8 @@
 // Reading is zero-copy: the mmap-backed TraceArchiveReader parses frames
 // in place and hands out ArchiveRecord *views* whose strings point into
 // the mapped file. Ownership rule: a view is valid only inside the
-// for_each callback — ArenaCaptureStore::append re-homes it (strings
-// interned once per distinct text, cause lists bump-allocated), after
-// which the store owns everything and the file can be closed; a full
-// IoRecord copy is materialize().
+// for_each callback; materialize() makes the owning IoRecord copy that
+// outlives it.
 //
 // decode rejects anything malformed — truncated frames, string indexes
 // past the table, counts that overrun the payload, bad enum values,
@@ -59,7 +57,6 @@
 
 #include "hbguard/capture/io_record.hpp"
 #include "hbguard/capture/trace_io.hpp"
-#include "hbguard/util/arena.hpp"
 
 namespace hbguard {
 
@@ -86,9 +83,7 @@ struct ArchiveFibEntry {
 };
 
 /// IoRecord as a non-owning view: strings and cause lists borrow whatever
-/// buffer produced them (a mapped archive frame, an ArenaCaptureStore, or
-/// a live IoRecord). Trivially destructible by design so stores can park
-/// millions of them in an Arena.
+/// buffer produced them (a mapped archive frame or a live IoRecord).
 struct ArchiveRecord {
   IoId id = kNoIo;
   RouterId router = kInvalidRouter;
@@ -223,40 +218,6 @@ class TraceArchiveReader {
   bool mapped_ = false;                 // mmap vs fallback buffer
   std::vector<std::uint8_t> fallback_;
   std::string error_;
-};
-
-// -- Arena-backed record store ----------------------------------------------
-
-/// Append-only store in the spirit of CaptureHub, built for archive
-/// ingest: records live in arena chunks (pointer-stable, no per-record
-/// heap allocation), every distinct string is stored once via the
-/// interner, and cause lists are bump-allocated. Holds views — call
-/// `operator[]` + materialize() for an owning IoRecord.
-class ArenaCaptureStore {
- public:
-  ArenaCaptureStore() = default;
-  ArenaCaptureStore(const ArenaCaptureStore&) = delete;
-  ArenaCaptureStore& operator=(const ArenaCaptureStore&) = delete;
-
-  /// Copy `record` into the store, re-homing its strings/causes so the
-  /// source buffer (e.g. a mapped frame) may die.
-  void append(const ArchiveRecord& record);
-
-  std::size_t size() const { return size_; }
-  const ArchiveRecord& operator[](std::size_t index) const {
-    return chunks_[index / kChunk][index % kChunk];
-  }
-
-  /// Bytes reserved by the arena + interner (capacity accounting).
-  std::size_t arena_bytes() const;
-  std::size_t interned_strings() const { return interner_.size(); }
-
- private:
-  static constexpr std::size_t kChunk = 4096;
-  Arena arena_{1u << 22};
-  StringInterner interner_;
-  std::vector<ArchiveRecord*> chunks_;
-  std::size_t size_ = 0;
 };
 
 // -- Converters -------------------------------------------------------------

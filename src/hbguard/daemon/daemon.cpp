@@ -537,7 +537,7 @@ bool GuardDaemon::execute_command(Connection&, const std::string& line,
       response = "err usage: why <io-id>";
       return true;
     }
-    std::optional<IoId> io = parse_control_id(words[1]);
+    std::optional<IoId> io = parse_unsigned(words[1]);
     if (!io) {
       response = "err bad id: " + words[1];
       return true;
@@ -580,7 +580,7 @@ bool GuardDaemon::execute_command(Connection&, const std::string& line,
     }
     // Normalize, WAL, then execute via the same path recovery replays —
     // the logged line and the live action cannot drift apart.
-    std::optional<std::uint64_t> id = parse_control_id(words[2]);
+    std::optional<std::uint64_t> id = parse_unsigned(words[2]);
     if (!id) {
       response = "err bad id: " + words[2];
       return true;

@@ -1,7 +1,7 @@
 #include "hbguard/daemon/recovery.hpp"
 
-#include <charconv>
 #include <chrono>
+#include <optional>
 #include <sstream>
 
 #include "hbguard/core/guard_state.hpp"
@@ -23,16 +23,6 @@ std::string session_fingerprint(const ReplaySessionOptions& options) {
     out << options.policies[index]->name();
   }
   return out.str();
-}
-
-std::optional<std::uint64_t> parse_control_id(std::string_view token) {
-  // Unsigned from_chars rejects signs and empty input and reports overflow;
-  // the end check rejects a digit prefix such as "1x".
-  std::uint64_t id = 0;
-  const char* end = token.data() + token.size();
-  auto [ptr, ec] = std::from_chars(token.data(), end, id);
-  if (ec != std::errc{} || ptr != end) return std::nullopt;
-  return id;
 }
 
 std::string apply_logged_control(ReplayGuardSession& session, const std::string& line) {
@@ -66,7 +56,7 @@ std::string apply_logged_control(ReplayGuardSession& session, const std::string&
     return "ok mode " + std::string(to_string(mode));
   }
   if (cmd == "repairs" && words.size() == 3) {
-    std::optional<std::uint64_t> id = parse_control_id(words[2]);
+    std::optional<std::uint64_t> id = parse_unsigned(words[2]);
     if (!id) return "err bad id: " + words[2];
     Guard::ProposalOutcome outcome;
     if (words[1] == "approve") {

@@ -27,9 +27,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -43,11 +41,6 @@ namespace hbguard {
 /// the same digest (mode, cadence, delta threshold, stream health,
 /// policies). Mismatch → refuse, don't silently diverge.
 std::string session_fingerprint(const ReplaySessionOptions& options);
-
-/// Parse a control-RPC id (`why <id>`, `repairs <action> <id>`): the whole
-/// token must be decimal digits — no sign, no whitespace, no suffix — and
-/// fit in 64 bits. nullopt otherwise.
-std::optional<std::uint64_t> parse_control_id(std::string_view token);
 
 /// Execute one logged control action ("scan", "finish", "mode <m>",
 /// "repairs approve|decline|revert <id>") against the session, exactly as

@@ -463,48 +463,6 @@ const std::vector<HappensBeforeGraph::VertexIndex>& HappensBeforeGraph::id_order
   return id_order_cache_;
 }
 
-HappensBeforeGraph HappensBeforeGraph::router_subgraph(RouterId router) const {
-  HappensBeforeGraph sub;
-  sub.external_store_ = external_store_;
-  for (VertexIndex v : id_order()) {
-    const IoRecord& rec = record_at(v);
-    if (rec.router != router) continue;
-    std::uint32_t slot = vertices_[v].store_index;
-    if ((slot & kOwnedRecordBit) != 0 || external_store_ == nullptr) {
-      sub.add_vertex(rec);
-    } else {
-      sub.add_vertex_ref(vertices_[v].id, slot);
-    }
-  }
-  for (VertexIndex v : id_order()) {
-    scan_adjacency(out_, v, [&](const HalfEdge& half) {
-      IoId from = vertices_[v].id;
-      IoId to = vertices_[half.other].id;
-      if (sub.has_vertex(from) && sub.has_vertex(to)) {
-        sub.add_edge(from, to, half.confidence, origin_pool_[half.origin]);
-      }
-      return false;
-    });
-  }
-  return sub;
-}
-
-void HappensBeforeGraph::merge(const HappensBeforeGraph& other) {
-  bool share = external_store_ != nullptr && other.external_store_ == external_store_;
-  for (VertexIndex v : other.id_order()) {
-    IoId id = other.vertices_[v].id;
-    if (has_vertex(id)) continue;
-    std::uint32_t slot = other.vertices_[v].store_index;
-    if (share && (slot & kOwnedRecordBit) == 0) {
-      add_vertex_ref(id, slot);
-    } else {
-      add_vertex(other.record_at(v));
-    }
-  }
-  other.for_each_edge_view(
-      [&](const HbgEdgeView& e) { add_edge(e.from, e.to, e.confidence, e.origin); });
-}
-
 void HappensBeforeGraph::for_each_vertex(const std::function<void(const IoRecord&)>& fn) const {
   for (VertexIndex v : id_order()) fn(record_at(v));
 }

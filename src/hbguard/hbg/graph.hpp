@@ -3,9 +3,9 @@
 // "Vertices correspond to specific control plane I/Os, and directed edges
 // represent HBRs." The graph supports the queries the rest of the system
 // needs: parents/children, confidence-filtered ancestor closures (for
-// provenance), leaf roots (root causes), per-router subgraphs (for the
-// distributed mode of §5), and descendant closures (for blast-radius
-// estimates during repair).
+// provenance), leaf roots (root causes), and descendant closures (for
+// blast-radius estimates during repair). The distributed mode of §5 keeps
+// one graph per shard of routers (provenance/distributed_hbg.hpp).
 //
 // Storage is index-based, not node-based. IoIds are 1-based capture ids, so
 // they map to contiguous vertex indices through a flat id→index table, and
@@ -23,7 +23,7 @@
 //     the shared CaptureHub record vector (attach_record_store +
 //     add_vertex_ref; no copies, the hub's append-only vector is the single
 //     owner) or this graph's own owned-record array (add_vertex). The two
-//     can mix per vertex, e.g. after merging foreign subgraphs.
+//     can mix per vertex.
 //   - Per-edge origin strings ("recv-advert->rib", "truth", ...) are
 //     interned into a small pool; a half-edge is 16 bytes.
 //
@@ -140,16 +140,6 @@ class HappensBeforeGraph {
   /// the smallest ids wins, so the answer depends only on the edge set —
   /// a sharded store holding the same edges reproduces it exactly.
   std::vector<IoId> path_from(IoId root, IoId id, double min_confidence = 0.0) const;
-
-  /// The sub-HBG of one router's I/Os plus edges among them — what that
-  /// router would store in the distributed deployment (§5). Shares this
-  /// graph's record store when one is attached.
-  HappensBeforeGraph router_subgraph(RouterId router) const;
-
-  /// Merge another (sub)graph into this one (distributed reassembly).
-  /// Records are shared when both graphs reference the same store, copied
-  /// otherwise.
-  void merge(const HappensBeforeGraph& other);
 
   /// Vertex iteration in ascending IoId order (matching capture order for
   /// graphs built from a capture stream).

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "hbguard/util/thread_pool.hpp"
-
 namespace hbguard {
 
 std::string_view to_string(PatternContext context) {
@@ -62,52 +60,17 @@ const IoRecord* find_candidate(const std::vector<const IoRecord*>& ordered, std:
   return nullptr;
 }
 
-/// Split [0, n) into contiguous chunks and run `body(chunk, begin, end)` for
-/// each, over `pool` when it has workers to spare. Chunk boundaries never
-/// affect output: chunks write disjoint buffers that callers merge in chunk
-/// order (infer) or via commutative sums (train).
-template <typename Body>
-void for_each_chunk(ThreadPool* pool, std::size_t n, std::size_t num_chunks, Body&& body) {
-  if (pool == nullptr || pool->size() <= 1 || num_chunks <= 1) {
-    if (n > 0) body(0, 0, n);
-    return;
-  }
-  pool->parallel_for(num_chunks, [&](std::size_t chunk) {
-    std::size_t begin = chunk * n / num_chunks;
-    std::size_t end = (chunk + 1) * n / num_chunks;
-    if (begin < end) body(chunk, begin, end);
-  });
-}
-
-std::size_t chunk_count(const ThreadPool* pool, std::size_t n) {
-  if (pool == nullptr || pool->size() <= 1) return 1;
-  // A few chunks per worker smooths out uneven candidate-scan costs.
-  return std::min<std::size_t>(n, static_cast<std::size_t>(pool->size()) * 4);
-}
-
 }  // namespace
 
 void PatternMiner::train(std::span<const IoRecord> records) {
   auto ordered = observable_order(records);
-  const std::size_t n = ordered.size();
-  const std::size_t chunks = chunk_count(pool_.get(), n);
-  // Per-chunk pair counts; summed into stats_ afterwards. Addition is
-  // commutative, so the merged counts equal the serial single-pass counts.
-  std::vector<std::map<PatternKey, std::size_t>> chunk_counts(std::max<std::size_t>(chunks, 1));
-  for_each_chunk(pool_.get(), n, chunks, [&](std::size_t chunk, std::size_t begin,
-                                             std::size_t end) {
-    std::map<PatternKey, std::size_t>& counts = chunk_counts[chunk];
-    for (std::size_t i = begin; i < end; ++i) {
-      const IoRecord& record = *ordered[i];
-      for (PatternContext context : kContexts) {
-        const IoRecord* candidate = find_candidate(ordered, i, context, options_.window_us);
-        if (candidate == nullptr) continue;
-        ++counts[{IoSignature::of(*candidate), IoSignature::of(record), context}];
-      }
+  for (std::size_t i = 0; i < ordered.size(); ++i) {
+    const IoRecord& record = *ordered[i];
+    for (PatternContext context : kContexts) {
+      const IoRecord* candidate = find_candidate(ordered, i, context, options_.window_us);
+      if (candidate == nullptr) continue;
+      ++stats_[{IoSignature::of(*candidate), IoSignature::of(record), context}].pair_count;
     }
-  });
-  for (const auto& counts : chunk_counts) {
-    for (const auto& [key, count] : counts) stats_[key].pair_count += count;
   }
   // Recompute rhs totals: total occurrences of (rhs signature, context)
   // among recorded pairs.
@@ -122,34 +85,21 @@ void PatternMiner::train(std::span<const IoRecord> records) {
 
 std::vector<InferredHbr> PatternMiner::infer(std::span<const IoRecord> records) const {
   auto ordered = observable_order(records);
-  const std::size_t n = ordered.size();
-  const std::size_t chunks = chunk_count(pool_.get(), n);
-  // Per-chunk edge buffers concatenated in chunk order reproduce the serial
-  // scan order exactly (chunks cover contiguous, increasing index ranges).
-  std::vector<std::vector<InferredHbr>> chunk_edges(std::max<std::size_t>(chunks, 1));
-  for_each_chunk(pool_.get(), n, chunks, [&](std::size_t chunk, std::size_t begin,
-                                             std::size_t end) {
-    std::vector<InferredHbr>& out = chunk_edges[chunk];
-    for (std::size_t i = begin; i < end; ++i) {
-      const IoRecord& record = *ordered[i];
-      for (PatternContext context : kContexts) {
-        const IoRecord* candidate = find_candidate(ordered, i, context, options_.window_us);
-        if (candidate == nullptr) continue;
-        auto it = stats_.find({IoSignature::of(*candidate), IoSignature::of(record), context});
-        if (it == stats_.end()) continue;
-        const PatternStats& stats = it->second;
-        if (stats.pair_count < options_.min_support) continue;
-        double confidence = stats.confidence();
-        if (confidence < options_.min_confidence) continue;
-        out.push_back({candidate->id, record.id, confidence,
-                       std::string("pattern:") + std::string(to_string(context))});
-      }
-    }
-  });
   std::vector<InferredHbr> edges;
-  for (auto& buf : chunk_edges) {
-    edges.insert(edges.end(), std::make_move_iterator(buf.begin()),
-                 std::make_move_iterator(buf.end()));
+  for (std::size_t i = 0; i < ordered.size(); ++i) {
+    const IoRecord& record = *ordered[i];
+    for (PatternContext context : kContexts) {
+      const IoRecord* candidate = find_candidate(ordered, i, context, options_.window_us);
+      if (candidate == nullptr) continue;
+      auto it = stats_.find({IoSignature::of(*candidate), IoSignature::of(record), context});
+      if (it == stats_.end()) continue;
+      const PatternStats& stats = it->second;
+      if (stats.pair_count < options_.min_support) continue;
+      double confidence = stats.confidence();
+      if (confidence < options_.min_confidence) continue;
+      edges.push_back({candidate->id, record.id, confidence,
+                       std::string("pattern:") + std::string(to_string(context))});
+    }
   }
   return edges;
 }

@@ -16,14 +16,11 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <span>
 
 #include "hbguard/hbr/inference.hpp"
 
 namespace hbguard {
-
-class ThreadPool;
 
 /// Relationship contexts the miner considers between candidate and record.
 enum class PatternContext : std::uint8_t {
@@ -81,20 +78,12 @@ class PatternMiner {
   /// Propose edges on a (possibly broken) trace using the learned patterns.
   std::vector<InferredHbr> infer(std::span<const IoRecord> records) const;
 
-  /// Fan the per-record candidate scans (train counting and infer) out
-  /// over `pool` (nullptr = serial). Chunks emit into their own buffers
-  /// and concatenate — or merge commutative counts — in chunk order, so
-  /// trained statistics and inferred edge lists are byte-identical to the
-  /// serial result at any thread count (see tests/test_hbr.cpp).
-  void set_thread_pool(std::shared_ptr<ThreadPool> pool) { pool_ = std::move(pool); }
-
   const std::map<PatternKey, PatternStats>& patterns() const { return stats_; }
   Options& options() { return options_; }
 
  private:
   Options options_;
   std::map<PatternKey, PatternStats> stats_;
-  std::shared_ptr<ThreadPool> pool_;
 };
 
 /// Adapter implementing the HbrInferencer interface over a trained miner.

@@ -1,5 +1,7 @@
 #include "hbguard/repair/blocker.hpp"
 
+#include <set>
+
 namespace hbguard {
 
 VerifyingBlocker::VerifyingBlocker(Network& network, PolicyList policies)
@@ -39,29 +41,6 @@ void VerifyingBlocker::release_and_resync() {
   for (const auto& [router, prefix] : unique) {
     network_.router(router).resync_data_fib(prefix);
   }
-}
-
-SelectiveBlocker::SelectiveBlocker(Network& network) : network_(network) {
-  network_.set_fib_interceptor([this](RouterId router, const Prefix& prefix, const FibEntry*) {
-    if (rules_.contains({router, prefix})) {
-      ++blocked_;
-      return false;
-    }
-    return true;
-  });
-}
-
-void SelectiveBlocker::block(RouterId router, const Prefix& prefix) {
-  rules_.insert({router, prefix});
-}
-
-void SelectiveBlocker::unblock(RouterId router, const Prefix& prefix, bool resync) {
-  rules_.erase({router, prefix});
-  if (resync) network_.router(router).resync_data_fib(prefix);
-}
-
-bool SelectiveBlocker::is_blocked(RouterId router, const Prefix& prefix) const {
-  return rules_.contains({router, prefix});
 }
 
 }  // namespace hbguard

@@ -1,22 +1,16 @@
 // FIB-update blocking (§2's strawman, and §1's "capture errors before they
 // are installed").
 //
-// Two modes are provided:
-//
-// * VerifyingBlocker — the faithful reading of §1: every proposed FIB
-//   update is verified against a hypothetical data plane (current data
-//   plane + the update) *before* installation, and vetoed if it would
-//   introduce a policy violation. Because the control plane proceeds
-//   regardless, sustained blocking desynchronizes the control and data
-//   planes — reproducing §2's follow-on blackhole hazard, which bench A4
-//   quantifies.
-//
-// * SelectiveBlocker — blocks a fixed set of (router, prefix) pairs,
-//   letting experiments construct precise divergence scenarios.
+// VerifyingBlocker is the faithful reading of §1: every proposed FIB update
+// is verified against a hypothetical data plane (current data plane + the
+// update) *before* installation, and vetoed if it would introduce a policy
+// violation. Because the control plane proceeds regardless, sustained
+// blocking desynchronizes the control and data planes — reproducing §2's
+// follow-on blackhole hazard, which bench A4 quantifies.
 #pragma once
 
-#include <map>
-#include <set>
+#include <utility>
+#include <vector>
 
 #include "hbguard/sim/network.hpp"
 #include "hbguard/snapshot/naive.hpp"
@@ -49,21 +43,6 @@ class VerifyingBlocker {
   std::size_t allowed_ = 0;
   std::vector<std::pair<RouterId, Prefix>> blocked_updates_;
   bool released_ = false;
-};
-
-class SelectiveBlocker {
- public:
-  explicit SelectiveBlocker(Network& network);
-
-  void block(RouterId router, const Prefix& prefix);
-  void unblock(RouterId router, const Prefix& prefix, bool resync = true);
-  bool is_blocked(RouterId router, const Prefix& prefix) const;
-  std::size_t blocked_count() const { return blocked_; }
-
- private:
-  Network& network_;
-  std::set<std::pair<RouterId, Prefix>> rules_;
-  std::size_t blocked_ = 0;
 };
 
 }  // namespace hbguard

@@ -1,6 +1,7 @@
 #include "hbguard/util/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 namespace hbguard {
@@ -29,17 +30,24 @@ std::string_view trim(std::string_view text) {
   return text;
 }
 
-std::string join(const std::vector<std::string>& items, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i != 0) out.append(sep);
-    out.append(items[i]);
-  }
-  return out;
+std::optional<std::uint64_t> parse_unsigned(std::string_view token) {
+  // Unsigned from_chars rejects signs and empty input and reports overflow;
+  // the end check rejects a digit prefix such as "1x".
+  std::uint64_t value = 0;
+  const char* end = token.data() + token.size();
+  auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
 }
 
-bool starts_with(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
+std::optional<double> parse_fraction(std::string_view token) {
+  // from_chars accepts "nan" and "inf", which the range test rejects (NaN
+  // compares false); it takes no leading '+' or whitespace.
+  double value = 0;
+  const char* end = token.data() + token.size();
+  auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc{} || ptr != end || !(value > 0.0 && value <= 1.0)) return std::nullopt;
+  return value;
 }
 
 std::string format_duration_us(std::int64_t micros) {

@@ -1,6 +1,8 @@
 // Small string utilities shared across modules.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,12 +15,15 @@ std::vector<std::string> split(std::string_view text, char sep);
 /// Trim ASCII whitespace from both ends.
 std::string_view trim(std::string_view text);
 
-/// Join items with a separator; items must be string-convertible via
-/// std::string(item) or item.to_string().
-std::string join(const std::vector<std::string>& items, std::string_view sep);
+/// Parse an unsigned decimal (a control-RPC id, a numeric CLI flag): the
+/// whole token must be decimal digits — no sign, no whitespace, no suffix —
+/// and fit in 64 bits. nullopt otherwise.
+std::optional<std::uint64_t> parse_unsigned(std::string_view token);
 
-/// True if `text` starts with `prefix`.
-bool starts_with(std::string_view text, std::string_view prefix);
+/// Parse a fraction in (0, 1] written as a plain decimal or in exponent
+/// form ("0.5", "1", "5e-1"). The whole token must be the number; nullopt
+/// for anything else, NaN and infinities included.
+std::optional<double> parse_fraction(std::string_view token);
 
 /// Render microseconds as a compact human string, e.g. "25s", "4ms", "0.1ms".
 std::string format_duration_us(std::int64_t micros);

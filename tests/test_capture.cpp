@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "hbguard/capture/tap.hpp"
+#include "record_index.hpp"
 
 namespace hbguard {
 namespace {
@@ -26,21 +27,26 @@ TEST(CaptureHub, AssignsIdsAndSequences) {
   EXPECT_EQ(b, 2u);
   EXPECT_EQ(c, 3u);
 
-  const IoRecord* ra = hub.find(a);
-  const IoRecord* rc = hub.find(c);
+  RecordIndex index(hub.records());
+  const IoRecord* ra = index.find(a);
+  const IoRecord* rb = index.find(b);
+  const IoRecord* rc = index.find(c);
   ASSERT_NE(ra, nullptr);
+  ASSERT_NE(rb, nullptr);
   ASSERT_NE(rc, nullptr);
   EXPECT_EQ(ra->router, 0u);
   EXPECT_EQ(ra->router_seq, 0u);
   EXPECT_EQ(rc->router_seq, 1u);  // second record of router 0
-  EXPECT_EQ(hub.find(b)->router_seq, 0u);
+  EXPECT_EQ(rb->router_seq, 0u);
 }
 
 TEST(CaptureHub, PerfectClocksByDefault) {
   CaptureHub hub;
   RouterTap tap(&hub, 0);
   IoId id = tap.record(make_record(IoKind::kFibUpdate, 1234));
-  EXPECT_EQ(hub.find(id)->logged_time, 1234);
+  const IoRecord* r = RecordIndex(hub.records()).find(id);
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->logged_time, 1234);
 }
 
 TEST(CaptureHub, JitterBoundsRespected) {
@@ -48,9 +54,13 @@ TEST(CaptureHub, JitterBoundsRespected) {
   options.timestamp_jitter_us = 100;
   CaptureHub hub(options, 99);
   RouterTap tap(&hub, 0);
+  std::vector<IoId> ids;
   for (int i = 0; i < 200; ++i) {
-    IoId id = tap.record(make_record(IoKind::kFibUpdate, 10'000));
-    const IoRecord* r = hub.find(id);
+    ids.push_back(tap.record(make_record(IoKind::kFibUpdate, 10'000)));
+  }
+  RecordIndex index(hub.records());
+  for (IoId id : ids) {
+    const IoRecord* r = index.find(id);
     ASSERT_NE(r, nullptr);
     EXPECT_GE(r->logged_time, 9'900);
     EXPECT_LE(r->logged_time, 10'100);
@@ -62,9 +72,13 @@ TEST(CaptureHub, JitterNeverProducesNegativeTime) {
   options.timestamp_jitter_us = 1000;
   CaptureHub hub(options, 3);
   RouterTap tap(&hub, 0);
-  for (int i = 0; i < 100; ++i) {
-    IoId id = tap.record(make_record(IoKind::kFibUpdate, 5));
-    EXPECT_GE(hub.find(id)->logged_time, 0);
+  std::vector<IoId> ids;
+  for (int i = 0; i < 100; ++i) ids.push_back(tap.record(make_record(IoKind::kFibUpdate, 5)));
+  RecordIndex index(hub.records());
+  for (IoId id : ids) {
+    const IoRecord* r = index.find(id);
+    ASSERT_NE(r, nullptr);
+    EXPECT_GE(r->logged_time, 0);
   }
 }
 
@@ -93,7 +107,7 @@ TEST(CaptureHub, FindLostRecordReturnsNull) {
   CaptureHub hub(options, 1);
   RouterTap tap(&hub, 0);
   IoId id = tap.record(make_record(IoKind::kFibUpdate, 1));
-  EXPECT_EQ(hub.find(id), nullptr);
+  EXPECT_EQ(RecordIndex(hub.records()).find(id), nullptr);
 }
 
 TEST(CaptureHub, SubscribersSeeSurvivingRecords) {
@@ -104,25 +118,6 @@ TEST(CaptureHub, SubscribersSeeSurvivingRecords) {
   tap.record(make_record(IoKind::kFibUpdate, 1));
   tap.record(make_record(IoKind::kRibUpdate, 2));
   EXPECT_EQ(seen, (std::vector<IoId>{1, 2}));
-}
-
-TEST(CaptureHub, RecordsOfFiltersByRouter) {
-  CaptureHub hub;
-  RouterTap tap0(&hub, 0);
-  RouterTap tap1(&hub, 1);
-  tap0.record(make_record(IoKind::kFibUpdate, 1));
-  tap1.record(make_record(IoKind::kFibUpdate, 2));
-  tap0.record(make_record(IoKind::kFibUpdate, 3));
-  auto r0 = hub.records_of(0);
-  auto r1 = hub.records_of(1);
-  ASSERT_EQ(r0.size(), 2u);
-  ASSERT_EQ(r1.size(), 1u);
-  // records_of returns indices into records(); check they resolve to the
-  // right router, in log order.
-  EXPECT_EQ(hub.records()[r0[0]].router, 0u);
-  EXPECT_EQ(hub.records()[r0[1]].router, 0u);
-  EXPECT_LT(hub.records()[r0[0]].router_seq, hub.records()[r0[1]].router_seq);
-  EXPECT_EQ(hub.records()[r1[0]].router, 1u);
 }
 
 TEST(RecordSlice, StaysValidUntilNextAppend) {
@@ -365,11 +360,9 @@ TEST(CaptureHub, StreamHealthReordersDeliveredRecords) {
   ASSERT_EQ(hub.records().size(), 3u);
   EXPECT_EQ(hub.records()[1].router_seq, 1u);
   EXPECT_EQ(hub.records()[2].router_seq, 2u);
-  // The store is no longer id-sorted (91 before 90); find() must cope.
-  ASSERT_NE(hub.find(90), nullptr);
-  EXPECT_EQ(hub.find(90)->router_seq, 2u);
-  ASSERT_NE(hub.find(91), nullptr);
-  EXPECT_EQ(hub.find(91)->router_seq, 1u);
+  // The store is in sequence order, not id order (91 before 90).
+  EXPECT_EQ(hub.records()[1].id, 91u);
+  EXPECT_EQ(hub.records()[2].id, 90u);
 }
 
 TEST(IoRecord, InputClassification) {

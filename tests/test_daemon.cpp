@@ -326,15 +326,6 @@ TEST(Daemon, WhyOverRpcRendersTheSessionGraph) {
   EXPECT_NE(why.rfind("err", 0), 0u) << why;
 }
 
-TEST(Daemon, ControlIdsParseOnlyWholeDecimalTokens) {
-  EXPECT_EQ(parse_control_id("0"), 0u);
-  EXPECT_EQ(parse_control_id("007"), 7u);
-  EXPECT_EQ(parse_control_id("18446744073709551615"), 18446744073709551615u);
-  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1x", "0x1", "1.0", "18446744073709551616"}) {
-    EXPECT_EQ(parse_control_id(bad), std::nullopt) << '"' << bad << '"';
-  }
-}
-
 TEST(Daemon, BackpressureSlowConsumerDropsAtHardCapThenRecovers) {
   Fig2Trace trace = make_fig2_trace();
   ASSERT_GT(trace.records.size(), 20u);

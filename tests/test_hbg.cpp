@@ -82,29 +82,6 @@ TEST_F(GraphFixture, EdgeToUnknownVertexThrows) {
   EXPECT_THROW(graph_.add_edge({1, 99, 1.0, "x"}), std::invalid_argument);
 }
 
-TEST_F(GraphFixture, RouterSubgraph) {
-  // Routers alternate: vertices 1,3,5 on router 1; 2,4 on router 0.
-  auto sub = graph_.router_subgraph(0);
-  EXPECT_EQ(sub.vertex_count(), 2u);
-  EXPECT_EQ(sub.edge_count(), 1u);  // 2 -> 4
-}
-
-TEST_F(GraphFixture, MergeReassemblesSubgraphs) {
-  auto sub0 = graph_.router_subgraph(0);
-  auto sub1 = graph_.router_subgraph(1);
-  HappensBeforeGraph merged;
-  merged.merge(sub0);
-  merged.merge(sub1);
-  EXPECT_EQ(merged.vertex_count(), 5u);
-  // Cross-router edges are lost in per-router subgraphs (they are added
-  // back from cross-router HBRs at reassembly in the distributed design);
-  // same-router edges survive. Only 2->4 is same-router here.
-  EXPECT_EQ(merged.edge_count(), 1u);
-  merged.add_edge({1, 2, 1.0, "x"});
-  merged.add_edge({3, 4, 1.0, "x"});
-  EXPECT_EQ(merged.ancestors(5).size(), 0u);  // 4->5 was cross-router
-}
-
 TEST_F(GraphFixture, AllLeaves) {
   auto leaves = graph_.all_leaves();
   EXPECT_EQ(std::set<IoId>(leaves.begin(), leaves.end()), (std::set<IoId>{1, 3}));

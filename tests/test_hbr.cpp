@@ -1,14 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 
 #include "hbguard/hbr/pattern_miner.hpp"
 #include "hbguard/hbr/rule_matcher.hpp"
 #include "hbguard/hbr/rules.hpp"
 #include "hbguard/sim/scenario.hpp"
 #include "hbguard/sim/workload.hpp"
-#include "hbguard/util/thread_pool.hpp"
+#include "record_index.hpp"
 
 namespace hbguard {
 namespace {
@@ -131,12 +130,12 @@ TEST(RuleMatching, FindsCrossRouterSendRecvEdges) {
   auto trace = trace_of(scenario);
   auto inferred = RuleMatchingInference().infer(trace);
 
-  const CaptureHub& hub = scenario.network->capture();
+  RecordIndex index(trace);
   std::size_t cross_edges = 0, correct = 0;
   for (const InferredHbr& edge : inferred) {
     if (edge.rule != "send->recv") continue;
     ++cross_edges;
-    const IoRecord* to = hub.find(edge.to);
+    const IoRecord* to = index.find(edge.to);
     ASSERT_NE(to, nullptr);
     if (to->message_id == edge.from) ++correct;
   }
@@ -207,56 +206,6 @@ TEST(PatternMining, LearnsAndReproducesCommonChains) {
   auto ts = score_inference(trace_of(test_scenario),
                             TimestampInference().infer(trace_of(test_scenario)));
   EXPECT_GT(score.precision(), ts.precision());
-}
-
-TEST(PatternMining, ParallelScansAreByteIdenticalToSerial) {
-  // The miner's candidate scans fan out over a ThreadPool; learned
-  // statistics and inferred edge lists must not depend on the worker count
-  // (contiguous chunks, per-chunk buffers merged in chunk order).
-  auto train_scenario = PaperScenario::make();
-  train_scenario.converge_initial();
-  auto test_scenario = PaperScenario::make();
-  test_scenario.converge_initial();
-  test_scenario.misconfigure_r2_lp10();
-  test_scenario.network->run_to_convergence();
-
-  auto render = [](const std::vector<InferredHbr>& edges) {
-    std::ostringstream out;
-    for (const InferredHbr& e : edges) {
-      out << e.from << "->" << e.to << "@" << e.confidence << ":" << e.rule << "\n";
-    }
-    return out.str();
-  };
-
-  auto run_with = [&](std::shared_ptr<ThreadPool> pool) {
-    PatternMiner::Options options;
-    options.min_confidence = 0.5;
-    options.min_support = 2;
-    PatternMiner miner(options);
-    miner.set_thread_pool(std::move(pool));
-    // Two train calls: the accumulate-across-calls path must merge the same
-    // way chunk counts do.
-    miner.train(trace_of(train_scenario));
-    miner.train(trace_of(test_scenario));
-    return std::make_pair(miner.patterns(), render(miner.infer(trace_of(test_scenario))));
-  };
-
-  auto [serial_patterns, serial_edges] = run_with(nullptr);
-  ASSERT_FALSE(serial_patterns.empty());
-  ASSERT_FALSE(serial_edges.empty());
-
-  for (unsigned threads : {1u, 2u, 8u}) {
-    auto [patterns, edges] = run_with(std::make_shared<ThreadPool>(threads));
-    EXPECT_EQ(edges, serial_edges) << "threads=" << threads;
-    ASSERT_EQ(patterns.size(), serial_patterns.size()) << "threads=" << threads;
-    auto expected = serial_patterns.begin();
-    for (const auto& [key, stats] : patterns) {
-      EXPECT_TRUE(key == expected->first) << "threads=" << threads;
-      EXPECT_EQ(stats.pair_count, expected->second.pair_count) << "threads=" << threads;
-      EXPECT_EQ(stats.rhs_count, expected->second.rhs_count) << "threads=" << threads;
-      ++expected;
-    }
-  }
 }
 
 TEST(PatternMining, ConfidenceThresholdTradesPrecisionForRecall) {

@@ -12,6 +12,7 @@
 #include "hbguard/sim/scenario.hpp"
 #include "hbguard/sim/workload.hpp"
 #include "hbguard/verify/forwarding_graph.hpp"
+#include "record_index.hpp"
 
 namespace hbguard {
 namespace {
@@ -96,10 +97,11 @@ TEST_P(NetworkInvariants, ChurnPreservesCausalOrderAndLoopFreedom) {
 
   // Causal sanity of the capture stream.
   const auto& records = net.capture().records();
+  RecordIndex index(records);
   for (const IoRecord& r : records) {
     for (IoId cause : r.true_causes) {
       ASSERT_LT(cause, r.id);
-      const IoRecord* parent = net.capture().find(cause);
+      const IoRecord* parent = index.find(cause);
       ASSERT_NE(parent, nullptr);
       EXPECT_LE(parent->true_time, r.true_time);
     }

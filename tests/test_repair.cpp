@@ -172,27 +172,6 @@ TEST(Blocker, ReleaseAndResyncHealsDivergence) {
   }
 }
 
-TEST(Blocker, SelectiveBlockAndUnblock) {
-  auto scenario = PaperScenario::make();
-  scenario.converge_initial();
-  SelectiveBlocker blocker(*scenario.network);
-  blocker.block(scenario.r1, scenario.prefix_p);
-
-  scenario.misconfigure_r2_lp10();
-  scenario.network->run_to_convergence();
-  EXPECT_GT(blocker.blocked_count(), 0u);
-
-  // R1's data plane is frozen; R3's moved.
-  const FibEntry* r1_data = scenario.router1().data_fib().find(scenario.prefix_p);
-  ASSERT_NE(r1_data, nullptr);
-  EXPECT_EQ(r1_data->action, FibEntry::Action::kForward);  // still toward R2
-
-  blocker.unblock(scenario.r1, scenario.prefix_p);
-  const FibEntry* resynced = scenario.router1().data_fib().find(scenario.prefix_p);
-  ASSERT_NE(resynced, nullptr);
-  EXPECT_EQ(resynced->action, FibEntry::Action::kExternal);
-}
-
 // ---------------------------------------------------------------------------
 // Early-block model
 

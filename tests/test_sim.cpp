@@ -3,6 +3,7 @@
 #include "hbguard/sim/network.hpp"
 #include "hbguard/sim/scenario.hpp"
 #include "hbguard/sim/workload.hpp"
+#include "record_index.hpp"
 
 namespace hbguard {
 namespace {
@@ -120,6 +121,7 @@ TEST(PaperScenario, CaptureStreamIsCausallyConsistent) {
 
   const auto& records = scenario.network->capture().records();
   ASSERT_FALSE(records.empty());
+  RecordIndex index(records);
 
   std::set<IoId> seen;
   bool found_fib = false, found_send = false, found_recv = false;
@@ -127,7 +129,7 @@ TEST(PaperScenario, CaptureStreamIsCausallyConsistent) {
     // Causes reference strictly earlier records.
     for (IoId cause : r.true_causes) {
       EXPECT_LT(cause, r.id);
-      const IoRecord* parent = scenario.network->capture().find(cause);
+      const IoRecord* parent = index.find(cause);
       ASSERT_NE(parent, nullptr);
       EXPECT_LE(parent->true_time, r.true_time)
           << parent->describe() << " -> " << r.describe();
@@ -151,12 +153,13 @@ TEST(PaperScenario, RecvAdvertsLinkBackToSends) {
   scenario.converge_initial();
 
   const CaptureHub& hub = scenario.network->capture();
+  RecordIndex index(hub.records());
   std::size_t internal_recvs = 0;
   for (const IoRecord& r : hub.records()) {
     if (r.kind != IoKind::kRecvAdvert || r.peer == kExternalRouter) continue;
     ++internal_recvs;
     ASSERT_NE(r.message_id, 0u) << r.describe();
-    const IoRecord* send = hub.find(r.message_id);
+    const IoRecord* send = index.find(r.message_id);
     ASSERT_NE(send, nullptr);
     EXPECT_EQ(send->kind, IoKind::kSendAdvert);
     EXPECT_EQ(send->peer, r.router);

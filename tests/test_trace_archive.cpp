@@ -10,8 +10,8 @@
 //   * rejection — decoding returns false on any malformed input
 //     (truncations at every byte, byte flips, oversized length prefixes,
 //     string indexes past the table) instead of fabricating records.
-// Plus the storage layer on top: mmap reader, arena store interning, and
-// the JSONL converter round trip.
+// Plus the layers on top: the mmap reader and the JSONL converter round
+// trip.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -471,40 +471,6 @@ TEST_F(TraceArchiveFileTest, NonArchiveFileIsRejected) {
   EXPECT_FALSE(is_trace_archive(path_));
   TraceArchiveReader reader;
   EXPECT_FALSE(reader.open(path_));
-}
-
-TEST_F(TraceArchiveFileTest, ArenaStoreRehomesViewsAndInternsStrings) {
-  std::mt19937_64 rng(0xABE);
-  std::vector<IoRecord> records;
-  for (int i = 0; i < 200; ++i) {
-    IoRecord r = random_record(rng);
-    r.session = "shared-session";  // every record shares one session name
-    records.push_back(r);
-  }
-  {
-    std::ofstream out(path_, std::ios::binary);
-    TraceArchiveWriter writer(out);
-    for (const IoRecord& r : records) writer.add(r);
-  }  // destructor finishes
-
-  ArenaCaptureStore store;
-  {
-    TraceArchiveReader reader;
-    ASSERT_TRUE(reader.open(path_));
-    ASSERT_TRUE(reader.for_each([&](const ArchiveRecord& record) {
-      store.append(record);
-      return true;
-    }));
-  }  // reader (and its mapping) dies here — the store must own everything
-
-  ASSERT_EQ(store.size(), records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    expect_same(records[i], store[i].materialize(), "arena");
-  }
-  // Interning: every record's session view aliases the same bytes.
-  EXPECT_EQ(store[0].session.data(), store[199].session.data());
-  EXPECT_GT(store.arena_bytes(), 0u);
-  EXPECT_LT(store.interned_strings(), 32u);  // handful of distinct strings
 }
 
 TEST_F(TraceArchiveFileTest, JsonlConverterRoundTripsByteIdentically) {

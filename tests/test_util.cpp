@@ -30,16 +30,25 @@ TEST(Strings, TrimBothEnds) {
   EXPECT_EQ(trim("no-trim"), "no-trim");
 }
 
-TEST(Strings, Join) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(join({}, ","), "");
-  EXPECT_EQ(join({"solo"}, ","), "solo");
+TEST(Strings, ParseUnsignedTakesOnlyWholeDecimalTokens) {
+  EXPECT_EQ(parse_unsigned("0"), 0u);
+  EXPECT_EQ(parse_unsigned("007"), 7u);
+  EXPECT_EQ(parse_unsigned("18446744073709551615"), 18446744073709551615u);  // 2^64 - 1
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1x", "2x", "0x1", "1.0", "1e9",
+                          "18446744073709551616"}) {  // the last is 2^64
+    EXPECT_EQ(parse_unsigned(bad), std::nullopt) << '"' << bad << '"';
+  }
 }
 
-TEST(Strings, StartsWith) {
-  EXPECT_TRUE(starts_with("foobar", "foo"));
-  EXPECT_FALSE(starts_with("foo", "foobar"));
-  EXPECT_TRUE(starts_with("x", ""));
+TEST(Strings, ParseFractionTakesOnlyTheHalfOpenUnitInterval) {
+  EXPECT_EQ(parse_fraction("1"), 1.0);
+  EXPECT_EQ(parse_fraction("0.5"), 0.5);
+  EXPECT_EQ(parse_fraction("5e-1"), 0.5);
+  EXPECT_EQ(parse_fraction("0.001"), 0.001);
+  for (const char* bad : {"", "0", "0.0", "-0.5", "1.5", "1.0000001", "nan", "NaN", "inf",
+                          "-inf", "0.5x", " 0.5", "0.5 ", "+0.5", "1e400"}) {
+    EXPECT_EQ(parse_fraction(bad), std::nullopt) << '"' << bad << '"';
+  }
 }
 
 TEST(Strings, FormatDuration) {

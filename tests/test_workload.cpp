@@ -4,7 +4,6 @@
 
 #include <set>
 
-#include "hbguard/config/parser.hpp"
 #include "hbguard/sim/scenario.hpp"
 #include "hbguard/sim/workload.hpp"
 
@@ -227,24 +226,6 @@ TEST(TrafficDemand, CustomPrefixMapIsUsed) {
   TrafficDemand demand =
       make_traffic_demand(options, [](std::size_t i) { return churn_prefix(i); });
   for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(demand.prefixes[i], churn_prefix(i));
-}
-
-TEST(AsPathPolicy, ParserRoundTrip) {
-  Topology topo;
-  topo.add_router("R1");
-  auto result = parse_router_config(R"(
-route-map avoid
-  clause deny
-    match as-path-contains 64999
-)", topo);
-  ASSERT_TRUE(result.ok());
-  const RouteMap* map = result.config.find_route_map("avoid");
-  ASSERT_NE(map, nullptr);
-  EXPECT_EQ(map->clauses.at(0).match_as_path_contains, 64999u);
-  std::string rendered = render_router_config(result.config, topo);
-  auto again = parse_router_config(rendered, topo);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(render_router_config(again.config, topo), rendered);
 }
 
 }  // namespace
